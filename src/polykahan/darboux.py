@@ -1,27 +1,36 @@
 """Darboux polynomials of birational maps, with Jacobian cofactor.
 
 A polynomial P is Darboux for the map Phi when P(Phi(x)) = J(x) P(x) with J
-the Jacobian determinant.  Such a P makes the 2-form dx^dy / P invariant,
-and the ratio of two Darboux polynomials with the same cofactor is a first
-integral.  The search reduces to exact linear algebra: write P as an ansatz
-over all monomials up to a degree bound, clear all denominators of the
-relation, and take the nullspace of the resulting coefficient system.
+the Jacobian determinant.  Such a P makes the volume form dx_1^...^dx_d / P
+invariant, and the ratio of two Darboux polynomials with the same cofactor
+is a first integral.
 
-The search is exact and intended for planar maps; it also runs in higher
-dimension (the 4D beam maps), where it is experimental and may well return
-nothing.
+The search is linear algebra at points (Celledoni, Evripidou, McLaren, Owren,
+Quispel, Tapley, van der Kamp, J. Phys. A 52 (2019), arXiv:1902.04685): over
+an ansatz of all monomials up to a degree bound, each exact rational point p
+gives the row [m(Phi(p)) - J(p) m(p)].  Every Darboux polynomial satisfies
+every row, so the nullspace contains the true space; exact substitution then
+certifies each basis vector, and a failure draws more points from a wider
+box.  A nonzero relation of bounded degree vanishes at a random point of a
+box of side S with probability at most degree/S, so the loop ends, and the
+echelonized basis depends only on the space, not on the points.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .maps import BirationalMap, jacobian
+from .poly import DenominatorVanished
 from .poly import Monomial, Polynomial, RationalFunction, Var, _grlex_key, param, x
+
+_EXTRA_ROWS = 2  # rows per batch beyond the number of ansatz monomials
 
 
 class CofactorMismatch(ArithmeticError):
@@ -32,9 +41,9 @@ class CofactorMismatch(ArithmeticError):
 class DarbouxCertificate:
     """A Darboux polynomial with its cofactor and a residual-zero witness.
 
-    ``witness`` is the fully denominator-cleared polynomial
-    P(Phi) * clear - J * P * clear and must be identically zero; it is kept
-    as evidence rather than re-derived on use.
+    ``witness`` is the numerator of the substitution residual P(Phi) - J*P
+    and must be identically zero; it is kept as evidence rather than
+    re-derived on use.
     """
 
     P: Polynomial
@@ -109,37 +118,41 @@ def _require_bound(m: BirationalMap):
         raise ValueError("Darboux search needs the symbolic map")
 
 
-def _cleared_images(m: BirationalMap, maxdeg: int, basis: list[Monomial]):
-    """Per ansatz monomial: the cleared composition and the cleared identity
-    side, so that the Darboux relation becomes one polynomial identity."""
-    J = jacobian(m)[1]
-    comps = list(m.forward)
-    dens = [c.den for c in comps]
-    common = Polynomial.const(1)
-    for d in dens:
-        common = common * d
-    num_pows = [_pows(c.num, maxdeg) for c in comps]
-    den_pows = [_pows(d, maxdeg) for d in dens]
-    clear_pow = _pows(common, maxdeg)
-    rows = []
-    for mono in basis:
-        exps = [mono.exponent(v) for v in m.state_vars]
-        total = sum(exps)
-        lhs = Polynomial.const(1)
-        for i, e in enumerate(exps):
-            lhs = lhs * num_pows[i][e] * den_pows[i][maxdeg - e]
-        # lhs == (mono o Phi) * common^maxdeg exactly
-        lhs = lhs * J.den
-        rhs = J.num * Polynomial.monomial(mono) * clear_pow[maxdeg]
-        rows.append(lhs - rhs)
-    return rows
+def _sample_points(dim: int, count: int, batch: int) -> list[tuple[Fraction, ...]]:
+    """The ``batch``-th draw of ``count`` exact rational points: seeded by the
+    batch, with a height bound that doubles from one batch to the next."""
+    rng = random.Random(batch)
+    height = 8 << batch
+    return [
+        tuple(Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(dim))
+        for _ in range(count)
+    ]
 
 
-def _pows(p: Polynomial, emax: int) -> list[Polynomial]:
-    out = [Polynomial.const(1)]
-    for _ in range(emax):
-        out.append(out[-1] * p)
-    return out
+def _relation_row(m: BirationalMap, J: RationalFunction, exps, point) -> list[Fraction]:
+    """[mono(Phi(p)) - J(p)*mono(p) per ansatz exponent vector], exactly;
+    DenominatorVanished where Phi or J is undefined at p."""
+    at = dict(zip(m.state_vars, point))
+    image = [rf.eval(at) for rf in m.forward]
+    scale = J.eval(at)
+    return [_power_product(image, ex) - scale * _power_product(point, ex) for ex in exps]
+
+
+def _power_product(values, exps) -> Fraction:
+    return math.prod(v**e for v, e in zip(values, exps))
+
+
+def _certify(
+    P: Polynomial, m: BirationalMap, J: RationalFunction, degree_bound: int
+) -> DarbouxCertificate:
+    """Substitute the map into P and check P(Phi) - J*P is exactly zero."""
+    sigma = dict(zip(m.state_vars, m.forward))
+    residual = P.substitute(sigma) - J * RationalFunction(P)
+    if not residual.num.is_zero():
+        raise CofactorMismatch(f"P = {P} is not Darboux: residual {residual.num}")
+    return DarbouxCertificate(
+        P=P, cofactor=J, degree_bound=degree_bound, witness=residual.num, map=m
+    )
 
 
 def find_darboux(m: BirationalMap, maxdeg: int) -> list[DarbouxCertificate]:
@@ -153,37 +166,20 @@ def find_darboux(m: BirationalMap, maxdeg: int) -> list[DarbouxCertificate]:
         raise ValueError("maxdeg must be >= 0")
     _require_bound(m)
     basis = _monomial_basis(m.state_vars, maxdeg)
-    combo_polys = _cleared_images(m, maxdeg, basis)
-    all_monos: set[Monomial] = set()
-    for p in combo_polys:
-        all_monos.update(mm for mm, _ in p.terms())
-    universe = tuple(
-        sorted(
-            {v for mm in all_monos for v in mm.vars()}, key=lambda v: v.sort_key()
-        )
-    )
-    rows_index = sorted(all_monos, key=lambda mm: _grlex_key(mm, universe))
-    system = [
-        [p.coefficient(mm) for p in combo_polys] for mm in rows_index
-    ]
-    null = linalg.nullspace(system, ncols=len(basis))
-    certs = []
+    exps = [[mono.exponent(v) for v in m.state_vars] for mono in basis]
     J = jacobian(m)[1]
-    for vec in null:
-        P = Polynomial()
-        for u, mono in zip(vec, basis):
-            if u:
-                P = P + Polynomial.monomial(mono, u)
-        witness = Polynomial()
-        for u, comb in zip(vec, combo_polys):
-            if u:
-                witness = witness + comb * u
-        certs.append(
-            DarbouxCertificate(
-                P=P, cofactor=J, degree_bound=maxdeg, witness=witness, map=m
-            )
-        )
-    return certs
+    rows: list[list[Fraction]] = []
+    for batch in itertools.count():
+        for point in _sample_points(m.dim, len(basis) + _EXTRA_ROWS, batch):
+            try:
+                rows.append(_relation_row(m, J, exps, point))
+            except DenominatorVanished:
+                continue
+        null = linalg.nullspace(rows, ncols=len(basis))
+        try:
+            return [_certify(Polynomial(dict(zip(basis, vec))), m, J, maxdeg) for vec in null]
+        except CofactorMismatch:
+            continue  # too few or too special points: sample more
 
 
 def verify_darboux(
@@ -195,17 +191,8 @@ def verify_darboux(
     """
     if m.forward is None:
         raise ValueError("needs the symbolic map")
-    J = jacobian(m)[1]
-    sigma = {v: rf for v, rf in zip(m.state_vars, m.forward)}
-    residual = P.substitute(sigma) - J * RationalFunction(P)
-    if not residual.num.is_zero():
-        raise CofactorMismatch(f"P = {P} is not Darboux: residual {residual.num}")
-    return DarbouxCertificate(
-        P=P,
-        cofactor=J,
-        degree_bound=degree_bound if degree_bound is not None else P.degree(),
-        witness=residual.num,
-        map=m,
+    return _certify(
+        P, m, jacobian(m)[1], degree_bound if degree_bound is not None else P.degree()
     )
 
 
@@ -234,8 +221,8 @@ def first_integral(
     c1: DarbouxCertificate, c2: DarbouxCertificate
 ) -> RationalFunction:
     """The ratio c2.P / c1.P, verified invariant under the map exactly."""
-    if c1.map is not c2.map and c1.cofactor != c2.cofactor:
-        raise CofactorMismatch("certificates have different cofactors")
+    if c1.map is not c2.map or c1.cofactor != c2.cofactor:
+        raise CofactorMismatch("certificates have different maps or cofactors")
     if not (c1.valid and c2.valid):
         raise CofactorMismatch("certificate witness is nonzero")
     m = c1.map

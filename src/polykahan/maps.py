@@ -437,6 +437,8 @@ def _polyval(coeffs: Sequence[float], z: complex) -> complex:
 def _durand_kerner(
     coeffs: Sequence[float], tol: float = 1e-12, max_iter: int = 10_000
 ) -> tuple[list[complex], float]:
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     d = len(coeffs) - 1
     if d == 0:
         return [], 0.0

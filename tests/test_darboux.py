@@ -261,3 +261,86 @@ def test_experimental_dim4_search_runs():
     m = cases.beam_symmetric(p).map.bind({"h": Fraction(1, 10)})
     certs = darboux.find_darboux(m, 1)
     assert isinstance(certs, list)  # emptiness is a legitimate outcome
+
+
+def test_first_integral_rejects_certificates_of_different_map_objects():
+    # the two maps are equal as maps, so the cofactors agree; the guard must
+    # still refuse, since the ratio is checked against one map only
+    first, second = quartic_bound(), quartic_bound()
+    c1 = darboux.verify_darboux(first.density_poly, first.bound_map)
+    c2 = darboux.verify_darboux(second.invariant_poly, second.bound_map)
+    assert c1.cofactor == c2.cofactor
+    with pytest.raises(darboux.CofactorMismatch):
+        darboux.first_integral(c1, c2)
+
+
+def test_beam_sym_degree3_certificate_is_the_measure_density():
+    p = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
+    case = cases.beam_symmetric(p)
+    certs = darboux.find_darboux(case.map.bind({"h": p.h}), 3)
+    density = 1 - p.h**4 * case.rhs_full.derivative(x(1, 4))
+    assert [c.P for c in certs] == [density.primitive()]
+    assert certs[0].valid
+
+
+QUARTIC_D4 = [
+    "3*x1*x1' + 2*x1 + 2*x1' + 303",
+    "905*x1^2*x1'^2 + 1239*x1^2*x1' + 1239*x1*x1'^2 + 180921*x1^2 + 180921*x1'^2"
+    " + 246561*x1 + 246561*x1' + 35997084",
+]
+LV_D3 = ["x1*x2"]
+
+
+def _degenerate_first_batch(monkeypatch, first_batch):
+    """Make batch 0 of the point generator degenerate; record the batches."""
+    original = darboux._sample_points
+    batches = []
+
+    def sample(dim, count, batch):
+        batches.append(batch)
+        if batch == 0:
+            return first_batch(dim, count)
+        return original(dim, count, batch)
+
+    monkeypatch.setattr(darboux, "_sample_points", sample)
+    return batches
+
+
+def _too_few(dim, count):
+    return [tuple(Fraction(k + i, 3) for i in range(dim)) for k in range(1, 4)]
+
+
+def _on_a_line(dim, count):
+    return [tuple(Fraction(k * (i + 1) + 1, 7) for i in range(dim)) for k in range(count)]
+
+
+@pytest.mark.parametrize("first_batch", [_too_few, _on_a_line])
+def test_search_resamples_after_a_degenerate_first_batch(monkeypatch, first_batch):
+    batches = _degenerate_first_batch(monkeypatch, first_batch)
+    quartic = darboux.find_darboux(quartic_bound().bound_map, 4)
+    assert [c.to_text() for c in quartic] == QUARTIC_D4
+    assert batches == [0, 1]
+    batches.clear()
+    lv = cases.lotka_volterra(1).map.bind({"h": Fraction(1, 10)})
+    assert [c.to_text() for c in darboux.find_darboux(lv, 3)] == LV_D3
+    assert batches == [0, 1]
+
+
+def test_perturbed_basis_vector_fails_certification():
+    m = quartic_bound().bound_map
+    cert = darboux.find_darboux(m, 4)[0]
+    perturbed = cert.P + Fraction(1, 1000) * X0**2 * X1
+    with pytest.raises(darboux.CofactorMismatch):
+        darboux._certify(perturbed, m, cert.cofactor, 4)
+
+
+def test_search_builds_the_jacobian_once(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return maps.jacobian(m)
+
+    monkeypatch.setattr(darboux, "jacobian", counting)
+    certs = darboux.find_darboux(quartic_bound().bound_map, 4)
+    assert len(certs) == 2 and len(calls) == 1

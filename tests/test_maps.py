@@ -186,6 +186,13 @@ def test_char_poly_double_root():
         assert abs(z - 1.0) < 1e-5
 
 
+def test_root_iteration_needs_at_least_one_iteration():
+    with pytest.raises(ValueError, match="max_iter"):
+        maps._durand_kerner([1.0, 0.0, 1.0], max_iter=0)
+    with pytest.raises(maps.NoConvergence):
+        maps._durand_kerner([1.0, -3.0, 2.0], max_iter=1)
+
+
 def test_reference_oracle_self_checks():
     case = quartic_numeric(1, 0, 1, 0)
     [sample] = maps.reference_solution(case.system, [0.3, 0.0], [1.0], 1e-3)
