@@ -481,6 +481,7 @@ class BeamLagrangianCase:
     params: BeamParams
     lagrangian: DiscreteLagrangian
     euler_lagrange: Polynomial  # on window -2..2, h^4-cleared
+    scheme: ImplicitScheme  # the Euler-Lagrange equation on window 0..4
     map: BirationalMap
     expected_rhs: Polynomial  # variational load on window -2..2
 
@@ -496,6 +497,7 @@ def beam_lagrangian(p: BeamParams) -> BeamLagrangianCase:
         params=p,
         lagrangian=L,
         euler_lagrange=el,
+        scheme=sch,
         map=solve_forward(sch),
         expected_rhs=expected_lagrangian_rhs(p.a, p.b, p.c, p.alpha, p.beta),
     )
@@ -725,10 +727,9 @@ def _constant_window_residual_zero(case, wsq: Fraction) -> bool:
     """Exact check that w = sqrt(wsq) zeroes the scheme on a constant window:
     substitute every shift by one symbol W, then reduce even powers via
     W^2 = wsq; the odd and even parts must both vanish."""
-    sch = case.scheme if hasattr(case, "scheme") else ImplicitScheme(4, 1, H, (case.euler_lagrange.shift_states(2),))
     Wsym = Polynomial.var(x(1, 0))
     ok = True
-    for e in sch.equations:
+    for e in case.scheme.equations:
         const = e.subs_poly({x(1, k): Wsym for k in range(0, 5)})
         even = Polynomial()
         odd = Polynomial()

@@ -18,6 +18,7 @@ unrecognized numeric keys become system parameters.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -301,9 +302,8 @@ def build_case(cfg: RunConfig) -> CaseBundle:
             default_init=[w0] * 4, beam_sym=case,
         )
     case = cases.beam_lagrangian(p)
-    sch = ImplicitScheme(4, 1, H, (case.euler_lagrange.shift_states(2),))
     return CaseBundle(
-        "beam-lag", None, sch, case.map, default_init=[w0] * 4, beam_lag=case,
+        "beam-lag", None, case.scheme, case.map, default_init=[w0] * 4, beam_lag=case,
     )
 
 
@@ -394,22 +394,15 @@ def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path) -> list[str]:
     ]
     if orbit.points[1:]:
         res = maps.orbit_residuals(bundle.map, orbit)
-        lines.append(f"max scheme residual = {max(res)!r}")
+        worst = max(res) if all(map(math.isfinite, res)) else math.nan
+        lines.append(f"max scheme residual = {worst!r}")
     if bundle.invariant_pair is not None and orbit.points:
-        density, partner = bundle.invariant_pair
-        vals = []
-        hval = float(cfg.h)
-        for pt in orbit.points:
-            point = {v: val for v, val in zip(bundle.map.state_vars, pt)}
-            point[H] = hval
-            try:
-                num = partner.eval(point)
-                den = density.eval(point)
-                if den == 0:
-                    continue
-                vals.append(num / den)
-            except KeyError:
-                break
+        states = [pt + [float(cfg.h)] for pt in orbit.points]
+        try:
+            den, num = maps.eval_batch(bundle.invariant_pair, [*bundle.map.state_vars, H], states)
+            vals = (num[den != 0] / den[den != 0]).tolist()
+        except ValueError:  # a variable the orbit does not bind: no ratio
+            vals = []
         if vals:
             k0 = vals[0]
             drift = max(abs(v - k0) for v in vals) / max(abs(k0), 1e-300)

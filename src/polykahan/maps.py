@@ -9,11 +9,13 @@ lowest shifts gives the inverse the same way, so the map is birational.
 Symbolic solutions (Cramer on the polynomial coefficient matrix) are built
 for N <= 3; numeric stepping always goes through an LU solve of the
 evaluated N x N system, so larger systems iterate fine without closed
-forms.
+forms.  Stepping, residuals and ``eval_batch`` share one compiled evaluator
+(``_compile``/``_ceval``): one state or a batch, in one operation order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -200,7 +202,6 @@ class _Stepper:
         self.direction = direction
 
     def solved_block(self, state: Sequence[float]) -> list[float]:
-        N = self.m.N
         try:
             return self._solved_block(state)
         except OverflowError:
@@ -255,7 +256,8 @@ def _compile(p: Polynomial, slots: dict[Var, int], consts: Mapping[Var, float]):
     return terms
 
 
-def _ceval(terms, state: Sequence[float]) -> float:
+def _ceval(terms, state):
+    """Sum compiled terms at one state (floats) or at each state of a ``_Batch``."""
     total = 0.0
     for coeff, idx in terms:
         t = coeff
@@ -263,6 +265,28 @@ def _ceval(terms, state: Sequence[float]) -> float:
             t *= state[i] ** e
         total += t
     return total
+
+
+class _Batch(np.ndarray):
+    """States stored one row per slot, so ``batch[i]`` is slot i over all
+    states.  ``**`` is C ``pow`` per element, as for a float: numpy's own
+    power can differ in the last bit."""
+
+    def __new__(cls, states):
+        return np.array(states, dtype=float).T.copy().view(cls)
+
+    def __pow__(self, e):
+        plain = self.view(np.ndarray)
+        return plain if e == 1 else np.float_power(plain, e)
+
+
+def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) -> list[np.ndarray]:
+    """Each polynomial at each state, as ``Polynomial.eval`` gives it; column
+    k of ``states`` binds ``variables[k]``, and other variables raise ValueError."""
+    slots = {v: k for k, v in enumerate(variables)}
+    batch = _Batch(states)
+    with np.errstate(all="ignore"):
+        return [np.broadcast_to(_ceval(_compile(p, slots, {}), batch), len(states)) for p in polys]
 
 
 def step(m: BirationalMap, state: Sequence[float], h: float) -> list[float]:
@@ -312,38 +336,22 @@ def iterate(m: BirationalMap, state: Sequence[float], h: float, steps: int) -> O
     return Orbit(h, points)
 
 
-def scheme_residual(m: BirationalMap, window: Sequence[float], h: float) -> float:
-    """Relative residual of the scheme equations on an (n+1)-level window.
-
-    ``window`` holds N values per level, levels 0..n; the residual is
-    normalized by the largest term magnitude so it is scale-free.
-    """
-    n, N = m.n, m.N
-    slots = {x(j, k): k * N + (j - 1) for k in range(n + 1) for j in range(1, N + 1)}
-    consts = {m.scheme.step: float(h)}
-    worst = 0.0
-    for e in m.scheme.equations:
-        terms = _compile(e, slots, consts)
-        total = 0.0
-        scale = 0.0
-        for coeff, idx in terms:
-            t = coeff
-            for i, ee in idx:
-                t *= window[i] ** ee
-            total += t
-            scale = max(scale, abs(t))
-        worst = max(worst, abs(total) / max(scale, 1.0))
-    return worst
-
-
 def orbit_residuals(m: BirationalMap, orbit: Orbit) -> list[float]:
-    """Scheme residuals along consecutive orbit windows."""
-    N = m.N
-    out = []
-    for a, b in zip(orbit.points, orbit.points[1:]):
-        window = list(a) + list(b[-N:])
-        out.append(scheme_residual(m, window, orbit.h))
-    return out
+    """Scheme residuals on the windows (point k, last level of point k+1),
+    each normalized by its largest term; a non-finite window gives nan/inf."""
+    n, N = m.n, m.N
+    points = np.array(orbit.points, dtype=float).reshape(-1, m.dim)
+    windows = _Batch(np.hstack([points[:-1], points[1:, -N:]]))
+    slots = {x(j, k): k * N + (j - 1) for k in range(n + 1) for j in range(1, N + 1)}
+    consts = {m.scheme.step: float(orbit.h)}
+    worst = np.zeros(windows.shape[1])
+    with np.errstate(all="ignore"):
+        for e in m.scheme.equations:
+            # Term by term for the scale; sum() adds in _ceval's order, from 0.0.
+            terms = [_ceval([t], windows) for t in _compile(e, slots, consts)]
+            scale = functools.reduce(np.maximum, map(abs, terms), 0.0)
+            worst = np.maximum(worst, abs(sum(terms, 0.0)) / np.maximum(scale, 1.0))
+    return worst.tolist()
 
 
 # -- derivatives and spectra ----------------------------------------------------
@@ -352,11 +360,14 @@ def orbit_residuals(m: BirationalMap, orbit: Orbit) -> list[float]:
 def jacobian(
     m: BirationalMap,
 ) -> tuple[list[list[RationalFunction]], RationalFunction]:
-    """Exact Jacobian matrix of the forward map and its determinant."""
+    """Exact Jacobian matrix of the forward map and its determinant, built
+    once per map and cached: callers must not mutate the returned lists."""
     if m.forward is None:
         raise ValueError("no symbolic forward map available")
-    J = [[rf.derivative(v) for v in m.state_vars] for rf in m.forward]
-    return J, linalg.det_rational(J)
+    if "jacobian" not in m._cache:
+        J = [[rf.derivative(v) for v in m.state_vars] for rf in m.forward]
+        m._cache["jacobian"] = (J, linalg.det_rational(J))
+    return m._cache["jacobian"]
 
 
 def linearize_at(
@@ -486,12 +497,7 @@ class ConvergenceReport:
 def first_order_field(sys: PolyOdeSystem) -> Callable[[np.ndarray], np.ndarray]:
     """Vector field of the equivalent first-order system on (x, x', ..)."""
     n, N = sys.order, sys.dim
-    free = set()
-    for p in sys.rhs:
-        free.update(v for v in p.vars() if v.is_param)
-    if free:
-        raise ValueError(f"parameters must be bound: {sorted(map(str, free))}")
-    slots = {x(j): j - 1 for j in range(1, N + 1)}
+    slots = {x(j): j - 1 for j in range(1, N + 1)}  # _compile rejects unbound parameters
     compiled = [_compile(p, slots, {}) for p in sys.rhs]
 
     def field(y: np.ndarray) -> np.ndarray:

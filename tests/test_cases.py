@@ -263,6 +263,7 @@ def test_symmetric_map_symplectic_defect_recorded():
         params=p,
         lagrangian=lag.lagrangian,
         euler_lagrange=lag.euler_lagrange,
+        scheme=lag.scheme,
         map=sym.map,
         expected_rhs=lag.expected_rhs,
     )

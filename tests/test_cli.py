@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from polykahan import maps
 from polykahan.cli import (
     ParseError,
     RunConfig,
@@ -176,3 +178,21 @@ def test_unbound_inline_parameter_is_config_error(tmp_path):
     cfg = tmp_path / "u.cfg"
     cfg.write_text("rhs = -a*x1^3\norder = 2\nsteps = 5\ninit = 0.1, 0.1\n")
     assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "u")]) == 2
+
+
+@pytest.mark.parametrize("preset,start,drift", [
+    ("quartic", "0.06391949743677315", "1.9062568048683039e-13"),
+    ("weierstrass", "-0.014285822500000264", "1.3357269583704072e-13"),
+])
+def test_conserved_ratio_lines_pinned(tmp_path, preset, start, drift):
+    assert main(["orbit", "--preset", preset, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert f"conserved ratio at start = {start}" in lines
+    assert f"conserved ratio max relative drift = {drift}" in lines
+
+
+def test_non_finite_residual_prints_nan(tmp_path, monkeypatch):
+    # Python's max over a list holding nan depends on where the nan sits
+    monkeypatch.setattr(maps, "orbit_residuals", lambda m, orbit: [0.0, math.nan, 1e-16])
+    assert main(["orbit", "--preset", "quartic", "--out", str(tmp_path)]) == 0
+    assert "max scheme residual = nan" in (tmp_path / "report.txt").read_text().splitlines()

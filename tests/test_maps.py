@@ -87,6 +87,87 @@ def test_orbit_scheme_residuals():
     assert max(maps.orbit_residuals(case.map, orbit)) <= 1e-10
 
 
+def per_window_residual(m, window, h):
+    """The per-window residual formula that orbit_residuals batches."""
+    n, N = m.n, m.N
+    slots = {x(j, k): k * N + (j - 1) for k in range(n + 1) for j in range(1, N + 1)}
+    consts = {m.scheme.step: float(h)}
+    worst = 0.0
+    for e in m.scheme.equations:
+        terms = maps._compile(e, slots, consts)
+        total = 0.0
+        scale = 0.0
+        for coeff, idx in terms:
+            t = coeff
+            for i, ee in idx:
+                t *= window[i] ** ee
+            total += t
+            scale = max(scale, abs(t))
+        worst = max(worst, abs(total) / max(scale, 1.0))
+    return worst
+
+
+def euler_top_map():
+    x1, x2, x3 = (Polynomial.var(x(i)) for i in (1, 2, 3))
+    return maps.solve_forward(discretize(PolyOdeSystem(1, 3, (x2 * x3, -2 * x3 * x1, x1 * x2))))
+
+
+@pytest.mark.parametrize("name", ["quartic", "lv", "beam_sym", "euler_top"])
+def test_batched_residuals_equal_per_window_formula(name):
+    beam = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
+    m, start = {
+        "quartic": lambda: (quartic_numeric().map, [0.31, 0.30]),
+        "lv": lambda: (cases.lotka_volterra(1).map, [1.2, 0.9]),
+        "beam_sym": lambda: (cases.beam_symmetric(beam).map, [1.1] * 4),
+        "euler_top": lambda: (euler_top_map(), [1.0, 0.5, 0.3]),
+    }[name]()
+    orbit = maps.iterate(m, start, 0.1, 300)
+    assert orbit.status == "complete"
+    oracle = [
+        per_window_residual(m, list(a) + list(b[-m.N:]), 0.1)
+        for a, b in zip(orbit.points, orbit.points[1:])
+    ]
+    got = maps.orbit_residuals(m, orbit)
+    assert len(got) == 300 and all(type(r) is float for r in got)
+    assert got == oracle
+
+
+def test_one_point_orbit_has_no_residuals():
+    m = quartic_numeric().map
+    assert maps.orbit_residuals(m, maps.iterate(m, [0.3, 0.3], 0.1, 0)) == []
+
+
+def test_non_finite_window_gives_non_finite_residual():
+    # per window, Python's max would keep 0.0 past a nan and report a perfect fit
+    lv = cases.lotka_volterra(1).map
+    overflow = maps.Orbit(0.1, [[1e200, 1e200], [-1e200, 1e200], [1.0, 1.0]])
+    res = maps.orbit_residuals(lv, overflow)
+    assert not math.isfinite(res[0]) and math.isfinite(res[1])
+    nan_window = maps.Orbit(0.1, [[math.nan, 0.3], [0.3, 0.3]])
+    assert math.isnan(maps.orbit_residuals(quartic_numeric().map, nan_window)[0])
+
+
+def test_eval_batch_matches_polynomial_eval_bit_for_bit():
+    # numpy's own power differs from C pow in the last bit for some
+    # exponents >= 2; the batch must follow Polynomial.eval exactly
+    a, b = x(1), x(2)
+    p = (
+        Polynomial.const(Fraction(1, 3)) * Polynomial.var(a) ** 5 * Polynomial.var(b) ** 2
+        - Polynomial.const(7) * Polynomial.var(a) ** 3
+        + Polynomial.var(H) ** 2 * Polynomial.var(b) ** 4
+        + Polynomial.const(Fraction(2, 7))
+    )
+    rng = random.Random(3)
+    states = [[rng.uniform(-3, 3), rng.uniform(-3, 3), 0.1] for _ in range(2000)]
+    (got,) = maps.eval_batch([p], [a, b, H], states)
+    want = [p.eval({a: s[0], b: s[1], H: s[2]}) for s in states]
+    assert got.tolist() == want
+    (const,) = maps.eval_batch([Polynomial.const(2)], [a], [[0.5], [1.5]])
+    assert const.tolist() == [2.0, 2.0]
+    with pytest.raises(ValueError):
+        maps.eval_batch([p], [a, b], [[0.5, 0.5]])
+
+
 def test_lv_orbit_bounded_ten_thousand_steps():
     lv = cases.lotka_volterra(1)
     orbit = maps.iterate(lv.map, [1.2, 0.9], 0.1, 10_000)
@@ -141,6 +222,24 @@ def test_jacobian_det_matches_finite_differences():
         point = {v: val for v, val in zip(case.map.state_vars, s)}
         point[H] = h
         assert det.eval(point) == pytest.approx(float(np.linalg.det(M)), rel=1e-6, abs=1e-6)
+
+
+def test_jacobian_is_built_once_per_map(monkeypatch):
+    m = quartic_numeric().map
+    assert maps.jacobian(m) is maps.jacobian(m)
+    assert maps.jacobian(m.bind({})) is not maps.jacobian(m)  # a new map, a new cache
+    builds = []
+    det_rational = maps.linalg.det_rational
+
+    def counting(J):
+        builds.append(J)
+        return det_rational(J)
+
+    monkeypatch.setattr(maps.linalg, "det_rational", counting)
+    rep = cases.beam_fixed_point_analysis(1, Fraction(1, 4), Fraction(1, 10), "symmetric")
+    assert len(rep.spectra) == 4
+    # one 4x4 determinant; the Laplace expansion recurses on smaller minors
+    assert [len(J) for J in builds].count(4) == 1
 
 
 def test_linearize_free_particle():
