@@ -560,12 +560,12 @@ def ostrogradsky_inverse(
     u0 = x(1, 0)
 
     def solve_first_slot(poly: Polynomial, u1, u2, target):
-        partial_eval = poly.subs_poly({x(1, 1): _P(u1) if exact else Polynomial.const(Fraction(u1)), x(1, 2): _P(u2) if exact else Polynomial.const(Fraction(u2))})
+        partial_eval = poly.subs_poly({x(1, 1): _P(u1), x(1, 2): _P(u2)})
         pieces = partial_eval.split_by(u0)
         if max(pieces) != 1:
             raise ValueError("slot-2 partial is not linear in its first argument")
-        lin = pieces[1].eval({H: Fraction(hv) if exact else hv})
-        const = pieces.get(0, Polynomial.zero()).eval({H: Fraction(hv) if exact else hv})
+        lin = pieces[1].eval({H: hv})
+        const = pieces.get(0, Polynomial.zero()).eval({H: hv})
         if lin == 0:
             raise ZeroDivisionError("degenerate window solve")
         val = (target - const) / lin

@@ -56,7 +56,7 @@ def parse_poly(text: str, line: int | None = None) -> Polynomial:
     compact = text.replace(" ", "").replace("\t", "")
     if not compact:
         raise ParseError("empty polynomial", line)
-    out = Polynomial()
+    terms: list[tuple[Monomial, Fraction]] = []
     for chunk in re.findall(r"[+-]?[^+-]+", compact):
         sign = 1
         body = chunk
@@ -89,8 +89,8 @@ def parse_poly(text: str, line: int | None = None) -> Polynomial:
                 factors.append((param(name), int(exp or 1)))
                 continue
             raise ParseError(f"cannot parse factor {factor!r}", line)
-        out = out + Polynomial.monomial(Monomial.from_pairs(factors), coeff)
-    return out
+        terms.append((Monomial.from_pairs(factors), coeff))
+    return Polynomial(terms)
 
 
 # ---------------------------------------------------------------------------

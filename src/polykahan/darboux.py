@@ -177,7 +177,7 @@ def find_darboux(m: BirationalMap, maxdeg: int) -> list[DarbouxCertificate]:
                 continue
         null = linalg.nullspace(rows, ncols=len(basis))
         try:
-            return [_certify(Polynomial(dict(zip(basis, vec))), m, J, maxdeg) for vec in null]
+            return [_certify(Polynomial(zip(basis, vec)), m, J, maxdeg) for vec in null]
         except CofactorMismatch:
             continue  # too few or too special points: sample more
 

@@ -139,12 +139,13 @@ def inverse(A: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def det_poly(M: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a small matrix of polynomials (Laplace expansion)."""
+def det_poly(M: Sequence[Sequence[Polynomial | RationalFunction]]):
+    """Determinant of a small matrix of Polynomial or RationalFunction entries,
+    by Laplace expansion along the first column; of the entries' type."""
     n = len(M)
     if n == 1:
         return M[0][0]
-    out = Polynomial()
+    out = RationalFunction(Polynomial()) if isinstance(M[0][0], RationalFunction) else Polynomial()
     for i in range(n):
         entry = M[i][0]
         if entry.is_zero():
@@ -155,17 +156,4 @@ def det_poly(M: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return out
 
 
-def det_rational(M: Sequence[Sequence[RationalFunction]]) -> RationalFunction:
-    """Determinant of a small matrix of rational functions."""
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    out = RationalFunction(Polynomial())
-    for i in range(n):
-        entry = M[i][0]
-        if entry.is_zero():
-            continue
-        minor = [[M[r][c] for c in range(1, n)] for r in range(n) if r != i]
-        term = entry * det_rational(minor)
-        out = out + (term if i % 2 == 0 else -term)
-    return out
+det_rational = det_poly  # the same routine under the name maps.jacobian calls

@@ -491,7 +491,6 @@ class ConvergenceReport:
     errors: list[float]
     slope: float
     excluded: list[float] = field(default_factory=list)
-    oracle_gap: float = 0.0
 
 
 def first_order_field(sys: PolyOdeSystem) -> Callable[[np.ndarray], np.ndarray]:

@@ -160,14 +160,15 @@ class Polynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        canon: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    canon[m] = c
-        self._terms = canon
+    def __init__(
+        self,
+        terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] | None = None,
+    ):
+        """``terms`` is a mapping or an iterable of (monomial, coefficient)
+        pairs; the coefficients of equal monomials are added, as by ``+``."""
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        self._terms = _accumulate({}, terms or ())
 
     # -- constructors -------------------------------------------------
 
@@ -177,15 +178,15 @@ class Polynomial:
 
     @staticmethod
     def const(c: Scalar) -> "Polynomial":
-        return Polynomial({_ONE: Fraction(c)})
+        return Polynomial({_ONE: c})
 
     @staticmethod
     def var(v: Var) -> "Polynomial":
-        return Polynomial({Monomial.from_pairs([(v, 1)]): Fraction(1)})
+        return Polynomial({Monomial.from_pairs([(v, 1)]): 1})
 
     @staticmethod
     def monomial(m: Monomial, c: Scalar = 1) -> "Polynomial":
-        return Polynomial({m: Fraction(c)})
+        return Polynomial({m: c})
 
     # -- inspection ----------------------------------------------------
 
@@ -242,15 +243,8 @@ class Polynomial:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
         p = Polynomial.__new__(Polynomial)
-        p._terms = out
+        p._terms = _accumulate(dict(self._terms), other._terms.items())
         return p
 
     __radd__ = __add__
@@ -279,18 +273,11 @@ class Polynomial:
             return p
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p._terms = out
-        return p
+        return Polynomial(
+            (m1 * m2, c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -325,28 +312,19 @@ class Polynomial:
     # -- calculus and structure -----------------------------------------
 
     def derivative(self, v: Var) -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            e = m.exponent(v)
-            if not e:
-                continue
-            dm = Monomial.from_pairs([(w, k) for w, k in m.factors if w != v] + [(v, e - 1)])
-            s = out.get(dm, Fraction(0)) + c * e
-            if s:
-                out[dm] = s
-            else:
-                out.pop(dm, None)
-        p = Polynomial.__new__(Polynomial)
-        p._terms = out
-        return p
+        return Polynomial(
+            (Monomial.from_pairs([(w, k - 1 if w == v else k) for w, k in m.factors]),
+             c * m.exponent(v))
+            for m, c in self._terms.items()
+            if m.exponent(v)
+        )
 
     def map_vars(self, fn) -> "Polynomial":
         """Rename variables via ``fn: Var -> Var`` (merging is allowed)."""
-        out = Polynomial()
-        for m, c in self._terms.items():
-            nm = Monomial.from_pairs([(fn(v), e) for v, e in m.factors])
-            out = out + Polynomial.monomial(nm, c)
-        return out
+        return Polynomial(
+            (Monomial.from_pairs([(fn(v), e) for v, e in m.factors]), c)
+            for m, c in self._terms.items()
+        )
 
     def shift_states(self, offset: int) -> "Polynomial":
         """Shift every state variable's lattice index by ``offset``."""
@@ -356,12 +334,10 @@ class Polynomial:
 
     def split_by(self, v: Var) -> dict[int, "Polynomial"]:
         """Group terms by the exponent of ``v``, removing ``v`` itself."""
-        out: dict[int, Polynomial] = {}
+        groups: dict[int, list[tuple[Monomial, Fraction]]] = {}
         for m, c in self._terms.items():
-            e = m.exponent(v)
-            out.setdefault(e, Polynomial())
-            out[e] = out[e] + Polynomial.monomial(m.without(v), c)
-        return out
+            groups.setdefault(m.exponent(v), []).append((m.without(v), c))
+        return {e: Polynomial(pairs) for e, pairs in groups.items()}
 
     def eval(self, point: Mapping[Var, Number]):
         """Evaluate at a point binding every variable.
@@ -406,7 +382,7 @@ class Polynomial:
                 emax[v] = max(emax[v], m.exponent(v))
         num_pows = {v: _powers(subs[v].num, emax[v]) for v in subs}
         den_pows = {v: _powers(subs[v].den, emax[v]) for v in subs}
-        num = Polynomial()
+        num_terms: list[tuple[Monomial, Fraction]] = []
         for m, c in self._terms.items():
             piece = Polynomial.monomial(
                 Monomial.from_pairs([(v, e) for v, e in m.factors if v not in subs]), c
@@ -414,7 +390,8 @@ class Polynomial:
             for v in subs:
                 e = m.exponent(v)
                 piece = piece * num_pows[v][e] * den_pows[v][emax[v] - e]
-            num = num + piece
+            num_terms.extend(piece.terms())
+        num = Polynomial(num_terms)
         den = Polynomial.const(1)
         for v in subs:
             den = den * den_pows[v][emax[v]]
@@ -473,6 +450,22 @@ class Polynomial:
         return f"<Polynomial {self}>"
 
 
+def _accumulate(out: dict, pairs) -> dict:
+    """Add (monomial, coefficient) pairs into ``out`` one by one.  A monomial
+    is popped as soon as its running sum is zero, so the term order is that
+    of adding the pairs with repeated ``+``."""
+    for m, c in pairs:
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        s = out.get(m)
+        s = c if s is None else s + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
 def _coerce_poly(v) -> Polynomial:
     if isinstance(v, Polynomial):
         return v
@@ -499,11 +492,6 @@ def _coerce_rational(v) -> "RationalFunction":
     return RationalFunction(p)
 
 
-def poly(c: Scalar = 0, *vars_: Var) -> Polynomial:
-    """Convenience: ``poly(c, v1, v2, ...)`` is the monomial c*v1*v2*..."""
-    return Polynomial.monomial(Monomial.from_pairs([(v, 1) for v in vars_]), c)
-
-
 def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     """Exact polynomial quotient p/q, or None when q does not divide p."""
     if q.is_zero():
@@ -515,7 +503,7 @@ def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     universe = tuple(sorted(p.vars() | q.vars(), key=lambda v: v.sort_key()))
     q_sorted = sorted(q.terms(), key=lambda it: _grlex_key(it[0], universe), reverse=True)
     qm, qc = q_sorted[0]
-    quotient = Polynomial()
+    quotient: list[tuple[Monomial, Fraction]] = []
     rem = p
     while not rem.is_zero():
         rm, rc = max(rem.terms(), key=lambda it: _grlex_key(it[0], universe))
@@ -530,9 +518,9 @@ def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
         if any(rm.exponent(v) < e for v, e in qm.factors):
             return None
         t = Polynomial.monomial(Monomial.from_pairs(diff), rc / qc)
-        quotient = quotient + t
+        quotient.extend(t.terms())
         rem = rem - t * q
-    return quotient
+    return Polynomial(quotient)
 
 
 class RationalFunction:
@@ -570,9 +558,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
 
     def as_polynomial(self) -> Polynomial:
         if self.den.is_constant():
@@ -716,16 +701,15 @@ def collect_linear(
     ``vars``.  Coefficients and remainder are free of ``vars``.
     """
     vs = frozenset(vars)
-    coeffs: dict[Var, Polynomial] = {}
-    remainder = Polynomial()
+    coeffs: dict[Var, list[tuple[Monomial, Fraction]]] = {}
+    remainder: list[tuple[Monomial, Fraction]] = []
     for m, c in p.terms():
         deg = m.degree_in(vs)
         if deg == 0:
-            remainder = remainder + Polynomial.monomial(m, c)
+            remainder.append((m, c))
         elif deg == 1:
             v = next(w for w in m.vars() if w in vs)
-            coeffs.setdefault(v, Polynomial())
-            coeffs[v] = coeffs[v] + Polynomial.monomial(m.without(v), c)
+            coeffs.setdefault(v, []).append((m.without(v), c))
         else:
             raise NotLinear(f"monomial {m} has degree {deg} in {sorted(vs)}")
-    return coeffs, remainder
+    return {v: Polynomial(pairs) for v, pairs in coeffs.items()}, Polynomial(remainder)

@@ -106,19 +106,18 @@ def symmetrize_monomial(m: Monomial, n: int) -> Polynomial:
     if d > n + 1:
         raise DegreeTooHigh(f"monomial {m} has state degree {d} > {n + 1}")
     weight = Fraction(math.factorial(n + 1 - d), math.factorial(n + 1))
-    out = Polynomial()
+    terms = []
     for levels in itertools.permutations(range(n + 1), d):
         shifted = [(Var(comp=v.comp, shift=k), 1) for v, k in zip(state_factors, levels)]
-        out = out + Polynomial.monomial(Monomial.from_pairs(shifted + params), weight)
-    return out
+        terms.append((Monomial.from_pairs(shifted + params), weight))
+    return Polynomial(terms)
 
 
 def symmetrize(p: Polynomial, n: int) -> Polynomial:
     """Apply :func:`symmetrize_monomial` term by term."""
-    out = Polynomial()
-    for m, c in p.terms():
-        out = out + c * symmetrize_monomial(m, n)
-    return out
+    return Polynomial(
+        (sm, c * sc) for m, c in p.terms() for sm, sc in symmetrize_monomial(m, n).terms()
+    )
 
 
 def discretize(sys: PolyOdeSystem) -> ImplicitScheme:
@@ -132,12 +131,10 @@ def discretize(sys: PolyOdeSystem) -> ImplicitScheme:
     hn = Polynomial.var(H) ** n
     eqs = []
     for i in range(1, sys.dim + 1):
-        diff = Polynomial()
-        for k in range(n + 1):
-            sign = 1 if (n - k) % 2 == 0 else -1
-            diff = diff + Polynomial.monomial(
-                Monomial.from_pairs([(x(i, k), 1)]), sign * math.comb(n, k)
-            )
+        diff = Polynomial(
+            (Monomial.from_pairs([(x(i, k), 1)]), (-1) ** (n - k) * math.comb(n, k))
+            for k in range(n + 1)
+        )
         eqs.append(diff - hn * symmetrize(sys.rhs[i - 1], n))
     return ImplicitScheme(n, sys.dim, H, tuple(eqs))
 

@@ -222,6 +222,16 @@ def test_ostrogradsky_round_trip_exact():
     assert cases.ostrogradsky_inverse(L, state, p.h) == window
 
 
+def test_ostrogradsky_round_trip_float():
+    p = beam_params()
+    L = cases.discrete_lagrangian(p.a, p.b, p.c, p.alpha, p.beta)
+    window = [0.3, -0.7, 1.1, 0.45]
+    state = cases.ostrogradsky_transform(L, window, 0.1)
+    back = cases.ostrogradsky_inverse(L, state, 0.1)
+    assert all(isinstance(v, float) for v in back)
+    assert back == pytest.approx(window, rel=0, abs=1e-12)
+
+
 def test_ostrogradsky_fixed_window_maps_to_fixed_state():
     rep = cases.beam_fixed_point_analysis(1, Fraction(1, 4), Fraction(1, 10), "lagrangian")
     w = rep.primary

@@ -8,6 +8,7 @@ from polykahan.cli import (
     ParseError,
     RunConfig,
     ValidationError,
+    build_case,
     main,
     parse_config,
     parse_poly,
@@ -196,3 +197,40 @@ def test_non_finite_residual_prints_nan(tmp_path, monkeypatch):
     monkeypatch.setattr(maps, "orbit_residuals", lambda m, orbit: [0.0, math.nan, 1e-16])
     assert main(["orbit", "--preset", "quartic", "--out", str(tmp_path)]) == 0
     assert "max scheme residual = nan" in (tmp_path / "report.txt").read_text().splitlines()
+
+
+# Term insertion order of the scheme equations and of the linear system for
+# the top shift.  The compiled float evaluator adds terms in this order, so a
+# change here moves the last bits of orbit.csv and of the residuals.
+_TERM_ORDER = {
+    "quartic": {
+        "equations": [
+            ["x1", "x1'", "x1''", "x1*x1'*x1''*h^2", "x1*x1'*h^2", "x1*x1''*h^2",
+             "x1'*x1''*h^2", "x1*h^2", "x1'*h^2", "x1''*h^2", "h^2"],
+        ],
+        "top_A": [[["1", "x1*x1'*h^2", "x1*h^2", "x1'*h^2", "h^2"]]],
+        "top_r": [["x1", "x1'", "x1*x1'*h^2", "x1*h^2", "x1'*h^2", "h^2"]],
+    },
+    "lv": {
+        "equations": [
+            ["x1", "x1'", "x1*h", "x1'*h", "x1*x2'*h", "x1'*x2*h"],
+            ["x2", "x2'", "x1*x2'*h", "x1'*x2*h", "x2*h", "x2'*h"],
+        ],
+        "top_A": [[["1", "h", "x2*h"], ["x1*h"]], [["x2*h"], ["1", "x1*h", "h"]]],
+        "top_r": [["x1", "x1*h"], ["x2", "x2*h"]],
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_TERM_ORDER))
+def test_term_order_pinned(preset):
+    def order(p):
+        return [str(m) for m, _ in p.terms()]
+
+    bundle = build_case(RunConfig(preset=preset))
+    A, r = bundle.map._top
+    assert {
+        "equations": [order(e) for e in bundle.scheme.equations],
+        "top_A": [[order(q) for q in row] for row in A],
+        "top_r": [order(q) for q in r],
+    } == _TERM_ORDER[preset]

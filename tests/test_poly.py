@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polykahan import linalg
 from polykahan.poly import (
@@ -223,3 +225,70 @@ def test_var_ordering_canonical():
     vs = [param("b"), x(2, 0), x(1, 1), x(1, 0), param("a")]
     ordered = sorted(vs, key=lambda v: v.sort_key())
     assert ordered == [x(1, 0), x(1, 1), x(2, 0), param("a"), param("b")]
+
+
+# -- the constructor as term accumulator ----------------------------------------
+
+_ACC_VARS = (x(1), x(2), param("a"))
+
+
+@st.composite
+def term_lists(draw):
+    """(monomial, coefficient) pairs over 2-3 variables, with zeros, repeats
+    and negated copies of earlier pairs so running sums cancel."""
+    k = draw(st.integers(2, 3))
+    monomial = st.lists(
+        st.tuples(st.sampled_from(_ACC_VARS[:k]), st.integers(1, 2)), max_size=3
+    ).map(Monomial.from_pairs)
+    coeff = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]) | st.fractions(
+        -3, 3, max_denominator=4
+    )
+    pairs = draw(st.lists(st.tuples(monomial, coeff), max_size=12))
+    for m, c in draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else ():
+        pairs.insert(draw(st.integers(0, len(pairs))), (m, -c))
+    return pairs
+
+
+@given(term_lists())
+def test_constructor_accumulates_like_repeated_add(pairs):
+    expected = Polynomial()
+    for m, c in pairs:
+        expected = expected + Polynomial.monomial(m, c)
+    p = Polynomial(pairs)
+    assert p == expected
+    assert list(p.terms()) == list(expected.terms())
+
+
+def test_cancelled_term_reenters_last():
+    a, b = Monomial.from_pairs([(x(1), 1)]), Monomial.from_pairs([(x(2), 1)])
+    A, B = Polynomial.monomial(a), Polynomial.monomial(b)
+    assert [m for m, _ in (A + B - A + A).terms()] == [b, a]
+    assert list(Polynomial([(a, 1), (b, 1), (a, -1), (a, 1)]).terms()) == [(b, 1), (a, 1)]
+
+
+# -- determinants ---------------------------------------------------------------
+
+
+def test_det_rational_is_det_poly():
+    assert linalg.det_rational is linalg.det_poly
+
+
+def test_det_rational_3x3_matches_hand_expansion():
+    R = RationalFunction
+    (a, b, c), (d, e, f), (g, h, i) = M = [
+        [R(X, Y + 1), R(1), R(Y)],
+        [R(2), R(X * Y, X + 2), R(0)],
+        [R(Y, X), R(3), R(X - 1, Y + 1)],
+    ]
+    det = linalg.det_poly(M)
+    assert isinstance(det, RationalFunction)
+    assert det == a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_det_zero_first_column_is_zero_of_entry_type():
+    zero = Polynomial()
+    det = linalg.det_poly([[zero, X], [zero, Y]])
+    assert type(det) is Polynomial and det.is_zero()
+    R0 = RationalFunction(zero)
+    det = linalg.det_poly([[R0, RationalFunction(X, Y)], [R0, RationalFunction(Y)]])
+    assert type(det) is RationalFunction and det.is_zero()
