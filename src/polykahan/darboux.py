@@ -8,7 +8,10 @@ is a first integral.
 The search is linear algebra at points (Celledoni, Evripidou, McLaren, Owren,
 Quispel, Tapley, van der Kamp, J. Phys. A 52 (2019), arXiv:1902.04685): over
 an ansatz of all monomials up to a degree bound, each exact rational point p
-gives the row [m(Phi(p)) - J(p) m(p)].  Every Darboux polynomial satisfies
+gives the row [m(Phi(p)) - J(p) m(p)].  Rows are built on integers: Phi and
+J are compiled once per search and evaluated homogenized at p = a/q, and
+each row is scaled by a nonzero integer of its point and divided by its gcd,
+which leaves its nullspace unchanged.  Every Darboux polynomial satisfies
 every row, so the nullspace contains the true space; exact substitution then
 certifies each basis vector, and a failure draws more points from a wider
 box.  A nonzero relation of bounded degree vanishes at a random point of a
@@ -28,7 +31,7 @@ from typing import Sequence
 from . import linalg
 from .maps import BirationalMap, jacobian
 from .poly import DenominatorVanished
-from .poly import Monomial, Polynomial, RationalFunction, Var, _grlex_key, param, x
+from .poly import Monomial, Polynomial, RationalFunction, Var, _grlex_key, _powers, param, x
 
 _EXTRA_ROWS = 2  # rows per batch beyond the number of ansatz monomials
 
@@ -129,17 +132,65 @@ def _sample_points(dim: int, count: int, batch: int) -> list[tuple[Fraction, ...
     ]
 
 
-def _relation_row(m: BirationalMap, J: RationalFunction, exps, point) -> list[Fraction]:
-    """[mono(Phi(p)) - J(p)*mono(p) per ansatz exponent vector], exactly;
-    DenominatorVanished where Phi or J is undefined at p."""
-    at = dict(zip(m.state_vars, point))
-    image = [rf.eval(at) for rf in m.forward]
-    scale = J.eval(at)
-    return [_power_product(image, ex) - scale * _power_product(point, ex) for ex in exps]
+def _integer_form(p: Polynomial, vars_: Sequence[Var]):
+    """(scale, degree, terms) with p = scale * sum c*x^e: the integers c are
+    coprime, and a term is (c, [(index of x_i in vars_, e_i)], degree - |e|)."""
+    scale, deg, slot = p.content(), p.degree(), {v: i for i, v in enumerate(vars_)}
+    terms = [
+        (int(c / scale), [(slot[v], e) for v, e in mono.factors], deg - mono.degree)
+        for mono, c in p.terms()
+    ]
+    return scale, deg, terms
 
 
-def _power_product(values, exps) -> Fraction:
-    return math.prod(v**e for v, e in zip(values, exps))
+def _homogeneous(terms, apow, qpow) -> int:
+    """q^degree * p(a/q), from the power tables of the integers a_i and q."""
+    return sum(
+        c * qpow[rest] * math.prod(apow[i][e] for i, e in factors) for c, factors, rest in terms
+    )
+
+
+def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
+    """Compile Phi and J to integer forms once; return the function that maps
+    a rational point p = a/q to the integer row
+
+        Jd q^k prod_j d_j^k * [mono(Phi(p)) - J(p)*mono(p) per ansatz exponent vector]
+
+    divided by the gcd of its entries, where Phi_j(p) = n_j/d_j, J(p) = Jn/Jd
+    and k = maxdeg.  It raises DenominatorVanished where Phi or J is undefined."""
+    forms = []
+    for rf in (*m.forward, J):
+        (sn, dn, tn), (sd, dd, td) = (_integer_form(p, m.state_vars) for p in (rf.num, rf.den))
+        forms.append((sn / sd, dn, tn, dd, td))
+    k = max(map(sum, exps))
+    top = max(k, *(max(dn, dd) for _, dn, _, dd, _ in forms))
+    shape = [(ex, k - sum(ex)) for ex in exps]
+
+    def value(ratio, dn, tn, dd, td, apow, qpow) -> Fraction:
+        d = _homogeneous(td, apow, qpow)
+        if d == 0:
+            raise DenominatorVanished("denominator vanished at a sample point")
+        n = _homogeneous(tn, apow, qpow)
+        return Fraction(ratio.numerator * n * qpow[dd], ratio.denominator * d * qpow[dn])
+
+    def row(point) -> list[int]:
+        q = math.lcm(*(v.denominator for v in point))
+        apow = [_powers(v.numerator * (q // v.denominator), top) for v in point]
+        qpow = _powers(q, top)
+        *image, jac = (value(*form, apow, qpow) for form in forms)
+        npow = [_powers(v.numerator, k) for v in image]
+        dpow = [_powers(v.denominator, k) for v in image]
+        lhs = jac.denominator * qpow[k]
+        rhs = jac.numerator * math.prod(d[k] for d in dpow)
+        out = [
+            lhs * math.prod(n[e] * d[k - e] for n, d, e in zip(npow, dpow, ex))
+            - rhs * math.prod(a[e] for a, e in zip(apow, ex)) * qpow[rest]
+            for ex, rest in shape
+        ]
+        g = math.gcd(*out)
+        return [v // g for v in out] if g > 1 else out
+
+    return row
 
 
 def _certify(
@@ -168,11 +219,12 @@ def find_darboux(m: BirationalMap, maxdeg: int) -> list[DarbouxCertificate]:
     basis = _monomial_basis(m.state_vars, maxdeg)
     exps = [[mono.exponent(v) for v in m.state_vars] for mono in basis]
     J = jacobian(m)[1]
-    rows: list[list[Fraction]] = []
+    relation_row = _relation_rows(m, J, exps)
+    rows: list[list[int]] = []
     for batch in itertools.count():
         for point in _sample_points(m.dim, len(basis) + _EXTRA_ROWS, batch):
             try:
-                rows.append(_relation_row(m, J, exps, point))
+                rows.append(relation_row(point))
             except DenominatorVanished:
                 continue
         null = linalg.nullspace(rows, ncols=len(basis))

@@ -20,12 +20,14 @@ class SingularMatrix(ArithmeticError):
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
+    """Each row scaled to integers, as a new list (elimination works in place)."""
     out = []
     for row in rows:
+        if all(type(v) is int for v in row):
+            out.append(list(row))
+            continue
         fr = [Fraction(v) for v in row]
-        scale = 1
-        for v in fr:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
+        scale = math.lcm(*(v.denominator for v in fr))
         out.append([int(v * scale) for v in fr])
     return out
 
@@ -47,7 +49,7 @@ def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[tuple[
             if all(v == 0 for v in mat[i]):
                 continue
             mic = mat[i][c]
-            for j in range(n):
+            for j in range(c + 1, n):  # rows r.. are already zero left of c
                 q, rem = divmod(mat[i][j] * piv - mic * mat[r][j], prev)
                 if rem:  # Bareiss one-step division is exact by construction
                     raise AssertionError("fraction-free elimination lost exactness")
@@ -95,13 +97,9 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None
 
 
 def _normalize_int(vec: list[Fraction]) -> list[int]:
-    scale = 1
-    for v in vec:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
+    scale = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * scale) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     lead = next((v for v in ints if v), 0)

@@ -346,15 +346,17 @@ class Polynomial:
         as any value is a float.
         """
         inexact = any(isinstance(val, float) for val in point.values())
-        total = 0.0 if inexact else Fraction(0)
+        kind = float if inexact else Fraction
+        values = {v: kind(val) for v, val in point.items()}
+        total = kind(0)
         for m, c in self._terms.items():
             term = float(c) if inexact else c
             for v, e in m.factors:
                 try:
-                    val = point[v]
+                    val = values[v]
                 except KeyError:
                     raise KeyError(f"unbound variable {v} in evaluation") from None
-                term *= (float(val) if inexact else Fraction(val)) ** e
+                term *= val**e
             total += term
         return total
 
@@ -407,12 +409,9 @@ class Polynomial:
         """Positive rational c such that self/c has coprime integer coefficients."""
         if not self._terms:
             return Fraction(1)
-        den_lcm = 1
-        for c in self._terms.values():
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self._terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
+        coeffs = self._terms.values()
+        den_lcm = math.lcm(*(c.denominator for c in coeffs))
+        num_gcd = math.gcd(*(c.numerator * (den_lcm // c.denominator) for c in coeffs))
         return Fraction(num_gcd, den_lcm)
 
     def primitive(self) -> "Polynomial":
@@ -476,8 +475,9 @@ def _coerce_poly(v) -> Polynomial:
     return NotImplemented
 
 
-def _powers(p: Polynomial, emax: int) -> list[Polynomial]:
-    out = [Polynomial.const(1)]
+def _powers(p, emax: int) -> list:
+    """[1, p, p^2, ..., p^emax] for a Polynomial or a number."""
+    out = [p**0]
     for _ in range(emax):
         out.append(out[-1] * p)
     return out

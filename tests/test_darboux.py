@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from polykahan import cases, darboux, maps
-from polykahan.poly import Polynomial, RationalFunction, param, x
+from polykahan.poly import DenominatorVanished, Polynomial, RationalFunction, param, x
 from polykahan.scheme import H, PolyOdeSystem, discretize
 
 X0 = Polynomial.var(x(1, 0))
@@ -344,3 +345,98 @@ def test_search_builds_the_jacobian_once(monkeypatch):
     monkeypatch.setattr(darboux, "jacobian", counting)
     certs = darboux.find_darboux(quartic_bound().bound_map, 4)
     assert len(certs) == 2 and len(calls) == 1
+
+
+# -- integer relation rows ------------------------------------------------------
+
+
+def _euler_top_bound():
+    x1, x2, x3 = (Polynomial.var(x(i)) for i in (1, 2, 3))
+    system = PolyOdeSystem(1, 3, (x2 * x3, -2 * x3 * x1, x1 * x2))
+    return maps.solve_forward(discretize(system)).bind({"h": Fraction(1, 10)})
+
+
+def _beam_sym_bound():
+    p = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
+    return cases.beam_symmetric(p).map.bind({"h": p.h})
+
+
+RELATION_MAPS = {
+    "quartic": lambda: quartic_bound().bound_map,
+    "lv": lambda: cases.lotka_volterra(1).map.bind({"h": Fraction(1, 10)}),
+    "euler_top": _euler_top_bound,
+    "beam_sym": _beam_sym_bound,
+}
+
+
+def _fraction_row(m, J, exps, point):
+    """The relation row in Fraction arithmetic, through RationalFunction.eval."""
+    at = dict(zip(m.state_vars, point))
+    image = [rf.eval(at) for rf in m.forward]
+    scale = J.eval(at)
+
+    def power_product(values, ex):
+        return math.prod(v**e for v, e in zip(values, ex))
+
+    return [power_product(image, ex) - scale * power_product(point, ex) for ex in exps]
+
+
+def _ansatz_exponents(m, maxdeg):
+    basis = darboux._monomial_basis(m.state_vars, maxdeg)
+    return [[mono.exponent(v) for v in m.state_vars] for mono in basis]
+
+
+def _relation_points(dim):
+    rng = random.Random(dim)
+    fixed = [
+        tuple(Fraction((-1) ** i * (2 * i + 3), 3 + 4 * i) for i in range(dim)),
+        tuple(Fraction(-(i + 1) * 5, 7) if i % 2 else Fraction(11, 2 + i) for i in range(dim)),
+    ]
+    drawn = [
+        tuple((-1) ** i * Fraction(rng.randint(1, 40), rng.randint(1, 25)) for i in range(dim))
+        for _ in range(6)
+    ]
+    return fixed + drawn
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_MAPS))
+@pytest.mark.parametrize("maxdeg", [2, 3])
+def test_integer_row_is_a_nonzero_multiple_of_the_fraction_row(name, maxdeg):
+    m = RELATION_MAPS[name]()
+    J = maps.jacobian(m)[1]
+    exps = _ansatz_exponents(m, maxdeg)
+    relation_row = darboux._relation_rows(m, J, exps)
+    checked = 0
+    for point in _relation_points(m.dim):
+        assert len(set(point)) == m.dim and min(point) < 0
+        try:
+            expected = _fraction_row(m, J, exps, point)
+        except DenominatorVanished:
+            with pytest.raises(DenominatorVanished):
+                relation_row(point)
+            continue
+        row = relation_row(point)
+        assert all(type(v) is int for v in row)
+        lead = next(i for i, v in enumerate(expected) if v)
+        ratio = Fraction(row[lead]) / expected[lead]
+        assert ratio != 0
+        assert [Fraction(v) for v in row] == [ratio * v for v in expected]
+        assert math.gcd(*row) == 1
+        checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize(
+    "name, point",
+    [
+        ("quartic", (Fraction(1), Fraction(-61))),  # 3xy + 2x + 2y + 303 = 0
+        ("lv", (Fraction(1, 19), Fraction(-398, 21))),  # 19x - 21y - 399 = 0
+    ],
+)
+def test_integer_row_on_the_map_denominator_raises(name, point):
+    m = RELATION_MAPS[name]()
+    at = dict(zip(m.state_vars, point))
+    assert any(rf.den.eval(at) == 0 for rf in m.forward)
+    relation_row = darboux._relation_rows(m, maps.jacobian(m)[1], _ansatz_exponents(m, 2))
+    with pytest.raises(DenominatorVanished):
+        relation_row(point)

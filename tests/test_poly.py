@@ -81,6 +81,36 @@ def test_eval_exact_and_float():
     assert p.eval({x(1): 2.0}) == pytest.approx(5.0)
 
 
+def _eval_per_factor(p, point):
+    """Polynomial.eval as it was: every bound value converted once per factor."""
+    inexact = any(isinstance(val, float) for val in point.values())
+    total = 0.0 if inexact else Fraction(0)
+    for m, c in p.terms():
+        term = float(c) if inexact else c
+        for v, e in m.factors:
+            term *= (float(point[v]) if inexact else Fraction(point[v])) ** e
+        total += term
+    return total
+
+
+def test_eval_matches_the_per_factor_loop_exactly_and_bit_for_bit():
+    rng = random.Random(31)
+    vars_ = [x(1), x(2), x(1, 1), param("a")]
+    for _ in range(200):
+        p = rand_poly(rng, maxdeg=6, terms=8)
+        exact = {
+            v: rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+            for v in vars_
+        }
+        assert p.eval(exact) == _eval_per_factor(p, exact)
+        assert type(p.eval(exact)) is Fraction
+        mixed = dict(exact)
+        mixed[vars_[rng.randrange(4)]] = rng.uniform(-3, 3)
+        for point in (mixed, {v: rng.uniform(-3, 3) for v in vars_}):
+            got, want = p.eval(point), _eval_per_factor(p, point)
+            assert type(got) is float and got.hex() == want.hex()
+
+
 def test_eval_unbound_raises():
     with pytest.raises(KeyError):
         (X * Y).eval({x(1): 1})
