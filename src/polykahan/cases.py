@@ -11,6 +11,7 @@ Lagrangian (symplectic); both are analyzed around their fixed points.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import darboux, maps
 from .maps import BirationalMap, SingularStep, solve_forward
-from .poly import DenominatorVanished, Polynomial, RationalFunction, Var, param, x
+from .poly import Monomial, Polynomial, RationalFunction, Var, param, x
 from .scheme import H, ImplicitScheme, PolyOdeSystem, discretize, symmetrize
 
 
@@ -308,20 +309,13 @@ def beam_symmetric(p: BeamParams) -> BeamSymmetricCase:
     rhs = _P(p.a) * X**4 + _P(p.b) * X**2 + _P(p.c)
     sys = PolyOdeSystem(4, 1, (rhs,))
     sch = discretize(sys)
-    window = [-2, -1, 0, 1, 2]
-    quartic = Polynomial()
-    for skip in window:
-        prod = Polynomial.const(1)
-        for k in window:
-            if k != skip:
-                prod = prod * _W(k)
-        quartic = quartic + prod
-    quartic = _P(p.a) / 5 * quartic
-    quadratic = Polynomial()
-    for i, ki in enumerate(window):
-        for kj in window[i + 1 :]:
-            quadratic = quadratic + _W(ki) * _W(kj)
-    quadratic = _P(p.b) / 10 * quadratic
+
+    def subsets(k: int, coeff: Fraction) -> Polynomial:  # coeff times each k-subset of -2..2
+        return Polynomial(
+            (Monomial.from_pairs((x(1, j), 1) for j in s), coeff)
+            for s in itertools.combinations(range(-2, 3), k)
+        )
+
     return BeamSymmetricCase(
         params=p,
         system=sys,
@@ -329,9 +323,20 @@ def beam_symmetric(p: BeamParams) -> BeamSymmetricCase:
         recentred=sch.recentered(-2),
         map=solve_forward(sch),
         rhs_full=symmetrize(rhs, 4),
-        expected_quartic=quartic,
-        expected_quadratic=quadratic,
+        expected_quartic=subsets(4, p.a / 5),
+        expected_quadratic=subsets(2, p.b / 10),
     )
+
+
+def _eval_rational_batch(rfs, variables, states) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each rational function at each state, num over den as
+    RationalFunction.eval divides them, and a mask of the states at which
+    no denominator vanishes (where eval would raise)."""
+    values = maps.eval_batch([q for rf in rfs for q in (rf.num, rf.den)], variables, states)
+    nums, dens = values[0::2], values[1::2]
+    with np.errstate(all="ignore"):
+        quotients = [n / d for n, d in zip(nums, dens)]
+    return quotients, np.logical_and.reduce([d != 0 for d in dens])
 
 
 @dataclass
@@ -356,28 +361,27 @@ def beam_measure_check(
     F = case.rhs_full
     G = F.derivative(x(1, 0))
     Hi = F.derivative(x(1, 4))
-    symmetry = G.shift_states(-1) == Hi
     _, det = maps.jacobian(case.map)
     h = float(case.params.h)
+    window = [x(1, k) for k in range(5)]
     rng = random.Random(seed)
     worst = 0.0
     done = 0
     while done < n_points:
-        state = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-        point = {x(1, k): state[k] for k in range(4)}
-        point[H] = h
-        try:
-            w4 = case.map.forward[-1].eval(point)
-            det_val = det.eval(point)
-        except (ZeroDivisionError, DenominatorVanished):
-            continue
-        g_val = G.eval({x(1, k): (state[k] if k < 4 else w4) for k in range(1, 5)})
-        h_val = Hi.eval({x(1, k): state[k] for k in range(4)})
-        ratio = (1 - h**4 * g_val) / (1 - h**4 * h_val)
-        worst = max(worst, abs(det_val - ratio) / max(abs(det_val), 1e-30))
-        done += 1
+        states = [[rng.uniform(-1.0, 1.0) for _ in range(4)] for _ in range(n_points - done)]
+        (w4, det_val), ok = _eval_rational_batch(
+            [case.map.forward[-1], det], [*window[:4], H], [s + [h] for s in states]
+        )
+        # G reads w^(1..4), H reads w^(0..3): one window binds both
+        g_val, h_val = maps.eval_batch([G, Hi], window, [s + [w] for s, w in zip(states, w4)])
+        for good, d, g, hv in zip(ok, det_val.tolist(), g_val.tolist(), h_val.tolist()):
+            if not good:
+                continue
+            ratio = (1 - h**4 * g) / (1 - h**4 * hv)
+            worst = max(worst, abs(d - ratio) / max(abs(d), 1e-30))
+            done += 1
     return MeasureReport(
-        symmetry_holds=symmetry,
+        symmetry_holds=G.shift_states(-1) == Hi,
         max_rel_gap=worst,
         samples=n_points,
         density_description="dw^(-2)^dw^(-1)^dw^(0)^dw^(1) / (1 - h^4*H)",
@@ -608,45 +612,47 @@ def symplecticity_check(
     """
     L = case.lagrangian
     h = float(case.params.h)
-    scale = h**4
     # Canonical coordinates as polynomials on the map's own 0..3 window
     # (s0..s3) = (w^(-2), w^(-1), w^(0), w^(1)).
     p2_poly = L.partial(2).shift_states(1)
     p1_poly = L.partial(1).shift_states(1) + L.partial(2)
     c_polys = [Polynomial.var(x(1, 2)), Polynomial.var(x(1, 3)), p1_poly, p2_poly]
-    c_scale = [1.0, 1.0, scale, scale]
-    state_vars = case.map.state_vars
-    dC = [[poly.derivative(v) for v in state_vars] for poly in c_polys]
+    c_scale = np.array([[1.0], [1.0], [h**4], [h**4]])  # row i of C over c_scale[i]
+    variables = [*case.map.state_vars, H]
+    dC = [q.derivative(v) for q in c_polys for v in case.map.state_vars]
     Jm, _ = maps.jacobian(case.map)
     rng = random.Random(seed)
     worst = 0.0
     done = 0
     resampled = 0
     while done < n_states:
-        s = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-        try:
-            image = maps.step(case.map, s, h)
-        except SingularStep:
-            resampled += 1
+        states, images = [], []
+        for _ in range(n_states - done):
+            s = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+            try:
+                images.append(maps.step(case.map, s, h) + [h])
+            except SingularStep:
+                resampled += 1
+                continue
+            states.append(s + [h])
+        if not states:
             continue
-        pt = {v: val for v, val in zip(state_vars, s)}
-        pt[H] = h
-        pt_im = {v: val for v, val in zip(state_vars, image)}
-        pt_im[H] = h
-        try:
-            dphi = np.array([[rf.eval(pt) for rf in row] for row in Jm])
-            C_here = np.array(
-                [[p.eval(pt) / c_scale[i] for p in row] for i, row in enumerate(dC)]
-            )
-            C_image = np.array(
-                [[p.eval(pt_im) / c_scale[i] for p in row] for i, row in enumerate(dC)]
-            )
-            M = C_image @ dphi @ np.linalg.inv(C_here)
-        except (ZeroDivisionError, DenominatorVanished, np.linalg.LinAlgError):
-            resampled += 1
-            continue
-        worst = max(worst, float(np.max(np.abs(M.T @ _OMEGA @ M - _OMEGA))))
-        done += 1
+        dphi, ok = _eval_rational_batch([rf for row in Jm for rf in row], variables, states)
+        dphi = np.array(dphi).T.reshape(-1, 4, 4)
+        C_here, C_image = (
+            np.array(maps.eval_batch(dC, variables, pts)).T.reshape(-1, 4, 4) / c_scale
+            for pts in (states, images)
+        )
+        for good, C_im, D, C_at in zip(ok, C_image, dphi, C_here):
+            try:  # not good: a Jacobian denominator vanished
+                M = C_im @ D @ np.linalg.inv(C_at) if good else None
+            except np.linalg.LinAlgError:
+                M = None
+            if M is None:
+                resampled += 1
+                continue
+            worst = max(worst, float(np.max(np.abs(M.T @ _OMEGA @ M - _OMEGA))))
+            done += 1
     return SymplecticityReport(defect=worst, samples=n_states, resampled=resampled)
 
 
@@ -657,15 +663,13 @@ def symplecticity_check(
 class BeamFixedPointReport:
     params: BeamParams
     fixed_points: list[float]
-    primary: float  # sqrt(epsilon + sqrt(delta)) when real
-    continuous_growth: float  # (4 w* sqrt(delta))^(1/4)
+    primary: float  # sqrt(t) for the largest root t > 0 of a t^2 + b t + c
+    continuous_growth: float  # largest Re(lambda) with lambda^4 = F'(w*), F = a w^4 + b w^2 + c
     spectra: dict[float, maps.SpectrumReport]
-    exact_residual_ok: bool | None  # rational-arithmetic check when sqrt(delta) is rational
+    exact_residual_ok: bool | None  # exact check at w*; None when w*^2 is irrational
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
     num = math.isqrt(q.numerator)
     den = math.isqrt(q.denominator)
     if num * num == q.numerator and den * den == q.denominator:
@@ -674,70 +678,66 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 def beam_fixed_point_analysis(
-    epsilon: int,
-    delta: Fraction,
-    h: Fraction,
-    which: str = "symmetric",
-    alpha=ONSITE_ALPHA,
-    beta=ONSITE_BETA,
+    case: BeamSymmetricCase | BeamLagrangianCase,
 ) -> BeamFixedPointReport:
-    """Constant fixed points w = +-sqrt(epsilon +- sqrt(delta)) of both beam
-    discretizations, their linearizations and spectra.
+    """Constant fixed points of a built beam map, their linearizations and
+    spectra, for the load a w^4 + b w^2 + c of ``case.params``.
 
     Both maps fix exactly the equilibria of the continuous equation, since a
     constant window zeroes the difference kernel and the averaged load
-    collapses to the load itself.  Raises NoRealFixedPoint when the
-    parameter range yields none.
+    collapses to the load itself: w^2 = t for each root t > 0 of
+    a t^2 + b t + c.  At such a root F'(w) = 2 w s with s = 2 a t + b, which
+    is +-sqrt(b^2 - 4ac) (b when a = 0).  Raises NoRealFixedPoint, with the
+    cause, when the load has no such root.
     """
-    delta = Fraction(delta)
-    if delta < 0:
-        raise NoRealFixedPoint("delta must be >= 0 for real fixed points")
-    p = BeamParams.normal_form(epsilon, delta, h, alpha, beta)
-    case = beam_symmetric(p) if which == "symmetric" else beam_lagrangian(p)
-    sd = math.sqrt(float(delta))
-    squares = [epsilon + sd, epsilon - sd]
-    ws: list[float] = []
-    for t in squares:
-        if t > 0:
-            r = math.sqrt(t)
-            ws.extend([r, -r])
-    if not ws:
-        raise NoRealFixedPoint(f"no real fixed points for epsilon={epsilon}, delta={delta}")
+    p = case.params
+    a, b, c = p.a, p.b, p.c
+    disc = b * b - 4 * a * c
+    roots = []  # (t, s, exact t or None)
+    if a == 0:
+        if b == 0:
+            raise NoRealFixedPoint(f"the load is the constant {c}: no isolated fixed point")
+        roots.append((float(-c / b), float(b), -c / b))
+    elif disc < 0:
+        raise NoRealFixedPoint(f"a t^2 + b t + c has no real root (b^2 - 4ac = {disc})")
+    else:
+        sd, rsd = math.sqrt(float(disc)), _rational_sqrt(disc)
+        for sign in (1, -1) if disc else (1,):
+            exact = None if rsd is None else (-b + sign * rsd) / (2 * a)
+            roots.append(((float(-b) + sign * sd) / float(2 * a), sign * sd, exact))
+    roots = sorted((r for r in roots if r[0] > 0), key=lambda r: -r[0])
+    if not roots:
+        raise NoRealFixedPoint(f"a t^2 + b t + c has no root t = w^2 > 0 (a={a}, b={b}, c={c})")
+    ws = [w for t, _, _ in roots for w in (math.sqrt(t), -math.sqrt(t))]
     spectra = {}
     for w in ws:
-        M = maps.linearize_at(case.map, [w] * 4, float(h))
+        M = maps.linearize_at(case.map, [w] * 4, float(p.h))
         spectra[w] = maps.char_poly_and_roots(M, fixed_point=[w] * 4)
-    primary = math.sqrt(epsilon + sd) if epsilon + sd > 0 else ws[0]
-    gamma = (4.0 * primary * sd) ** 0.25 if sd > 0 else 0.0
-    exact_ok = None
-    rsd = _rational_sqrt(delta)
-    if rsd is not None:
-        exact_ok = _constant_window_residual_zero(case, Fraction(epsilon) + rsd)
+    _, slope, wsq = roots[0]
+    fprime = 2 * ws[0] * slope
+    # lambda^4 = F' <= 0 puts the roots on the diagonals: Re = (|F'|/4)^(1/4)
+    gamma = fprime**0.25 if fprime > 0 else (-fprime / 4) ** 0.25
     return BeamFixedPointReport(
         params=p,
         fixed_points=ws,
-        primary=primary,
+        primary=ws[0],
         continuous_growth=gamma,
         spectra=spectra,
-        exact_residual_ok=exact_ok,
+        exact_residual_ok=None if wsq is None else _constant_window_residual_zero(case, wsq),
     )
 
 
 def _constant_window_residual_zero(case, wsq: Fraction) -> bool:
     """Exact check that w = sqrt(wsq) zeroes the scheme on a constant window:
-    substitute every shift by one symbol W, then reduce even powers via
-    W^2 = wsq; the odd and even parts must both vanish."""
-    Wsym = Polynomial.var(x(1, 0))
-    ok = True
+    put one symbol W in every slot and reduce W^k to wsq^(k//2) W^(k%2);
+    what is left, the parts even and odd in W, must vanish."""
+    W = x(1, 0)
     for e in case.scheme.equations:
-        const = e.subs_poly({x(1, k): Wsym for k in range(0, 5)})
-        even = Polynomial()
-        odd = Polynomial()
-        for pw, coeff_poly in const.split_by(x(1, 0)).items():
-            lifted = coeff_poly * Polynomial.const(wsq ** (pw // 2))
-            if pw % 2 == 0:
-                even = even + lifted
-            else:
-                odd = odd + lifted
-        ok = ok and even.is_zero() and odd.is_zero()
-    return ok
+        parts = e.subs_poly({x(1, k): Polynomial.var(W) for k in range(5)}).split_by(W)
+        reduced = Polynomial(
+            (m * Monomial.from_pairs([(W, k % 2)]), c * wsq ** (k // 2))
+            for k, q in parts.items() for m, c in q.terms()
+        )
+        if not reduced.is_zero():
+            return False
+    return True

@@ -98,6 +98,7 @@ def parse_poly(text: str, line: int | None = None) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 PRESETS = ("lv", "quartic", "weierstrass", "beam-sym", "beam-lag")
+_BEAM_LOAD = {"a", "b", "c"}  # the beam's general load; the normal form uses delta
 
 _KNOWN_KEYS = {
     "preset",
@@ -148,6 +149,9 @@ class RunConfig:
             raise ValidationError("steps must be >= 0")
         if self.epsilon not in (1, -1):
             raise ValidationError("epsilon must be +1 or -1")
+        mixed = sorted(_BEAM_LOAD & self.params.keys())
+        if self.preset in ("beam-sym", "beam-lag") and "delta" in self.params and mixed:
+            raise ValidationError(f"the beam load is a, b, c or epsilon, delta: not delta with {mixed}")
         for name, vec, size in (("alpha", self.alpha, 6), ("beta", self.beta, 4)):
             if vec is not None:
                 if len(vec) != size:
@@ -161,6 +165,13 @@ def _fraction(value: str, line: int) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a number, got {value!r}", line) from None
+
+
+def _integer(value: str, line: int) -> int:
+    q = _fraction(value, line)
+    if q.denominator != 1:
+        raise ParseError(f"expected an integer, got {value!r}", line)
+    return int(q)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -181,13 +192,13 @@ def parse_config(text: str) -> RunConfig:
         elif key == "rhs":
             cfg.rhs_text = [part.strip() for part in value.split(";") if part.strip()]
         elif key == "order":
-            cfg.order = int(_fraction(value, lineno))
+            cfg.order = _integer(value, lineno)
         elif key == "dim":
-            cfg.dim = int(_fraction(value, lineno))
+            cfg.dim = _integer(value, lineno)
         elif key == "h":
             cfg.h = _fraction(value, lineno)
         elif key == "steps":
-            cfg.steps = int(_fraction(value, lineno))
+            cfg.steps = _integer(value, lineno)
         elif key == "init":
             cfg.init = [float(_fraction(v.strip(), lineno)) for v in value.split(",")]
         elif key == "init_ode":
@@ -195,13 +206,13 @@ def parse_config(text: str) -> RunConfig:
         elif key == "out":
             cfg.out = value
         elif key == "darboux_maxdeg":
-            cfg.darboux_maxdeg = int(_fraction(value, lineno))
+            cfg.darboux_maxdeg = _integer(value, lineno)
         elif key == "epsilon":
-            cfg.epsilon = int(_fraction(value, lineno))
+            cfg.epsilon = _integer(value, lineno)
         elif key == "seed":
-            cfg.seed = int(_fraction(value, lineno))
+            cfg.seed = _integer(value, lineno)
         elif key == "plot":
-            parts = [int(_fraction(v.strip(), lineno)) for v in value.split(",")]
+            parts = [_integer(v.strip(), lineno) for v in value.split(",")]
             if len(parts) != 2:
                 raise ParseError("plot needs two coordinate indices", lineno)
             cfg.plot = (parts[0], parts[1])
@@ -234,19 +245,12 @@ class CaseBundle:
 
 
 def _beam_params(cfg: RunConfig) -> cases.BeamParams:
+    weights = (cfg.alpha or cases.ONSITE_ALPHA, cfg.beta or cases.ONSITE_BETA)
+    if _BEAM_LOAD & cfg.params.keys():
+        get = cfg.params.get
+        return cases.BeamParams(get("a", 1), get("b", -2), get("c", Fraction(3, 4)), cfg.h, *weights)
     delta = cfg.params.get("delta", Fraction(1, 4))
-    if "a" in cfg.params or "b" in cfg.params or "c" in cfg.params:
-        return cases.BeamParams(
-            cfg.params.get("a", 1),
-            cfg.params.get("b", -2),
-            cfg.params.get("c", Fraction(3, 4)),
-            cfg.h,
-            cfg.alpha or cases.ONSITE_ALPHA,
-            cfg.beta or cases.ONSITE_BETA,
-        )
-    return cases.BeamParams.normal_form(
-        cfg.epsilon, delta, cfg.h, cfg.alpha or cases.ONSITE_ALPHA, cfg.beta or cases.ONSITE_BETA
-    )
+    return cases.BeamParams.normal_form(cfg.epsilon, delta, cfg.h, *weights)
 
 
 def build_case(cfg: RunConfig) -> CaseBundle:
@@ -440,24 +444,21 @@ def bundle_params_for_bind(bundle: CaseBundle, cfg: RunConfig) -> dict:
     return {k: v for k, v in cfg.params.items() if k in free}
 
 
-def beam_section(cfg: RunConfig) -> list[str]:
-    p = _beam_params(cfg)
+def beam_section(bundle: CaseBundle, cfg: RunConfig) -> list[str]:
+    # Both beam maps are analyzed: the preset's from the bundle, the other built here.
+    sym_case = bundle.beam_sym or cases.beam_symmetric(bundle.beam_lag.params)
+    lag_case = bundle.beam_lag or cases.beam_lagrangian(sym_case.params)
+    p = sym_case.params
     lines = ["[beam]"]
     lines.append(f"load: a = {p.a}, b = {p.b}, c = {p.c}, h = {p.h}")
-    sym_case = cases.beam_symmetric(p)
     measure = cases.beam_measure_check(sym_case, seed=cfg.seed)
     lines.append(f"shift-averaged: load symmetry G == H exact = {measure.symmetry_holds}")
     lines.append(f"shift-averaged: max |det - density ratio| rel = {measure.max_rel_gap!r}")
-    lag_case = cases.beam_lagrangian(p)
     symp = cases.symplecticity_check(lag_case, seed=cfg.seed)
     lines.append(f"variational: symplectic defect = {symp.defect!r} over {symp.samples} states")
-    delta = cfg.params.get("delta", Fraction(1, 4))
     try:
-        for which in ("symmetric", "lagrangian"):
-            rep = cases.beam_fixed_point_analysis(
-                cfg.epsilon, delta, cfg.h, which,
-                cfg.alpha or cases.ONSITE_ALPHA, cfg.beta or cases.ONSITE_BETA,
-            )
+        for which, case in (("symmetric", sym_case), ("lagrangian", lag_case)):
+            rep = cases.beam_fixed_point_analysis(case)
             sp = rep.spectra[rep.primary]
             lines.append(f"{which}: fixed points w = {sorted(rep.fixed_points)}")
             lines.append(f"{which}: primary w* = {rep.primary!r}")
@@ -557,9 +558,7 @@ def _run(command: str, cfg: RunConfig) -> int:
         sections.append(f"param {k} = {cfg.params[k]}")
     sections.append(f"h = {cfg.h}")
     needs_beam = cfg.preset in ("beam-sym", "beam-lag")
-    bundle = None
-    if command in ("discretize", "orbit", "darboux", "report") or not needs_beam:
-        bundle = build_case(cfg)
+    bundle = build_case(cfg)
     if command == "discretize":
         sections += scheme_section(bundle)
     elif command == "orbit":
@@ -571,14 +570,14 @@ def _run(command: str, cfg: RunConfig) -> int:
     elif command == "analyze-beam":
         if not needs_beam:
             raise ValidationError("analyze-beam needs a beam preset")
-        sections += beam_section(cfg)
+        sections += beam_section(bundle, cfg)
     else:  # report
         sections += scheme_section(bundle)
         sections += orbit_section(bundle, cfg, out)
         if bundle.map.dim == 2:
             sections += darboux_section(bundle, cfg)
         if needs_beam:
-            sections += beam_section(cfg)
+            sections += beam_section(bundle, cfg)
     report = "\n".join(sections) + "\n"
     (out / "report.txt").write_text(report)
     sys.stdout.write(report)

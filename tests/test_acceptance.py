@@ -160,8 +160,9 @@ def test_criterion_10_symplecticity():
 
 def test_criterion_11_beam_spectra():
     gammas = []
-    for which in ("symmetric", "lagrangian"):
-        rep = cases.beam_fixed_point_analysis(1, Fraction(1, 4), Fraction(1, 10), which)
+    p = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
+    for case in (cases.beam_symmetric(p), cases.beam_lagrangian(p)):
+        rep = cases.beam_fixed_point_analysis(case)
         assert rep.primary == pytest.approx(math.sqrt(1.5), rel=1e-12)
         sp = rep.spectra[rep.primary]
         assert sp.palindromic_defect <= 1e-8

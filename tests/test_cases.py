@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polykahan import cases, darboux, maps
-from polykahan.poly import Polynomial, RationalFunction, param, x
+from polykahan.poly import DenominatorVanished, Polynomial, RationalFunction, param, x
 from polykahan.scheme import H, PolyOdeSystem
 
 
@@ -14,6 +14,12 @@ def beam_params(**kw):
     defaults = dict(a=1, b=-2, c=Fraction(3, 4), h=Fraction(1, 10))
     defaults.update(kw)
     return cases.BeamParams(**defaults)
+
+
+def normal_form_case(which="symmetric", epsilon=1):
+    """A built beam case for the normal-form load, epsilon = +-1, delta = 1/4."""
+    p = cases.BeamParams.normal_form(epsilon, Fraction(1, 4), Fraction(1, 10))
+    return cases.beam_symmetric(p) if which == "symmetric" else cases.beam_lagrangian(p)
 
 
 # -- Lotka-Volterra -----------------------------------------------------------
@@ -233,7 +239,7 @@ def test_ostrogradsky_round_trip_float():
 
 
 def test_ostrogradsky_fixed_window_maps_to_fixed_state():
-    rep = cases.beam_fixed_point_analysis(1, Fraction(1, 4), Fraction(1, 10), "lagrangian")
+    rep = cases.beam_fixed_point_analysis(normal_form_case("lagrangian"))
     w = rep.primary
     p = rep.params
     L = cases.discrete_lagrangian(p.a, p.b, p.c, p.alpha, p.beta)
@@ -281,11 +287,149 @@ def test_symmetric_map_symplectic_defect_recorded():
     assert rep.defect >= 0.0
 
 
+# The per-sample loops that beam_measure_check and symplecticity_check ran
+# before they evaluated through maps.eval_batch, kept as oracles: the batched
+# checks must draw the same states, skip the same ones, and give the same bits.
+
+
+def _measure_gap_loop(case, n_points, seed):
+    F = case.rhs_full
+    G = F.derivative(x(1, 0))
+    Hi = F.derivative(x(1, 4))
+    _, det = maps.jacobian(case.map)
+    h = float(case.params.h)
+    rng = random.Random(seed)
+    worst = 0.0
+    done = 0
+    while done < n_points:
+        state = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+        point = {x(1, k): state[k] for k in range(4)}
+        point[H] = h
+        try:
+            w4 = case.map.forward[-1].eval(point)
+            det_val = det.eval(point)
+        except (ZeroDivisionError, DenominatorVanished):
+            continue
+        g_val = G.eval({x(1, k): (state[k] if k < 4 else w4) for k in range(1, 5)})
+        h_val = Hi.eval({x(1, k): state[k] for k in range(4)})
+        ratio = (1 - h**4 * g_val) / (1 - h**4 * h_val)
+        worst = max(worst, abs(det_val - ratio) / max(abs(det_val), 1e-30))
+        done += 1
+    return worst
+
+
+def _symplectic_loop(case, n_states, seed):
+    L = case.lagrangian
+    h = float(case.params.h)
+    scale = h**4
+    p2_poly = L.partial(2).shift_states(1)
+    p1_poly = L.partial(1).shift_states(1) + L.partial(2)
+    c_polys = [Polynomial.var(x(1, 2)), Polynomial.var(x(1, 3)), p1_poly, p2_poly]
+    c_scale = [1.0, 1.0, scale, scale]
+    state_vars = case.map.state_vars
+    dC = [[poly.derivative(v) for v in state_vars] for poly in c_polys]
+    Jm, _ = maps.jacobian(case.map)
+    rng = random.Random(seed)
+    worst = 0.0
+    done = 0
+    resampled = 0
+    while done < n_states:
+        s = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+        try:
+            image = maps.step(case.map, s, h)
+        except maps.SingularStep:
+            resampled += 1
+            continue
+        pt = {v: val for v, val in zip(state_vars, s)}
+        pt[H] = h
+        pt_im = {v: val for v, val in zip(state_vars, image)}
+        pt_im[H] = h
+        try:
+            dphi = np.array([[rf.eval(pt) for rf in row] for row in Jm])
+            C_here = np.array(
+                [[p.eval(pt) / c_scale[i] for p in row] for i, row in enumerate(dC)]
+            )
+            C_image = np.array(
+                [[p.eval(pt_im) / c_scale[i] for p in row] for i, row in enumerate(dC)]
+            )
+            M = C_image @ dphi @ np.linalg.inv(C_here)
+        except (ZeroDivisionError, DenominatorVanished, np.linalg.LinAlgError):
+            resampled += 1
+            continue
+        worst = max(worst, float(np.max(np.abs(M.T @ cases._OMEGA @ M - cases._OMEGA))))
+        done += 1
+    return worst, resampled
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11, 99])
+@pytest.mark.parametrize("load", [(1, -2, Fraction(3, 4)), (2, -3, 1)])
+def test_measure_check_matches_per_sample_loop(seed, load):
+    case = cases.beam_symmetric(beam_params(a=load[0], b=load[1], c=load[2]))
+    rep = cases.beam_measure_check(case, seed=seed)
+    assert rep.max_rel_gap == _measure_gap_loop(case, 20, seed)
+    assert rep.samples == 20
+
+
+def _contrast_case():
+    # the shift-averaged map conjugated as if it were variational
+    p = beam_params()
+    lag = cases.beam_lagrangian(p)
+    return cases.BeamLagrangianCase(
+        params=p,
+        lagrangian=lag.lagrangian,
+        euler_lagrange=lag.euler_lagrange,
+        scheme=lag.scheme,
+        map=cases.beam_symmetric(p).map,
+        expected_rhs=lag.expected_rhs,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11, 99])
+@pytest.mark.parametrize("make", [
+    lambda: cases.beam_lagrangian(beam_params()),
+    lambda: cases.beam_lagrangian(beam_params(alpha=cases.UNIFORM_ALPHA, beta=cases.UNIFORM_BETA)),
+    _contrast_case,
+], ids=["onsite", "uniform", "contrast"])
+def test_symplecticity_check_matches_per_sample_loop(seed, make):
+    case = make()
+    rep = cases.symplecticity_check(case, seed=seed)
+    assert (rep.defect, rep.resampled) == _symplectic_loop(case, 20, seed)
+    assert rep.samples == 20
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11, 99])
+def test_symplecticity_check_resamples_like_the_loop(seed, monkeypatch):
+    # reject every state whose first slot is above 0.3, as a singular step
+    step = maps.step
+
+    def rejecting(m, s, h):
+        if s[0] > 0.3:
+            raise maps.SingularStep("rejected by the test")
+        return step(m, s, h)
+
+    monkeypatch.setattr(maps, "step", rejecting)
+    case = cases.beam_lagrangian(beam_params())
+    rep = cases.symplecticity_check(case, seed=seed)
+    defect, resampled = _symplectic_loop(case, 20, seed)
+    assert resampled > 0
+    assert (rep.defect, rep.resampled) == (defect, resampled)
+
+
+def test_eval_rational_batch_masks_vanishing_denominators():
+    a = x(1)
+    rf = RationalFunction(Polynomial.const(1), Polynomial.var(a) - 1)
+    (vals,), ok = cases._eval_rational_batch([rf], [a], [[3.0], [1.0], [0.5]])
+    assert ok.tolist() == [True, False, True]
+    assert [vals[0], vals[2]] == [rf.eval({a: 3.0}), rf.eval({a: 0.5})]
+    with pytest.raises(DenominatorVanished):
+        rf.eval({a: 1.0})
+
+
 # -- fixed points and spectra ----------------------------------------------------------
 
 
 def test_fixed_point_values_and_growth_rate():
-    rep = cases.beam_fixed_point_analysis(1, Fraction(1, 4), Fraction(1, 10), "symmetric")
+    rep = cases.beam_fixed_point_analysis(normal_form_case("symmetric"))
     assert rep.primary == pytest.approx(math.sqrt(1.5), rel=1e-12)
     assert rep.continuous_growth == pytest.approx(6 ** 0.125, rel=1e-12)
     assert sorted(rep.fixed_points) == pytest.approx(
@@ -295,12 +439,12 @@ def test_fixed_point_values_and_growth_rate():
 
 def test_fixed_point_residual_exact_for_rational_sqrt_delta():
     for which in ("symmetric", "lagrangian"):
-        rep = cases.beam_fixed_point_analysis(1, Fraction(1, 4), Fraction(1, 10), which)
+        rep = cases.beam_fixed_point_analysis(normal_form_case(which))
         assert rep.exact_residual_ok is True
 
 
 def test_fixed_points_are_numeric_fixed_points():
-    rep = cases.beam_fixed_point_analysis(1, Fraction(1, 4), Fraction(1, 10), "symmetric")
+    rep = cases.beam_fixed_point_analysis(normal_form_case("symmetric"))
     case = cases.beam_symmetric(rep.params)
     for w in rep.fixed_points:
         image = maps.step(case.map, [w] * 4, 0.1)
@@ -309,12 +453,12 @@ def test_fixed_points_are_numeric_fixed_points():
 
 def test_no_real_fixed_point():
     with pytest.raises(cases.NoRealFixedPoint):
-        cases.beam_fixed_point_analysis(-1, Fraction(1, 4), Fraction(1, 10))
+        cases.beam_fixed_point_analysis(normal_form_case(epsilon=-1))
 
 
 @pytest.mark.parametrize("which", ["symmetric", "lagrangian"])
 def test_saddle_center_spectrum_at_primary(which):
-    rep = cases.beam_fixed_point_analysis(1, Fraction(1, 4), Fraction(1, 10), which)
+    rep = cases.beam_fixed_point_analysis(normal_form_case(which))
     sp = rep.spectra[rep.primary]
     assert sp.palindromic_defect <= 1e-8
     real = sorted(
@@ -330,6 +474,71 @@ def test_saddle_center_spectrum_at_primary(which):
 
 
 def test_spectrum_matrix_reproduces_charpoly():
-    rep = cases.beam_fixed_point_analysis(1, Fraction(1, 4), Fraction(1, 10), "symmetric")
+    rep = cases.beam_fixed_point_analysis(normal_form_case("symmetric"))
     sp = rep.spectra[rep.primary]
     assert sp.residual <= 1e-8
+
+
+# The fixed points come from the load a w^4 + b w^2 + c of the built case:
+# w^2 = t for each root t > 0 of a t^2 + b t + c, and the continuous growth
+# rate is the largest real part of lambda with lambda^4 = F'(w*).
+
+
+@pytest.mark.parametrize("which", ["symmetric", "lagrangian"])
+def test_fixed_points_of_a_general_load(which):
+    # 2 t^2 - 3 t + 1 = (2t - 1)(t - 1): w = +-1, +-sqrt(1/2); F'(1) = 2
+    p = beam_params(a=2, b=-3, c=1)
+    case = cases.beam_symmetric(p) if which == "symmetric" else cases.beam_lagrangian(p)
+    rep = cases.beam_fixed_point_analysis(case)
+    assert rep.params == p
+    assert rep.fixed_points == [1.0, -1.0, math.sqrt(0.5), -math.sqrt(0.5)]
+    assert rep.primary == 1.0
+    assert rep.continuous_growth == pytest.approx(2**0.25, rel=1e-12)
+    assert rep.exact_residual_ok is True
+    for w in rep.fixed_points:
+        assert max(abs(v - w) for v in maps.step(case.map, [w] * 4, 0.1)) <= 1e-12
+
+
+def test_fixed_points_of_a_quadratic_load():
+    # a = 0: t = -c/b = 1, and F'(1) = 2b = -2 < 0 gives (2/4)^(1/4)
+    rep = cases.beam_fixed_point_analysis(cases.beam_symmetric(beam_params(a=0, b=-1, c=1)))
+    assert rep.fixed_points == [1.0, -1.0]
+    assert rep.continuous_growth == pytest.approx(0.5**0.25, rel=1e-12)
+    assert rep.exact_residual_ok is True
+
+
+def test_double_root_gives_one_pair_and_zero_growth():
+    # t^2 - 2t + 1 = (t - 1)^2: w = +-1 once each, F'(1) = 0
+    rep = cases.beam_fixed_point_analysis(cases.beam_symmetric(beam_params(a=1, b=-2, c=1)))
+    assert rep.fixed_points == [1.0, -1.0]
+    assert rep.continuous_growth == 0.0
+    assert rep.exact_residual_ok is True
+
+
+def test_growth_rate_for_negative_load_slope():
+    # -t^2 + 3t - 2 has roots 1 and 2; F'(sqrt 2) = -2 sqrt 2, so the roots
+    # of lambda^4 = F' lie on the diagonals with real part (sqrt 2 / 2)^(1/4)
+    rep = cases.beam_fixed_point_analysis(cases.beam_lagrangian(beam_params(a=-1, b=3, c=-2)))
+    assert rep.primary == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert sorted(rep.fixed_points) == pytest.approx([-math.sqrt(2), -1, 1, math.sqrt(2)])
+    assert rep.continuous_growth == pytest.approx(2 ** (-1 / 8), rel=1e-12)
+    assert rep.exact_residual_ok is True
+
+
+@pytest.mark.parametrize("load,cause", [
+    ((0, 0, 1), "constant"),  # a = b = 0
+    ((1, 0, 1), "no real root"),  # b^2 - 4ac = -4
+    ((1, 2, Fraction(3, 4)), "no root t = w"),  # epsilon = -1, delta = 1/4
+])
+def test_loads_without_fixed_points_raise_with_cause(load, cause):
+    case = cases.beam_symmetric(beam_params(a=load[0], b=load[1], c=load[2]))
+    with pytest.raises(cases.NoRealFixedPoint, match=cause):
+        cases.beam_fixed_point_analysis(case)
+
+
+def test_constant_window_residual_holds_only_at_roots():
+    # 2 t^2 - 3 t + 1 vanishes at t = 1 and t = 1/2, not at 2 or 3/2
+    p = beam_params(a=2, b=-3, c=1)
+    for case in (cases.beam_symmetric(p), cases.beam_lagrangian(p)):
+        got = [cases._constant_window_residual_zero(case, Fraction(t)) for t in ("1", "1/2", "2", "3/2")]
+        assert got == [True, True, False, False]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from polykahan import maps
+from polykahan import cases, maps
 from polykahan.cli import (
     ParseError,
     RunConfig,
@@ -234,3 +234,77 @@ def test_term_order_pinned(preset):
         "top_A": [[order(q) for q in row] for row in A],
         "top_r": [order(q) for q in r],
     } == _TERM_ORDER[preset]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("steps", "10.7"),
+    ("order", "5/2"),
+    ("dim", "1.5"),
+    ("darboux_maxdeg", "2.9"),
+    ("epsilon", "1.5"),
+    ("seed", "7/2"),
+    ("plot", "0, 1.5"),
+])
+def test_integer_keys_reject_non_integers(tmp_path, key, value):
+    text = f"preset = quartic\n{key} = {value}\n"
+    with pytest.raises(ParseError, match="expected an integer") as err:
+        parse_config(text)
+    assert err.value.line == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_integer_keys_accept_integer_values():
+    cfg = parse_config("preset = quartic\nsteps = 10.0\nseed = -3\nplot = 1, 0\n")
+    assert (cfg.steps, cfg.seed, cfg.plot) == (10, -3, (1, 0))
+
+
+@pytest.mark.parametrize("coeff", ["a = 2", "b = -3", "c = 1"])
+def test_beam_load_is_coefficients_or_normal_form(tmp_path, coeff):
+    text = f"preset = beam-sym\ndelta = 1/4\n{coeff}\n"
+    with pytest.raises(ValidationError):
+        parse_config(text)
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text(text)
+    assert main(["analyze-beam", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert parse_config(f"preset = beam-lag\n{coeff}\n").params
+    assert parse_config("preset = beam-lag\ndelta = 1/4\n").params
+
+
+def test_analyze_beam_uses_the_configured_load(tmp_path):
+    # 2 w^4 - 3 w^2 + 1 = (2 w^2 - 1)(w^2 - 1); the normal form's defaults
+    # would give +-sqrt(3/2) instead of +-1
+    cfg = tmp_path / "load.cfg"
+    cfg.write_text("preset = beam-sym\na = 2\nb = -3\nc = 1\n")
+    assert main(["analyze-beam", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert "load: a = 2, b = -3, c = 1, h = 1/10" in lines
+    r = math.sqrt(0.5)
+    for which in ("symmetric", "lagrangian"):
+        assert f"{which}: fixed points w = {[-1.0, -r, r, 1.0]}" in lines
+        assert f"{which}: primary w* = 1.0" in lines
+        assert f"{which}: continuous growth rate = {2 ** 0.25!r}" in lines
+        assert f"{which}: exact residual at w* = True" in lines
+
+
+@pytest.mark.parametrize("preset", ["beam-sym", "beam-lag"])
+def test_beam_report_builds_each_map_once(tmp_path, monkeypatch, preset):
+    solved, dets = [], []
+    solve_forward, det_rational = maps.solve_forward, maps.linalg.det_rational
+
+    def counting_solve(scheme):
+        solved.append(scheme)
+        return solve_forward(scheme)
+
+    def counting_det(J):
+        dets.append(len(J))
+        return det_rational(J)
+
+    monkeypatch.setattr(maps, "solve_forward", counting_solve)
+    monkeypatch.setattr(cases, "solve_forward", counting_solve)
+    monkeypatch.setattr(maps.linalg, "det_rational", counting_det)
+    assert main(["report", "--preset", preset, "--out", str(tmp_path)]) == 0
+    # one shift-averaged and one variational map, one 4x4 Jacobian each
+    assert len(solved) == 2 and solved[0].equations != solved[1].equations
+    assert dets.count(4) == 2

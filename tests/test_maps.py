@@ -156,6 +156,9 @@ def test_eval_batch_matches_polynomial_eval_bit_for_bit():
         - Polynomial.const(7) * Polynomial.var(a) ** 3
         + Polynomial.var(H) ** 2 * Polynomial.var(b) ** 4
         + Polynomial.const(Fraction(2, 7))
+        # up to the exponent 8 of the beam-sym Jacobian determinant
+        + Polynomial.var(a) ** 8 * Polynomial.var(b) ** 6
+        - Fraction(5, 3) * Polynomial.var(b) ** 7 * Polynomial.var(H) ** 8
     )
     rng = random.Random(3)
     states = [[rng.uniform(-3, 3), rng.uniform(-3, 3), 0.1] for _ in range(2000)]
@@ -236,7 +239,8 @@ def test_jacobian_is_built_once_per_map(monkeypatch):
         return det_rational(J)
 
     monkeypatch.setattr(maps.linalg, "det_rational", counting)
-    rep = cases.beam_fixed_point_analysis(1, Fraction(1, 4), Fraction(1, 10), "symmetric")
+    p = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
+    rep = cases.beam_fixed_point_analysis(cases.beam_symmetric(p))
     assert len(rep.spectra) == 4
     # one 4x4 determinant; the Laplace expansion recurses on smaller minors
     assert [len(J) for J in builds].count(4) == 1
