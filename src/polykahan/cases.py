@@ -635,8 +635,6 @@ def symplecticity_check(
                 resampled += 1
                 continue
             states.append(s + [h])
-        if not states:
-            continue
         dphi, ok = _eval_rational_batch([rf for row in Jm for rf in row], variables, states)
         dphi = np.array(dphi).T.reshape(-1, 4, 4)
         C_here, C_image = (

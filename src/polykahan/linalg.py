@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Nullspace computation uses fraction-free (Bareiss) elimination on integer
-rows with a deterministic pivot rule -- first nonzero entry in column order
--- so the returned basis is reproducible across runs.  Small dense solves
-and inverses work directly on Fractions.
+``nullspace`` first solves its integer rows modulo one word-size prime,
+_PRIME = 2^61 - 1: Gauss-Jordan elimination with a deterministic pivot
+rule -- first nonzero entry in column order -- and Wang's rational
+reconstruction (SYMSAC 1981) of each basis entry.  Every reconstructed
+vector is then checked exactly against every row, and only a basis that
+passes is returned; otherwise the fraction-free (Bareiss) elimination with
+the same pivot rule gives it.  Both paths return the same basis (see
+``nullspace``), so it is reproducible across runs.  ``rank``, and so
+``darboux.in_span``, stays on Bareiss, because nothing checks its answer.
+Small dense solves and inverses work directly on Fractions.
 """
 
 from __future__ import annotations
@@ -75,12 +81,87 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None
 
     Basis vectors are scaled to coprime integer entries with the first
     nonzero entry positive; one vector per free column, in column order.
+
+    The modular path returns the same basis as Bareiss elimination.  Every
+    vector it returns lies in the rational nullspace N, since it is checked
+    exactly.  The vectors are independent (each is 1 at its own free column
+    mod p and 0 at the others), so there are at most dim N of them.  The
+    rank mod p is at most the rank over Q, so there are at least dim N.
+    Each vector writes column f through pivot columns left of f, so f is no
+    pivot over Q: the free columns mod p are exactly the free columns over
+    Q, and each vector is the unique one in N with the identity pattern on
+    them.  A failed reconstruction or check falls back to Bareiss.
     """
     mat = _integer_rows(rows)
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
-    if not mat:
-        return [[1 if j == f else 0 for j in range(ncols)] for f in range(ncols)]
+    basis = _modular_nullspace(mat, ncols)
+    return basis if basis is not None else _bareiss_nullspace(mat, ncols)
+
+
+_PRIME = 2**61 - 1
+_BOUND = math.isqrt(_PRIME // 2)  # Wang's bound on |numerator| and denominator
+
+
+def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | None:
+    """The nullspace basis from Gauss-Jordan elimination mod _PRIME, or None
+    when an entry does not reconstruct or a vector misses a row exactly."""
+    p = _PRIME
+    red = [[v % p for v in row] for row in mat]
+    width = len(red[0]) if red else 0
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(red)) if red[i][c]), None)
+        if pr is None:
+            continue
+        red[r], red[pr] = red[pr], red[r]
+        inv = pow(red[r][c], -1, p)
+        tail = red[r][c + 1 :] = [v * inv % p for v in red[r][c + 1 :]]
+        red[r][c] = 1
+        for i, row in enumerate(red):
+            f = row[c]
+            if f and i != r:  # the pivot row is zero left of c
+                row[c + 1 :] = [(a - f * b) % p for a, b in zip(row[c + 1 :], tail)]
+                row[c] = 0
+        pivots.append(c)
+        if len(pivots) == len(red):
+            break
+    pivot_cols = set(pivots)
+    basis: list[list[int]] = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            entry = _reconstruct(-red[r][f] % p)
+            if entry is None:
+                return None
+            vec[c] = entry
+        ints = _normalize_int(vec)
+        if any(sum(a * v for a, v in zip(row, ints) if v) for row in mat):
+            return None
+        basis.append(ints)
+    return basis
+
+
+def _reconstruct(u: int) -> Fraction | None:
+    """Wang's rational reconstruction: n/d = u mod _PRIME with |n|, d <= _BOUND
+    and gcd(n, d) = 1, or None when no such fraction exists."""
+    r0, r1, t0, t1 = _PRIME, u, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _BOUND or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _bareiss_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]]:
+    """The nullspace basis by Bareiss elimination and back-substitution over
+    Q; echelonizes ``mat`` in place.  The tests' reference for ``nullspace``."""
     mat, pivots = _bareiss_echelon(mat)
     pivot_cols = {c for _, c in pivots}
     basis: list[list[int]] = []

@@ -284,7 +284,7 @@ def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) ->
     """Each polynomial at each state, as ``Polynomial.eval`` gives it; column
     k of ``states`` binds ``variables[k]``, and other variables raise ValueError."""
     slots = {v: k for k, v in enumerate(variables)}
-    batch = _Batch(states)
+    batch = _Batch(np.reshape(states, (len(states), len(variables))))
     with np.errstate(all="ignore"):
         return [np.broadcast_to(_ceval(_compile(p, slots, {}), batch), len(states)) for p in polys]
 

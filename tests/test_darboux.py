@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polykahan import cases, darboux, maps
+from polykahan import cases, darboux, linalg, maps
 from polykahan.poly import DenominatorVanished, Polynomial, RationalFunction, param, x
 from polykahan.scheme import H, PolyOdeSystem, discretize
 
@@ -440,3 +440,59 @@ def test_integer_row_on_the_map_denominator_raises(name, point):
     relation_row = darboux._relation_rows(m, maps.jacobian(m)[1], _ansatz_exponents(m, 2))
     with pytest.raises(DenominatorVanished):
         relation_row(point)
+
+
+# -- the search output on the benchmark cases -----------------------------------
+
+BENCHMARK_SEARCHES = {
+    "euler_top_d2": ("euler_top", 2),
+    "beam_sym_d3": ("beam_sym", 3),
+    "beam_sym_d2": ("beam_sym", 2),
+    "quartic_d6": ("quartic", 6),
+    "lv_d3": ("lv", 3),
+}
+
+
+BAREISS = linalg._bareiss_nullspace  # bound before any test patches it
+
+
+def _bareiss_nullspace(rows, ncols):
+    return BAREISS(linalg._integer_rows(rows), ncols)
+
+
+def test_search_output_equals_the_bareiss_output(bareiss_calls, monkeypatch):
+    bound = {name: RELATION_MAPS[name]() for name in ("euler_top", "beam_sym", "quartic", "lv")}
+
+    def search():
+        return {
+            case: [c.to_text() for c in darboux.find_darboux(bound[name], maxdeg)]
+            for case, (name, maxdeg) in BENCHMARK_SEARCHES.items()
+        }
+
+    modular = search()
+    assert bareiss_calls == []  # every batch was solved mod p and passed the check
+    monkeypatch.setattr(linalg, "nullspace", _bareiss_nullspace)
+    assert search() == modular
+    assert [len(texts) for texts in modular.values()] == [0, 1, 0, 2, 1]
+
+
+@pytest.fixture(scope="module")
+def beam_sym_d3_batch0():
+    """The integer rows find_darboux builds from its first batch of points."""
+    m = _beam_sym_bound()
+    exps = _ansatz_exponents(m, 3)
+    relation_row = darboux._relation_rows(m, maps.jacobian(m)[1], exps)
+    points = darboux._sample_points(m.dim, len(exps) + darboux._EXTRA_ROWS, 0)
+    return [relation_row(point) for point in points], len(exps)
+
+
+@pytest.mark.parametrize("count, fallbacks", [(18, 1), (32, 1), (37, 0)])
+def test_beam_sym_batch_rows_give_the_bareiss_basis(
+    beam_sym_d3_batch0, bareiss_calls, count, fallbacks
+):
+    # too few rows leave a large basis whose entries do not reconstruct;
+    # the full batch is solved mod p and passes the exact check
+    rows, ncols = beam_sym_d3_batch0
+    assert (len(rows), ncols) == (37, 35)
+    assert linalg.nullspace(rows[:count], ncols=ncols) == _bareiss_nullspace(rows[:count], ncols)
+    assert len(bareiss_calls) == fallbacks

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -66,3 +67,59 @@ def test_nullspace_depends_only_on_the_row_space(case, factors, rnd):
     integer = [_clear_denominators(row) for row in rows]
     assert all(type(v) is int for row in integer for v in row)
     assert linalg.nullspace(integer, ncols=ncols) == basis
+
+
+# -- the modular path and its Bareiss fallback ------------------------------------
+
+P = linalg._PRIME
+BAREISS = linalg._bareiss_nullspace  # bound before any test patches it
+
+
+def reference(rows, ncols=None):
+    """The Bareiss basis, which nullspace must return on either path."""
+    mat = linalg._integer_rows(rows)
+    return BAREISS(mat, len(mat[0]) if ncols is None else ncols)
+
+
+@pytest.mark.parametrize(
+    "rows, basis",
+    [
+        ([[2**40, -1]], [[1, 2**40]]),
+        ([[P + 1, -1]], [[1, P + 1]]),
+        ([[3**20, -1]], [[1, 3**20]]),
+    ],
+)
+def test_rows_the_modular_path_cannot_solve_fall_back_to_bareiss(bareiss_calls, rows, basis):
+    assert linalg._modular_nullspace(rows, 2) is None
+    assert linalg.nullspace(rows) == reference(rows) == basis
+    assert len(bareiss_calls) == 1
+
+
+def test_why_the_modular_path_fails_on_those_rows():
+    # 2**61 = 1 mod p, so 1/2**40 = 2**21 mod p: a wrong small fraction
+    assert linalg._reconstruct(pow(2**40, -1, P)) == 2**21
+    # [[P + 1, -1]] is [[1, -1]] mod p, whose basis [1, 1] misses the row
+    assert linalg._modular_nullspace([[1, -1]], 2) == [[1, 1]]
+    # 1/3**20 has a denominator past the bound, and no other fraction fits
+    assert 3**20 > linalg._BOUND
+    assert linalg._reconstruct(pow(3**20, -1, P)) is None
+
+
+@st.composite
+def low_rank_products(draw):
+    """Integer products B*C of rank below ncols, with entries of B and C up
+    to 2**70, so that many basis entries exceed the reconstruction bound."""
+    ncols = draw(st.integers(2, 6))
+    inner = draw(st.integers(1, ncols - 1))
+    nrows = draw(st.integers(1, 7))
+    bits = draw(st.sampled_from([2, 12, 40, 70]))
+    entry = st.integers(-(2**bits), 2**bits)
+    B = [[draw(entry) for _ in range(inner)] for _ in range(nrows)]
+    C = [[draw(entry) for _ in range(ncols)] for _ in range(inner)]
+    return [[sum(b * c for b, c in zip(row, col)) for col in zip(*C)] for row in B], ncols
+
+
+@given(low_rank_products())
+def test_nullspace_equals_bareiss_on_low_rank_products(case):
+    rows, ncols = case
+    assert linalg.nullspace(rows, ncols=ncols) == reference(rows, ncols)

@@ -171,6 +171,13 @@ def test_eval_batch_matches_polynomial_eval_bit_for_bit():
         maps.eval_batch([p], [a, b], [[0.5, 0.5]])
 
 
+def test_eval_batch_on_no_states_gives_one_empty_array_per_polynomial():
+    a, b = x(1), x(2)
+    polys = [Polynomial.var(a) ** 2 * Polynomial.var(b), Polynomial.const(2), Polynomial()]
+    got = maps.eval_batch(polys, [a, b], [])
+    assert [(v.shape, v.dtype) for v in got] == [((0,), np.float64)] * 3
+
+
 def test_lv_orbit_bounded_ten_thousand_steps():
     lv = cases.lotka_volterra(1)
     orbit = maps.iterate(lv.map, [1.2, 0.9], 0.1, 10_000)
