@@ -22,7 +22,7 @@ import numpy as np
 
 from . import darboux, maps
 from .maps import BirationalMap, SingularStep, solve_forward
-from .poly import Monomial, Polynomial, RationalFunction, Var, param, x
+from .poly import Monomial, Polynomial, RationalFunction, Var, collect_linear, param, x
 from .scheme import H, ImplicitScheme, PolyOdeSystem, discretize, symmetrize
 
 
@@ -410,6 +410,16 @@ class DiscreteLagrangian:
             raise ValueError("slot must be 0, 1 or 2")
         return self.scaled.derivative(x(1, j))
 
+    def momenta(self) -> tuple[Polynomial, Polynomial]:
+        """h^4 times the Ostrogradsky momenta (p1, p2) on the map's window
+        x1^(0..3) = (w^(-2), w^(-1), w^(0), w^(1)), with L_j the slot-j
+        partial of the Lagrangian on consecutive windows:
+            p2 = L_2(w^(-1), w^(0), w^(1)),
+            p1 = L_1(w^(-1), w^(0), w^(1)) + L_2(w^(-2), w^(-1), w^(0)).
+        """
+        p2 = self.partial(2).shift_states(1)
+        return self.partial(1).shift_states(1) + self.partial(2), p2
+
     def euler_lagrange(self) -> Polynomial:
         """h^4 times the discrete Euler-Lagrange expression on window -2..2:
         dL/dslot0 at (w0,w1,w2) + dL/dslot1 at (w-1,w0,w1)
@@ -521,65 +531,38 @@ class OstrogradskyState:
         return [self.q1, self.q2, self.p1, self.p2]
 
 
-def _slot_point(u0, u1, u2):
-    return {x(1, 0): u0, x(1, 1): u1, x(1, 2): u2}
-
-
 def ostrogradsky_transform(
     L: DiscreteLagrangian, window: Sequence, h: Fraction | float
 ) -> OstrogradskyState:
     """Canonical variables from a length-4 window (w^(-2), w^(-1), w^(0), w^(1)):
-
-        q1 = w^(0),  q2 = w^(1),
-        p2 = L_2(w^(-1), w^(0), w^(1)),
-        p1 = L_1(w^(-1), w^(0), w^(1)) + L_2(w^(-2), w^(-1), w^(0)),
-
-    with L_j the slot-j partial of the Lagrangian on consecutive windows.
-    Exact when the window and h are rational.
+    q1 = w^(0), q2 = w^(1) and the momenta of ``L.momenta()``.  Exact when
+    the window and h are rational.
     """
-    wm2, wm1, w0, w1 = window
+    _, _, q1, q2 = window
     exact = not any(isinstance(v, float) for v in (*window, h))
     hv = Fraction(h) if exact else float(h)
-    scale = hv**4
-    l1 = L.partial(1)
-    l2 = L.partial(2)
-    hbind = {H: hv}
-    p2 = l2.eval({**_slot_point(wm1, w0, w1), **hbind}) / scale
-    p1 = (
-        l1.eval({**_slot_point(wm1, w0, w1), **hbind})
-        + l2.eval({**_slot_point(wm2, wm1, w0), **hbind})
-    ) / scale
-    return OstrogradskyState(q1=w0, q2=w1, p1=p1, p2=p2)
+    point = {**{x(1, k): v for k, v in enumerate(window)}, H: hv}
+    p1, p2 = (p.eval(point) / hv**4 for p in L.momenta())
+    return OstrogradskyState(q1=q1, q2=q2, p1=p1, p2=p2)
 
 
 def ostrogradsky_inverse(
     L: DiscreteLagrangian, state: OstrogradskyState, h: Fraction | float
 ) -> list:
-    """Recover the window from canonical variables by two linear solves
-    (the slot-2 partial is linear in its first argument)."""
+    """Recover the window from canonical variables: p2 is linear in w^(-1),
+    then p1 in w^(-2), since the slot-2 partial is linear in its first slot."""
     exact = not any(isinstance(v, float) for v in (*state.as_list(), h))
     hv = Fraction(h) if exact else float(h)
-    scale = hv**4
-    l1, l2 = L.partial(1), L.partial(2)
-    u0 = x(1, 0)
-
-    def solve_first_slot(poly: Polynomial, u1, u2, target):
-        partial_eval = poly.subs_poly({x(1, 1): _P(u1), x(1, 2): _P(u2)})
-        pieces = partial_eval.split_by(u0)
-        if max(pieces) != 1:
-            raise ValueError("slot-2 partial is not linear in its first argument")
-        lin = pieces[1].eval({H: hv})
-        const = pieces.get(0, Polynomial.zero()).eval({H: hv})
+    point = {x(1, 2): state.q1, x(1, 3): state.q2, H: hv}
+    p1, p2 = L.momenta()
+    for k, p, target in ((1, p2, state.p2), (0, p1, state.p1)):
+        coeffs, rest = collect_linear(p, {x(1, k)})
+        lin = coeffs.get(x(1, k), Polynomial()).eval(point)
         if lin == 0:
             raise ZeroDivisionError("degenerate window solve")
-        val = (target - const) / lin
-        return val if exact else float(val)
-
-    q1, q2 = state.q1, state.q2
-    wm1 = solve_first_slot(l2, q1, q2, state.p2 * scale)
-    rem = state.p1 * scale - l1.eval({**_slot_point(wm1, q1, q2), H: hv})
-    wm2 = solve_first_slot(l2, wm1, q1, rem)
-    return [wm2, wm1, q1, q2]
+        val = (target * hv**4 - rest.eval(point)) / lin
+        point[x(1, k)] = val if exact else float(val)
+    return [point[x(1, k)] for k in range(4)]
 
 
 @dataclass
@@ -610,13 +593,9 @@ def symplecticity_check(
     satisfy M^T Omega M = Omega; the defect is the worst infinity-norm gap
     over random window states.
     """
-    L = case.lagrangian
     h = float(case.params.h)
     # Canonical coordinates as polynomials on the map's own 0..3 window
-    # (s0..s3) = (w^(-2), w^(-1), w^(0), w^(1)).
-    p2_poly = L.partial(2).shift_states(1)
-    p1_poly = L.partial(1).shift_states(1) + L.partial(2)
-    c_polys = [Polynomial.var(x(1, 2)), Polynomial.var(x(1, 3)), p1_poly, p2_poly]
+    c_polys = [Polynomial.var(x(1, 2)), Polynomial.var(x(1, 3)), *case.lagrangian.momenta()]
     c_scale = np.array([[1.0], [1.0], [h**4], [h**4]])  # row i of C over c_scale[i]
     variables = [*case.map.state_vars, H]
     dC = [q.derivative(v) for q in c_polys for v in case.map.state_vars]
@@ -731,7 +710,7 @@ def _constant_window_residual_zero(case, wsq: Fraction) -> bool:
     what is left, the parts even and odd in W, must vanish."""
     W = x(1, 0)
     for e in case.scheme.equations:
-        parts = e.subs_poly({x(1, k): Polynomial.var(W) for k in range(5)}).split_by(W)
+        parts = e.map_vars(lambda v: v if v.is_param else W).split_by(W)
         reduced = Polynomial(
             (m * Monomial.from_pairs([(W, k % 2)]), c * wsq ** (k // 2))
             for k, q in parts.items() for m, c in q.terms()

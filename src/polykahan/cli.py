@@ -100,22 +100,6 @@ def parse_poly(text: str, line: int | None = None) -> Polynomial:
 PRESETS = ("lv", "quartic", "weierstrass", "beam-sym", "beam-lag")
 _BEAM_LOAD = {"a", "b", "c"}  # the beam's general load; the normal form uses delta
 
-_KNOWN_KEYS = {
-    "preset",
-    "rhs",
-    "order",
-    "dim",
-    "h",
-    "steps",
-    "init",
-    "init_ode",
-    "out",
-    "darboux_maxdeg",
-    "epsilon",
-    "seed",
-    "plot",
-}
-
 
 @dataclass
 class RunConfig:

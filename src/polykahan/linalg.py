@@ -7,9 +7,9 @@ reconstruction (SYMSAC 1981) of each basis entry.  Every reconstructed
 vector is then checked exactly against every row, and only a basis that
 passes is returned; otherwise the fraction-free (Bareiss) elimination with
 the same pivot rule gives it.  Both paths return the same basis (see
-``nullspace``), so it is reproducible across runs.  ``rank``, and so
-``darboux.in_span``, stays on Bareiss, because nothing checks its answer.
-Small dense solves and inverses work directly on Fractions.
+``nullspace``), so it is reproducible across runs.  ``rank``, ``solve`` and
+``inverse`` read their answers off that checked nullspace: the module has
+one exact elimination.
 """
 
 from __future__ import annotations
@@ -38,44 +38,6 @@ def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     return out
 
 
-def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Fraction-free row echelon form; returns (matrix, [(row, pivot_col)])."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, m):
-            if all(v == 0 for v in mat[i]):
-                continue
-            mic = mat[i][c]
-            for j in range(c + 1, n):  # rows r.. are already zero left of c
-                q, rem = divmod(mat[i][j] * piv - mic * mat[r][j], prev)
-                if rem:  # Bareiss one-step division is exact by construction
-                    raise AssertionError("fraction-free elimination lost exactness")
-                mat[i][j] = q
-            mat[i][c] = 0
-        pivots.append((r, c))
-        prev = piv
-        r += 1
-        if r == m:
-            break
-    return mat, pivots
-
-
-def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    mat = _integer_rows(rows)
-    if not mat or not mat[0]:
-        return 0
-    return len(_bareiss_echelon(mat)[1])
-
-
 def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None) -> list[list[int]]:
     """Exact basis of the right nullspace.
 
@@ -97,6 +59,17 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None
         ncols = len(mat[0]) if mat else 0
     basis = _modular_nullspace(mat, ncols)
     return basis if basis is not None else _bareiss_nullspace(mat, ncols)
+
+
+def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over Q: the column count minus the nullspace dimension.
+
+    Exact on both paths of ``nullspace``: the Bareiss basis is exact, and a
+    modular basis is returned only after the exact check, when it has
+    exactly dim N vectors (see ``nullspace``).
+    """
+    ncols = len(rows[0]) if rows else 0
+    return ncols - len(nullspace(rows, ncols))
 
 
 _PRIME = 2**61 - 1
@@ -160,17 +133,42 @@ def _reconstruct(u: int) -> Fraction | None:
 
 
 def _bareiss_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]]:
-    """The nullspace basis by Bareiss elimination and back-substitution over
-    Q; echelonizes ``mat`` in place.  The tests' reference for ``nullspace``."""
-    mat, pivots = _bareiss_echelon(mat)
-    pivot_cols = {c for _, c in pivots}
+    """The nullspace basis by fraction-free (Bareiss) elimination with the
+    same pivot rule and back-substitution over Q; echelonizes ``mat`` in
+    place.  The fallback of ``nullspace`` and the tests' reference for it."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    pivots: list[int] = []  # pivot column of row r at index r
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        piv = mat[r][c]
+        for i in range(r + 1, m):
+            if all(v == 0 for v in mat[i]):
+                continue
+            mic = mat[i][c]
+            for j in range(c + 1, n):  # rows r.. are already zero left of c
+                q, rem = divmod(mat[i][j] * piv - mic * mat[r][j], prev)
+                if rem:  # Bareiss one-step division is exact by construction
+                    raise AssertionError("fraction-free elimination lost exactness")
+                mat[i][j] = q
+            mat[i][c] = 0
+        pivots.append(c)
+        prev = piv
+        if len(pivots) == m:
+            break
+    pivot_cols = set(pivots)
     basis: list[list[int]] = []
     for f in range(ncols):
         if f in pivot_cols:
             continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for r, c in reversed(pivots):
+        for r, c in reversed(list(enumerate(pivots))):
             s = sum((mat[r][j] * vec[j] for j in range(c + 1, ncols)), Fraction(0))
             vec[c] = -s / mat[r][c]
         basis.append(_normalize_int(vec))
@@ -193,29 +191,29 @@ def solve(
     A: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]
 ) -> list[Fraction]:
     """Unique solution of A x = b over Q; raises SingularMatrix otherwise."""
-    n = len(A)
-    aug = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pr is None:
-            raise SingularMatrix("matrix is singular")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        piv = aug[c][c]
-        for i in range(n):
-            if i == c or aug[i][c] == 0:
-                continue
-            f = aug[i][c] / piv
-            aug[i] = [a - f * p for a, p in zip(aug[i], aug[c])]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+    return [row[0] for row in _solve(A, [b])]
 
 
 def inverse(A: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
+    """A^-1 over Q; raises SingularMatrix when A is singular or not square."""
     n = len(A)
-    cols = []
-    for k in range(n):
-        e = [Fraction(1) if i == k else Fraction(0) for i in range(n)]
-        cols.append(solve(A, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return _solve(A, [[int(i == k) for i in range(n)] for k in range(n)])
+
+
+def _solve(A: Sequence[Sequence[Fraction | int]], cols: Sequence[Sequence]) -> list[list[Fraction]]:
+    """X with A X = B, B given by its columns, read off nullspace([A | -B]).
+
+    A basis vector's last nonzero entry is its free column.  A is
+    nonsingular exactly when its n columns are all pivots; then the vector
+    of free column n + k over its entry there is column k of X.
+    """
+    n, k = len(A), len(cols)
+    if any(len(row) != n for row in A):
+        raise SingularMatrix("matrix is not square")
+    basis = nullspace([[*A[i], *(-c[i] for c in cols)] for i in range(n)], n + k)
+    if [max(j for j, v in enumerate(vec) if v) for vec in basis] != list(range(n, n + k)):
+        raise SingularMatrix("matrix is singular")
+    return [[Fraction(vec[i], vec[n + j]) for j, vec in enumerate(basis)] for i in range(n)]
 
 
 def det_poly(M: Sequence[Sequence[Polynomial | RationalFunction]]):

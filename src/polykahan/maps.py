@@ -16,6 +16,7 @@ forms.  Stepping, residuals and ``eval_batch`` share one compiled evaluator
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -417,9 +418,17 @@ def char_poly_and_roots(
     roots, residual = _durand_kerner(coeffs)
     scale = max(abs(c) for c in coeffs)
     defect = max(abs(coeffs[k] - coeffs[d - k]) for k in range(d + 1)) / scale
+    # The iteration leaves an m-fold root split about (residual * scale)^(1/m), m <= d:
+    # chain roots within 4 times the m = d spread into groups, classified by their mean.
+    spread = 4 * (residual * scale) ** (1 / max(d, 1))
+    group = list(range(d))
+    for i, j in itertools.combinations(range(d), 2):
+        if abs(roots[i] - roots[j]) <= spread:
+            group = [group[i] if g == group[j] else g for g in group]
     classes = []
-    for z in roots:
-        r = abs(z)
+    for g in group:
+        members = [z for z, k in zip(roots, group) if k == g]
+        r = abs(sum(members) / len(members))
         if abs(r - 1.0) <= unit_tol:
             classes.append("unit")
         elif r < 1.0:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polykahan import cases, darboux, maps
 from polykahan.poly import DenominatorVanished, Polynomial, RationalFunction, param, x
@@ -226,6 +228,22 @@ def test_ostrogradsky_round_trip_exact():
     window = [Fraction(1, 3), Fraction(-1, 7), Fraction(2, 5), Fraction(1, 2)]
     state = cases.ostrogradsky_transform(L, window, p.h)
     assert cases.ostrogradsky_inverse(L, state, p.h) == window
+
+
+@given(
+    st.lists(st.fractions(-2, 2, max_denominator=12), min_size=4, max_size=4),
+    st.fractions(Fraction(1, 100), Fraction(1, 2), max_denominator=100),
+    st.tuples(*[st.fractions(-2, 2, max_denominator=4)] * 3),
+    st.sampled_from([
+        (cases.ONSITE_ALPHA, cases.ONSITE_BETA),
+        (cases.UNIFORM_ALPHA, cases.UNIFORM_BETA),
+    ]),
+)
+def test_ostrogradsky_round_trip_exact_property(window, h, load, weights):
+    L = cases.discrete_lagrangian(*load, *weights)
+    state = cases.ostrogradsky_transform(L, window, h)
+    assert all(type(v) is Fraction for v in (state.p1, state.p2))
+    assert cases.ostrogradsky_inverse(L, state, h) == window
 
 
 def test_ostrogradsky_round_trip_float():
@@ -513,6 +531,17 @@ def test_double_root_gives_one_pair_and_zero_growth():
     assert rep.fixed_points == [1.0, -1.0]
     assert rep.continuous_growth == 0.0
     assert rep.exact_residual_ok is True
+
+
+@pytest.mark.parametrize("build", [cases.beam_symmetric, cases.beam_lagrangian])
+def test_a_degenerate_fixed_point_has_a_unit_spectrum(build):
+    # F'(1) = 0: the linearization has the fourfold eigenvalue 1, which the
+    # root iteration returns split by about 1e-3 around 1
+    rep = cases.beam_fixed_point_analysis(build(beam_params(a=1, b=-2, c=1)))
+    for w in (1.0, -1.0):
+        sp = rep.spectra[w]
+        assert max(abs(abs(z) - 1) for z in sp.roots) > sp.unit_tol
+        assert sp.classification == ["unit"] * 4
 
 
 def test_growth_rate_for_negative_load_slope():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -308,3 +309,34 @@ def test_beam_report_builds_each_map_once(tmp_path, monkeypatch, preset):
     # one shift-averaged and one variational map, one 4x4 Jacobian each
     assert len(solved) == 2 and solved[0].equations != solved[1].equations
     assert dets.count(4) == 2
+
+
+# SHA-256 of the default report files at seed 1.  A change that moves a byte
+# of them changes reported results, and updates these with its reason.
+DEFAULT_REPORT_SHA256 = {
+    "lv/orbit.csv": "2be482fc71002b73f7ad1cabd9840290592f38fabacaa7cdf3d11ee301703e30",
+    "lv/phase.svg": "2dbcb6ce7a45fe8236bc05fafb4475d6f0b46377f96dfcbee3c5d93c1b07b0a1",
+    "lv/report.txt": "a2ef5facf480fa4f6a32fbb4474e8045dedbf5cb8ec5eed7da1fd8d7393e9924",
+    "quartic/orbit.csv": "cfc3653dd10c0a97bc369101596240b71b4b36c2a6ded481efbaa310d78a2e0e",
+    "quartic/phase.svg": "2f819ba858ee2838abc16efb0c3f54d38e16b9b2b5daf4906662815d06eb4104",
+    "quartic/report.txt": "955367f263c24c7c1e40b0b5754766f7bb870d544e80db6df44de38317fb8429",
+    "weierstrass/orbit.csv": "a256f2d558e6af4968bf092aa62927ead9ca3800758284b056f513c146ed8413",
+    "weierstrass/phase.svg": "5622d3e01af1d4677c36c5fc3866b002001f8e377a6ee949501ce416c3d94b2a",
+    "weierstrass/report.txt": "15f9a4a65469c93fb33ccfbea59e9d94f2cd7e637708d35410b535bff62e2819",
+    "beam-sym/orbit.csv": "9a969a88d395c09608feee6372ecfd78c89a0f0482a435e522844fef21dae348",
+    "beam-sym/phase.svg": "8bfe6ea6a1f3095651d8a1062d277790862ab6835661df3c369617f1d42da57c",
+    "beam-sym/report.txt": "39d46cb13d407f1b63cd6a849e6c8944a13c066c5870592ee4aa46d021a1552d",
+    "beam-lag/orbit.csv": "9048909a52558326f016c875a42af601d380288ce4766e1a2ada7d620114ebe0",
+    "beam-lag/phase.svg": "c95743a14e42691800f2ade9a5afd9c7f6ab43a5223084b648e41786d70ea446",
+    "beam-lag/report.txt": "9c27025aa5e942c6359429b36f1d868d52dd542cc2a65aca962c02b6becece9a",
+}
+
+
+@pytest.mark.parametrize("preset", ["lv", "quartic", "weierstrass", "beam-sym", "beam-lag"])
+def test_default_report_files_are_pinned(tmp_path, preset):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"preset = {preset}\nseed = 1\n")
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    for name in ("orbit.csv", "phase.svg", "report.txt"):
+        digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        assert digest == DEFAULT_REPORT_SHA256[f"{preset}/{name}"], name

@@ -58,7 +58,7 @@ def test_nullspace_depends_only_on_the_row_space(case, factors, rnd):
     for vec in basis:
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
-    assert len(basis) == ncols - linalg.rank(rows)
+    assert basis == reference(rows, ncols)
     scaled = [[f * v for v in row] for f, row in zip(factors, rows)]
     assert linalg.nullspace(scaled, ncols=ncols) == basis
     permuted = list(rows)
@@ -123,3 +123,46 @@ def low_rank_products(draw):
 def test_nullspace_equals_bareiss_on_low_rank_products(case):
     rows, ncols = case
     assert linalg.nullspace(rows, ncols=ncols) == reference(rows, ncols)
+
+
+@pytest.mark.parametrize("rows", [[[3**20, -1]], [[2**40, -1], [2**41, -2]]])
+def test_rank_is_exact_where_the_modular_path_falls_back(bareiss_calls, rows):
+    assert linalg.rank(rows) == 1
+    assert len(bareiss_calls) == 1
+
+
+@st.composite
+def square_systems(draw):
+    """A square A, its last row often a combination of two rows (singular), and b."""
+    n = draw(st.integers(0, 4))
+    entry = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=3)
+    A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        s, t = draw(entry), draw(entry)
+        A[-1] = [s * u + t * v for u, v in zip(A[0], A[-2])]
+    return A, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@given(square_systems())
+def test_solve_and_inverse_are_exact_or_raise_singular(case):
+    A, b = case
+    n = len(A)
+    if reference(A, n):  # A has a nonzero nullspace
+        with pytest.raises(linalg.SingularMatrix):
+            linalg.solve(A, b)
+        with pytest.raises(linalg.SingularMatrix):
+            linalg.inverse(A)
+        return
+    x = linalg.solve(A, b)
+    assert all(type(v) is Fraction for v in x)
+    assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
+    inv = linalg.inverse(A)
+    product = [[sum(inv[i][k] * A[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_solve_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(linalg.SingularMatrix):
+        linalg.solve([[1, 2]], [3])
+    with pytest.raises(linalg.SingularMatrix):
+        linalg.inverse([[1, 0, 0], [0, 1, 0]])

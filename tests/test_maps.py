@@ -296,6 +296,16 @@ def test_char_poly_double_root():
         assert abs(z - 1.0) < 1e-5
 
 
+def test_char_poly_classifies_a_split_multiple_root_by_its_mean():
+    rep = maps.char_poly_and_roots(np.array([[0.0, 1.0], [-1.0, 2.0]]))
+    assert max(abs(abs(z) - 1.0) for z in rep.roots) > rep.unit_tol
+    assert rep.classification == ["unit", "unit"]
+    # distinct roots 0.002 apart stay apart
+    rep = maps.char_poly_and_roots(np.diag([1.001, 0.999, 2.0, 0.5]))
+    by_root = {round(z.real, 6): c for z, c in zip(rep.roots, rep.classification)}
+    assert by_root == {0.5: "inside", 0.999: "inside", 1.001: "outside", 2.0: "outside"}
+
+
 def test_root_iteration_needs_at_least_one_iteration():
     with pytest.raises(ValueError, match="max_iter"):
         maps._durand_kerner([1.0, 0.0, 1.0], max_iter=0)
