@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -403,6 +403,7 @@ class DiscreteLagrangian:
 
     scaled: Polynomial  # h^4 * (T - V) in w^(0), w^(1), w^(2)
     step: Var
+    _momenta: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def partial(self, j: int) -> Polynomial:
         """h^4 times the derivative of L with respect to window slot j."""
@@ -416,9 +417,12 @@ class DiscreteLagrangian:
         partial of the Lagrangian on consecutive windows:
             p2 = L_2(w^(-1), w^(0), w^(1)),
             p1 = L_1(w^(-1), w^(0), w^(1)) + L_2(w^(-2), w^(-1), w^(0)).
+        Built on the first call and kept, since ``scaled`` fixes them.
         """
-        p2 = self.partial(2).shift_states(1)
-        return self.partial(1).shift_states(1) + self.partial(2), p2
+        if self._momenta is None:
+            p2 = self.partial(2).shift_states(1)
+            self._momenta = (self.partial(1).shift_states(1) + self.partial(2), p2)
+        return self._momenta
 
     def euler_lagrange(self) -> Polynomial:
         """h^4 times the discrete Euler-Lagrange expression on window -2..2:

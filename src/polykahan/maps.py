@@ -219,18 +219,18 @@ class _Stepper:
         A = np.array([[_ceval(c, state) for c in row] for row in self.A], dtype=float)
         rhs = np.array([-_ceval(c, state) for c in self.r], dtype=float)
         try:
-            sol = np.linalg.solve(A, rhs)  # LU with partial pivoting
+            sol = np.linalg.solve(A, rhs).tolist()  # LU with partial pivoting
         except np.linalg.LinAlgError:
             raise SingularStep(
                 f"singular linear system at state {list(state)}",
                 condition=float(np.linalg.cond(A)),
             ) from None
-        if not np.all(np.isfinite(sol)):
+        if not all(map(math.isfinite, sol)):
             raise SingularStep(
                 f"non-finite solve at state {list(state)}",
                 condition=float(np.linalg.cond(A)),
             )
-        return list(map(float, sol))
+        return sol
 
     def __call__(self, state: Sequence[float]) -> list[float]:
         N = self.m.N

@@ -5,7 +5,8 @@ Variables come in two kinds: lattice state variables addressed by
 with one apostrophe per forward shift and one underscore prefix per backward
 shift -- and named symbolic parameters such as ``a`` or ``h``.
 
-Coefficients are ``fractions.Fraction`` throughout, so polynomial identity
+Coefficients are exact rationals: a stored coefficient is an ``int`` when it
+is integral and a ``fractions.Fraction`` otherwise, so polynomial identity
 is decidable and every algebraic check in this package is exact.  The zero
 polynomial stores no terms; nonzero polynomials never store a zero
 coefficient, so two equal polynomials have identical term dictionaries.
@@ -21,7 +22,7 @@ polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -48,20 +49,32 @@ class Var:
     comp: int = 0
     shift: int = 0
     name: str = ""
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # States order before parameters, by (component, shift) resp. name;
+        # the key fixes canonical monomial order and is also the hash key.
+        key = (1, self.name, self.comp, self.shift) if self.name else (0, self.comp, self.shift)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle the fields only: the hash of a name differs between processes.
+        return Var, (self.comp, self.shift, self.name)
 
     @property
     def is_param(self) -> bool:
         return self.name != ""
 
     def sort_key(self):
-        # States order before parameters; within each kind the order is
-        # (component, shift) resp. name, fixing canonical monomial keys.
-        if self.name:
-            return (1, 0, 0, self.name)
-        return (0, self.comp, self.shift, "")
+        return self._key
 
     def __lt__(self, other: "Var") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __str__(self) -> str:
         if self.name:
@@ -96,6 +109,16 @@ class Monomial:
     """
 
     factors: tuple[tuple[Var, int], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.factors))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Monomial, (self.factors,)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Var, int]]) -> "Monomial":
@@ -108,7 +131,7 @@ class Monomial:
             if not v.is_param and v.comp == 0:
                 continue  # dummy variable x0 == 1
             acc[v] = acc.get(v, 0) + e
-        return Monomial(tuple(sorted(acc.items(), key=lambda it: it[0].sort_key())))
+        return Monomial(tuple(sorted(acc.items(), key=lambda it: it[0]._key)))
 
     @property
     def degree(self) -> int:
@@ -130,18 +153,31 @@ class Monomial:
         return tuple(v for v, _ in self.factors)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial.from_pairs(self.factors + other.factors)
+        # Merge the two canonically sorted factor tuples in one pass.
+        a, b = self.factors, other.factors
+        if not b:
+            return self
+        if not a:
+            return other
+        out, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            (v, e), (w, f) = a[i], b[j]
+            if v._key == w._key:
+                out.append((v, e + f))
+                i, j = i + 1, j + 1
+            elif v._key < w._key:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return Monomial((*out, *a[i:], *b[j:]))
 
     def without(self, v: Var) -> "Monomial":
         return Monomial(tuple((w, e) for w, e in self.factors if w != v))
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        parts = []
-        for v, e in self.factors:
-            parts.append(str(v) if e == 1 else f"{v}^{e}")
-        return "*".join(parts)
+        return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in self.factors) or "1"
 
     __repr__ = __str__
 
@@ -152,7 +188,8 @@ _ONE = Monomial()
 def _grlex_key(m: Monomial, universe: tuple[Var, ...]):
     # Graded lexicographic key relative to a fixed, canonically sorted
     # variable universe; larger key = larger monomial.
-    return (m.degree, tuple(m.exponent(v) for v in universe))
+    exps = dict(m.factors)
+    return (m.degree, tuple([exps.get(v, 0) for v in universe]))
 
 
 class Polynomial:
@@ -199,16 +236,13 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(m.degree == 0 for m in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get(_ONE, Fraction(0))
+        return self._terms.get(_ONE, 0)
 
     def vars(self) -> set[Var]:
-        out: set[Var] = set()
-        for m in self._terms:
-            out.update(m.vars())
-        return out
+        return {v for m in self._terms for v, _ in m.factors}
 
     def degree(self) -> int:
         return max((m.degree for m in self._terms), default=0)
@@ -220,22 +254,16 @@ class Polynomial:
     def state_degree(self) -> int:
         return max((m.state_degree() for m in self._terms), default=0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in descending graded-lex order (canonical printing order)."""
-        universe = tuple(sorted(self.vars(), key=lambda v: v.sort_key()))
-        return sorted(
-            self._terms.items(),
-            key=lambda it: _grlex_key(it[0], universe),
-            reverse=True,
-        )
+        universe = tuple(sorted(self.vars(), key=Var.sort_key))
+        return sorted(self._terms.items(), key=lambda it: _grlex_key(it[0], universe), reverse=True)
 
-    def leading_coefficient(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        return self.sorted_terms()[0][1]
+    def leading_coefficient(self) -> Scalar:
+        return self.sorted_terms()[0][1] if self._terms else 0
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+    def coefficient(self, m: Monomial) -> Scalar:
+        return self._terms.get(m, 0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -265,11 +293,13 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            if not other:
+            c0 = _exact(other)
+            if not c0:
                 return Polynomial()
-            c0 = Fraction(other)
+            if c0 == 1:
+                return self
             p = Polynomial.__new__(Polynomial)
-            p._terms = {m: c * c0 for m, c in self._terms.items()}
+            p._terms = {m: _exact(c * c0) for m, c in self._terms.items()}
             return p
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -285,7 +315,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            return self * (Fraction(1) / Fraction(other))
+            return self * Fraction(1, other)
         return NotImplemented
 
     def __pow__(self, e: int) -> "Polynomial":
@@ -454,15 +484,24 @@ def _accumulate(out: dict, pairs) -> dict:
     is popped as soon as its running sum is zero, so the term order is that
     of adding the pairs with repeated ``+``."""
     for m, c in pairs:
-        if type(c) is not Fraction:
-            c = Fraction(c)
+        if type(c) is not int:
+            c = _exact(c)
         s = out.get(m)
-        s = c if s is None else s + c
-        if s:
-            out[m] = s
+        if s is not None:
+            c = _exact(s + c)
+        if c:
+            out[m] = c
         else:
             out.pop(m, None)
     return out
+
+
+def _exact(c) -> Scalar:
+    """``c`` exactly, as an int when it is integral and a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = c if type(c) is Fraction else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _coerce_poly(v) -> Polynomial:
@@ -508,16 +547,10 @@ def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     while not rem.is_zero():
         rm, rc = max(rem.terms(), key=lambda it: _grlex_key(it[0], universe))
         # Leading-term division: fail fast if the monomial does not divide.
-        diff: list[tuple[Var, int]] = []
-        for v, e in rm.factors:
-            d = e - qm.exponent(v)
-            if d < 0:
-                return None
-            if d:
-                diff.append((v, d))
         if any(rm.exponent(v) < e for v, e in qm.factors):
             return None
-        t = Polynomial.monomial(Monomial.from_pairs(diff), rc / qc)
+        diff = tuple((v, e - qm.exponent(v)) for v, e in rm.factors if e > qm.exponent(v))
+        t = Polynomial.monomial(Monomial(diff), Fraction(rc, qc))
         quotient.extend(t.terms())
         rem = rem - t * q
     return Polynomial(quotient)
@@ -659,27 +692,23 @@ class RationalFunction:
 
 
 def _common_monomial(*polys: Polynomial) -> Monomial:
-    shared: dict[Var, int] | None = None
-    for p in polys:
-        for m, _ in p.terms():
-            exps = dict(m.factors)
-            if shared is None:
-                shared = exps
-            else:
-                shared = {
-                    v: min(e, exps.get(v, 0)) for v, e in shared.items() if exps.get(v, 0)
-                }
-            if not shared:
-                return _ONE
-    return Monomial.from_pairs((shared or {}).items())
+    """The largest monomial dividing every term of the nonzero ``polys``."""
+    monos = [m for p in polys for m in p._terms]
+    shared = dict(monos[0].factors)
+    for m in monos[1:]:
+        if not shared:
+            return _ONE
+        exps = dict(m.factors)
+        shared = {v: min(e, exps[v]) for v, e in shared.items() if v in exps}
+    return Monomial(tuple(shared.items()))
 
 
 def _strip_monomial(p: Polynomial, m: Monomial) -> Polynomial:
-    out: dict[Monomial, Fraction] = {}
-    for mm, c in p.terms():
-        out[Monomial.from_pairs([(v, e - m.exponent(v)) for v, e in mm.factors])] = c
     q = Polynomial.__new__(Polynomial)
-    q._terms = out
+    q._terms = {
+        Monomial.from_pairs([(v, e - m.exponent(v)) for v, e in mm.factors]): c
+        for mm, c in p.terms()
+    }
     return q
 
 

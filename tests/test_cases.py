@@ -246,6 +246,15 @@ def test_ostrogradsky_round_trip_exact_property(window, h, load, weights):
     assert cases.ostrogradsky_inverse(L, state, h) == window
 
 
+def test_momenta_are_built_once_per_lagrangian():
+    L = cases.discrete_lagrangian(1, -2, Fraction(3, 4), cases.UNIFORM_ALPHA, cases.UNIFORM_BETA)
+    p1, p2 = L.momenta()
+    assert L.momenta()[0] is p1 and L.momenta()[1] is p2
+    fresh = (L.partial(1).shift_states(1) + L.partial(2), L.partial(2).shift_states(1))
+    for built, expected in zip((p1, p2), fresh):
+        assert list(built.terms()) == list(expected.terms())
+
+
 def test_ostrogradsky_round_trip_float():
     p = beam_params()
     L = cases.discrete_lagrangian(p.a, p.b, p.c, p.alpha, p.beta)

@@ -363,3 +363,13 @@ def test_zero_determinant_detected():
     sch = ImplicitScheme(2, 1, param("h"), (eq,))
     with pytest.raises(maps.ZeroDeterminant):
         maps.solve_forward(sch)
+
+
+def test_non_finite_two_by_two_solve_reports_its_condition_number():
+    # At x1 = 1e300 the system stays regular while the right-hand side
+    # is of order 1e300, so the solve overflows to a non-finite value.
+    m = cases.lotka_volterra(1).map
+    with pytest.raises(maps.SingularStep, match="non-finite solve") as err:
+        maps.step(m, [1e300, 1e10], 0.1)
+    assert err.value.condition is not None and math.isfinite(err.value.condition)
+    assert all(type(v) is float for v in maps.step(m, [1.2, 0.9], 0.1))

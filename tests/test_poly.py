@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polykahan import linalg
+from polykahan.maps import _compile
 from polykahan.poly import (
     DenominatorVanished,
     Monomial,
@@ -322,3 +326,129 @@ def test_det_zero_first_column_is_zero_of_entry_type():
     R0 = RationalFunction(zero)
     det = linalg.det_poly([[R0, RationalFunction(X, Y)], [R0, RationalFunction(Y)]])
     assert type(det) is RationalFunction and det.is_zero()
+
+
+# -- canonical monomials ------------------------------------------------------
+
+# x0 is the dummy state variable that is identically 1.
+_MONO_VARS = (x(0), x(1, 0), x(1, 1), x(1, -1), x(2, 0), param("a"), param("h"))
+
+monomials = st.lists(
+    st.tuples(st.sampled_from(_MONO_VARS), st.integers(0, 3)), max_size=5
+).map(Monomial.from_pairs)
+
+
+def _same_key(m: Monomial, other: Monomial) -> None:
+    assert m == other and hash(m) == hash(other)
+    assert {m: "hit"}[other] == "hit"
+
+
+@given(monomials, monomials)
+def test_monomial_product_merges_like_from_pairs(a, b):
+    product = a * b
+    expected = Monomial.from_pairs(a.factors + b.factors)
+    assert product.factors == expected.factors
+    _same_key(product, expected)
+    _same_key(a * Monomial(), a)
+    _same_key(Monomial() * b, b)
+
+
+@given(monomials, st.sampled_from(_MONO_VARS[1:]))
+def test_equal_monomials_share_one_dict_key(m, v):
+    _same_key(Monomial.from_pairs(reversed(m.factors)), m)
+    left = Monomial(m.factors[: len(m.factors) // 2])
+    _same_key(left * Monomial(m.factors[len(m.factors) // 2 :]), m)
+    ((d, c),) = Polynomial.monomial(m * Monomial.from_pairs([(v, 1)])).derivative(v).terms()
+    assert c == m.exponent(v) + 1
+    _same_key(d, m)
+    fresh = Polynomial.monomial(m).map_vars(lambda w: Var(w.comp, w.shift, w.name))
+    ((mapped, _),) = fresh.terms()  # equal variables, new objects
+    _same_key(mapped, m)
+    ((shifted, _),) = Polynomial.monomial(m).shift_states(2).shift_states(-2).terms()
+    _same_key(shifted, m)
+    _same_key((m * Monomial.from_pairs([(v, 2)])).without(v), m.without(v))
+
+
+def test_var_equality_covers_component_shift_and_name():
+    assert Var(1, 0, "a") != Var(0, 0, "a")
+    assert Var(0, 1, "a") != Var(0, 0, "a")
+    assert len({Var(1, 0, "a"), Var(0, 0, "a"), param("a")}) == 2
+    assert x(1, 2) == Var(comp=1, shift=2) and hash(x(1, 2)) == hash(Var(1, 2))
+
+
+# -- exact coefficients -------------------------------------------------------
+
+
+def assert_exact(p: Polynomial) -> None:
+    """Every stored coefficient is an int, or a Fraction that is not integral."""
+    for _, c in p.terms():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_try_divide_keeps_a_non_integral_quotient_exact():
+    q = try_divide(2 * X**2 + 3 * X + 1, 2 * X + 2)
+    assert q == X + Fraction(1, 2)
+    assert q.coefficient(Monomial()) == Fraction(1, 2)
+    assert_exact(q)
+    assert_exact(RationalFunction(2 * X**2 + 3 * X + 1, 2 * X + 2).as_polynomial())
+    # A float quotient would overflow here, or round 1/3.
+    big = try_divide(10**400 * X**2 * Y + X * Y, 3 * X * Y)
+    assert big == Fraction(10**400, 3) * X + Fraction(1, 3)
+    assert_exact(big)
+
+
+@given(st.integers(0, 10**6))
+def test_arithmetic_stores_only_exact_coefficients(seed):
+    rng = random.Random(seed)
+    f = RationalFunction(rand_poly(rng), rand_poly(rng, nvars=2) ** 2 + 1)
+    g = RationalFunction(rand_poly(rng, nvars=2), 2 * Y + 3)
+    results = [f + g, f * g, f.substitute({x(1): g, x(2): RationalFunction(X, 3)})]
+    if not g.is_zero():
+        results.append(f / g)
+    for r in results:
+        assert_exact(r.num)
+        assert_exact(r.den)
+    p = rand_poly(rng)
+    assert_exact(p.primitive())
+    assert_exact(p * Fraction(2, 3) * Fraction(3, 2))
+    assert_exact(p / Fraction(1, 3))
+
+
+def test_integral_fraction_coefficient_is_stored_as_int():
+    m = Monomial.from_pairs([(x(1), 2)])
+    a, b = Polynomial({m: Fraction(2)}), Polynomial({m: 2})
+    assert a == b and str(a) == str(b) == "2*x1^2"
+    assert [type(c) for _, c in a.terms()] == [int]
+    assert [type(c) for _, c in (X * Fraction(1, 2) + X * Fraction(1, 2)).terms()] == [int]
+
+
+def test_compiled_coefficients_equal_the_exact_ones_as_floats():
+    p = Fraction(1, 3) * X**2 - 7 * X * Y + Fraction(22, 7) + 2**70 * Y
+    terms = _compile(p, {x(1): 0, x(2): 1}, {})
+    assert [coeff for coeff, _ in terms] == [float(Fraction(c)) for _, c in p.terms()]
+
+
+
+_PICKLE_DUMP = """
+import pickle, sys
+from polykahan.poly import Monomial, param, x
+sys.stdout.buffer.write(pickle.dumps(Monomial.from_pairs([(param("h"), 2), (x(1), 1)])))
+"""
+_PICKLE_LOAD = """
+import pickle, sys
+from polykahan.poly import Monomial, param, x
+m = pickle.loads(sys.stdin.buffer.read())
+assert {Monomial.from_pairs([(x(1), 1), (param("h"), 2)]): 1}[m] == 1
+assert {param("h"): 1}[m.factors[1][0]] == 1
+"""
+
+
+def test_unpickled_monomials_hash_like_fresh_ones_under_another_hash_seed():
+    # The hash of a parameter's name depends on PYTHONHASHSEED.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+    def run(code, seed, **kwargs):
+        return subprocess.run([sys.executable, "-c", code], check=True,
+                              env={**env, "PYTHONHASHSEED": seed}, **kwargs)
+
+    run(_PICKLE_LOAD, "2", input=run(_PICKLE_DUMP, "1", capture_output=True).stdout)
