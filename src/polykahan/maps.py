@@ -9,8 +9,13 @@ lowest shifts gives the inverse the same way, so the map is birational.
 Symbolic solutions (Cramer on the polynomial coefficient matrix) are built
 for N <= 3; numeric stepping always goes through an LU solve of the
 evaluated N x N system, so larger systems iterate fine without closed
-forms.  Stepping, residuals and ``eval_batch`` share one compiled evaluator
-(``_compile``/``_ceval``): one state or a batch, in one operation order.
+forms.  Every float evaluation reads one term list, ``_compile``'s, in one
+operation order, through one of two consumers chosen by how the call site
+uses it.  The stepper and ``first_order_field`` evaluate the same
+polynomials at one state after another, so they run straight-line Python
+generated once from the terms (``_straight_line``); residuals and
+``eval_batch`` evaluate each polynomial once over a whole batch, where the
+loop ``_ceval`` costs less than generating code would.
 """
 
 from __future__ import annotations
@@ -198,8 +203,10 @@ class _Stepper:
             slots = {
                 x(j, k + 1): k * N + (j - 1) for k in range(n) for j in range(1, N + 1)
             }
-        self.A = [[_compile(p, slots, consts) for p in row] for row in A]
-        self.r = [_compile(p, slots, consts) for p in r]
+        # Entries of A row by row, then r: one generated function per stepper.
+        self.values = _straight_line(
+            [_compile(p, slots, consts) for p in itertools.chain(*A, r)]
+        )
         self.direction = direction
 
     def solved_block(self, state: Sequence[float]) -> list[float]:
@@ -210,14 +217,14 @@ class _Stepper:
 
     def _solved_block(self, state: Sequence[float]) -> list[float]:
         N = self.m.N
+        vals = self.values(state)
         if N == 1:
-            den = _ceval(self.A[0][0], state)
-            num = -_ceval(self.r[0], state)
+            den, num = vals[0], -vals[1]
             if den == 0.0 or not math.isfinite(num / den if den else math.inf):
                 raise SingularStep(f"vanishing denominator at state {list(state)}")
             return [num / den]
-        A = np.array([[_ceval(c, state) for c in row] for row in self.A], dtype=float)
-        rhs = np.array([-_ceval(c, state) for c in self.r], dtype=float)
+        flat = np.array(vals, dtype=float)
+        A, rhs = flat[: N * N].reshape(N, N), -flat[N * N :]
         try:
             sol = np.linalg.solve(A, rhs).tolist()  # LU with partial pivoting
         except np.linalg.LinAlgError:
@@ -255,6 +262,41 @@ def _compile(p: Polynomial, slots: dict[Var, int], consts: Mapping[Var, float]):
                 raise ValueError(f"unbound variable {v} in numeric evaluation")
         terms.append((coeff, tuple(idx)))
     return terms
+
+
+def _straight_line(compiled: Sequence[list]) -> Callable[[Sequence[float]], tuple]:
+    """One generated function of a state that returns ``_ceval(terms, state)``
+    for each term list, as a tuple.  Each value is written out as
+    ``v = 0.0``, ``v = v + c0 * s0 ** e * s1 + ...``: ``_ceval``'s operations
+    in its order, so the floats are the same bit for bit, and an overflowing
+    ``**`` still raises OverflowError.  ``** 1`` is left out, since ``x ** 1``
+    is ``x`` for a float; numpy's scalar power may rewrite a NaN's sign or
+    payload, so on ndarray input a NaN can differ in those bits only.  The
+    coefficients are bound as default arguments, not written as literals,
+    because they may be inf or nan."""
+    coeffs: list[float] = []
+    slots: set[int] = set()
+    body = []
+    for k, terms in enumerate(compiled):
+        summands = []
+        for coeff, idx in terms:
+            factors = [f"s{i}" if e == 1 else f"s{i} ** {e}" for i, e in idx]
+            summands.append(" * ".join([f"c{len(coeffs)}", *factors]))
+            coeffs.append(coeff)
+            slots.update(i for i, _ in idx)
+        body.append(f"v{k} = 0.0")
+        # A sum of a few thousand terms in one expression nests too deep for
+        # the compiler; a running sum over chunks adds in the same order.
+        for j in range(0, len(summands), 256):
+            body.append(f"v{k} = v{k} + " + " + ".join(summands[j : j + 256]))
+    body[:0] = [f"s{i} = s[{i}]" for i in sorted(slots)]
+    body.append(f"return ({''.join(f'v{k}, ' for k in range(len(compiled)))})")
+    params = "".join(f", c{k}" for k in range(len(coeffs)))
+    namespace: dict = {}
+    exec(f"def values(s{params}):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    fn = namespace["values"]
+    fn.__defaults__ = tuple(coeffs)
+    return fn
 
 
 def _ceval(terms, state):
@@ -506,14 +548,12 @@ def first_order_field(sys: PolyOdeSystem) -> Callable[[np.ndarray], np.ndarray]:
     """Vector field of the equivalent first-order system on (x, x', ..)."""
     n, N = sys.order, sys.dim
     slots = {x(j): j - 1 for j in range(1, N + 1)}  # _compile rejects unbound parameters
-    compiled = [_compile(p, slots, {}) for p in sys.rhs]
+    values = _straight_line([_compile(p, slots, {}) for p in sys.rhs])
 
     def field(y: np.ndarray) -> np.ndarray:
         out = np.empty_like(y)
         out[: (n - 1) * N] = y[N:]
-        head = y[:N]
-        for i, terms in enumerate(compiled):
-            out[(n - 1) * N + i] = _ceval(terms, head)
+        out[(n - 1) * N :] = values(y)
         return out
 
     return field

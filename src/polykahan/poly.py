@@ -260,7 +260,11 @@ class Polynomial:
         return sorted(self._terms.items(), key=lambda it: _grlex_key(it[0], universe), reverse=True)
 
     def leading_coefficient(self) -> Scalar:
-        return self.sorted_terms()[0][1] if self._terms else 0
+        """Coefficient of the first of ``sorted_terms()``, found without sorting."""
+        if not self._terms:
+            return 0
+        universe = tuple(sorted(self.vars(), key=Var.sort_key))
+        return max(self._terms.items(), key=lambda it: _grlex_key(it[0], universe))[1]
 
     def coefficient(self, m: Monomial) -> Scalar:
         return self._terms.get(m, 0)

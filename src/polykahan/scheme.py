@@ -92,8 +92,14 @@ def symmetrize_monomial(m: Monomial, n: int) -> Polynomial:
     slots by dummy factors; every injective assignment of the levels 0..n
     to the real factors contributes with weight (n+1-d)!/(n+1)!, where d is
     the state degree.  Parameters pass through untouched.
+
+    Assignments that differ only by permuting equal factors give the same
+    monomial, so each distinct one is built once, with levels increasing
+    inside each group of equal factors, weighted by its multiplicity, and in
+    the order in which ``itertools.permutations`` first reaches it.
     """
     state_factors: list[Var] = []
+    groups: list[int] = []
     params: list[tuple[Var, int]] = []
     for v, e in m.factors:
         if v.is_param:
@@ -102,12 +108,23 @@ def symmetrize_monomial(m: Monomial, n: int) -> Polynomial:
             if v.shift != 0:
                 raise ValueError(f"cannot symmetrize shifted variable {v}")
             state_factors.extend([v] * e)
+            groups.append(e)
     d = len(state_factors)
     if d > n + 1:
         raise DegreeTooHigh(f"monomial {m} has state degree {d} > {n + 1}")
     weight = Fraction(math.factorial(n + 1 - d), math.factorial(n + 1))
+    weight *= math.prod(map(math.factorial, groups))
+    # Lexicographic order: each group's levels are combinations of the levels
+    # the groups before it left free.
+    assignments: list[tuple[int, ...]] = [()]
+    for e in groups:
+        assignments = [
+            done + levels
+            for done in assignments
+            for levels in itertools.combinations([k for k in range(n + 1) if k not in done], e)
+        ]
     terms = []
-    for levels in itertools.permutations(range(n + 1), d):
+    for levels in assignments:
         shifted = [(Var(comp=v.comp, shift=k), 1) for v, k in zip(state_factors, levels)]
         terms.append((Monomial.from_pairs(shifted + params), weight))
     return Polynomial(terms)

@@ -1,11 +1,16 @@
+import functools
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polykahan import cases, maps
+from polykahan.cli import RunConfig, build_case
 from polykahan.poly import Polynomial, RationalFunction, param, x
 from polykahan.scheme import H, ImplicitScheme, PolyOdeSystem, discretize
 
@@ -107,9 +112,13 @@ def per_window_residual(m, window, h):
     return worst
 
 
-def euler_top_map():
+def euler_top_system():
     x1, x2, x3 = (Polynomial.var(x(i)) for i in (1, 2, 3))
-    return maps.solve_forward(discretize(PolyOdeSystem(1, 3, (x2 * x3, -2 * x3 * x1, x1 * x2))))
+    return PolyOdeSystem(1, 3, (x2 * x3, -2 * x3 * x1, x1 * x2))
+
+
+def euler_top_map():
+    return maps.solve_forward(discretize(euler_top_system()))
 
 
 @pytest.mark.parametrize("name", ["quartic", "lv", "beam_sym", "euler_top"])
@@ -373,3 +382,188 @@ def test_non_finite_two_by_two_solve_reports_its_condition_number():
         maps.step(m, [1e300, 1e10], 0.1)
     assert err.value.condition is not None and math.isfinite(err.value.condition)
     assert all(type(v) is float for v in maps.step(m, [1.2, 0.9], 0.1))
+
+
+# -- the generated stepper against the _ceval loop it replaced ------------------
+
+
+def ceval_step(m, state, h, direction):
+    """One step as the stepper took it with one ``_ceval`` call per entry."""
+    n, N = m.n, m.N
+    if direction == "forward":
+        (A, r), slots = m._top, {v: i for i, v in enumerate(m.state_vars)}
+    else:
+        (A, r), slots = m._bottom, {
+            x(j, k + 1): k * N + (j - 1) for k in range(n) for j in range(1, N + 1)
+        }
+    consts = {m.scheme.step: float(h)}
+    A = [[maps._compile(p, slots, consts) for p in row] for row in A]
+    r = [maps._compile(p, slots, consts) for p in r]
+    try:
+        if N == 1:
+            den = maps._ceval(A[0][0], state)
+            num = -maps._ceval(r[0], state)
+            if den == 0.0 or not math.isfinite(num / den if den else math.inf):
+                raise maps.SingularStep(f"vanishing denominator at state {list(state)}")
+            block = [num / den]
+        else:
+            Af = np.array([[maps._ceval(c, state) for c in row] for row in A], dtype=float)
+            rhs = np.array([-maps._ceval(c, state) for c in r], dtype=float)
+            try:
+                block = np.linalg.solve(Af, rhs).tolist()
+            except np.linalg.LinAlgError:
+                raise maps.SingularStep(
+                    f"singular linear system at state {list(state)}",
+                    condition=float(np.linalg.cond(Af)),
+                ) from None
+            if not all(map(math.isfinite, block)):
+                raise maps.SingularStep(
+                    f"non-finite solve at state {list(state)}",
+                    condition=float(np.linalg.cond(Af)),
+                )
+    except OverflowError:
+        raise maps.SingularStep(f"float overflow at state {list(state)}") from None
+    if direction == "forward":
+        return [float(v) for v in state[N:]] + block
+    return block + [float(v) for v in state[:-N]]
+
+
+def bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def outcome(f, *args):
+    """The floats of a step bit for bit, or its exception with its condition."""
+    try:
+        return bits(f(*args))
+    except (maps.SingularStep, np.linalg.LinAlgError) as err:
+        cond = getattr(err, "condition", None)
+        return type(err), str(err), None if cond is None else bits([cond])
+
+
+@functools.cache
+def benchmark_map(name):
+    beam = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
+    return {
+        "quartic": lambda: quartic_numeric().map,
+        "lv": lambda: cases.lotka_volterra(1).map,
+        "beam_sym": lambda: cases.beam_symmetric(beam).map,
+        "euler_top": euler_top_map,
+        "beam_lag": lambda: build_case(RunConfig(preset="beam-lag")).map,
+    }[name]()
+
+
+coordinates = st.one_of(
+    st.floats(-3, 3),
+    st.floats(1e153, 1e155),
+    st.floats(-1e155, -1e153),
+    st.floats(1e299, 1e301),
+    st.floats(-1e301, -1e299),
+)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("name", ["quartic", "lv", "beam_sym", "euler_top", "beam_lag"])
+@given(data=st.data())
+def test_generated_step_equals_the_ceval_loop_bit_for_bit(name, direction, data):
+    m = benchmark_map(name)
+    state = data.draw(st.lists(coordinates, min_size=m.dim, max_size=m.dim))
+    fn = maps.step if direction == "forward" else maps.step_back
+    assert outcome(fn, m, state, 0.1) == outcome(ceval_step, m, state, 0.1, direction)
+
+
+@given(st.floats())  # nan, infinities, zeros of both signs and subnormals included
+def test_power_one_is_the_identity_on_floats(v):
+    # The generated code writes x for x ** 1.  numpy's scalar power may
+    # rewrite the sign or payload of a NaN, so on ndarray input (as in
+    # first_order_field) a NaN can differ from _ceval's in those bits only.
+    assert bits([v ** 1]) == bits([v])
+    if not math.isnan(v):
+        assert bits([np.float64(v) ** 1]) == bits([v])
+
+
+def test_power_overflow_ends_the_orbit_at_the_same_step():
+    m = benchmark_map("beam_lag")
+    orbit = maps.iterate(m, [1.1] * 4, 0.1, 100)
+    assert orbit.status == "singular-at-step 72"
+    points = [[1.1] * 4]
+    for _ in range(71):
+        points.append(ceval_step(m, points[-1], 0.1, "forward"))
+    assert bits(sum(orbit.points, [])) == bits(sum(points, []))
+    with pytest.raises(maps.SingularStep, match="float overflow"):
+        ceval_step(m, points[-1], 0.1, "forward")
+
+
+def test_exactly_zero_denominator_is_a_singular_step():
+    # x1' x1 = 1: the forward denominator is x1 and the backward one x1'.
+    eq = Polynomial.var(x(1, 1)) * Polynomial.var(x(1)) - 1
+    m = maps.solve_forward(ImplicitScheme(1, 1, H, (eq,)))
+    for fn in (maps.step, maps.step_back):
+        with pytest.raises(maps.SingularStep, match="vanishing denominator"):
+            fn(m, [0.0], 0.1)
+        assert fn(m, [4.0], 0.1) == [0.25]
+
+
+def test_generated_values_of_edge_term_lists():
+    # No terms reads +0.0; inf and nan coefficients are bound, not printed.
+    inf, nan = math.inf, math.nan
+    compiled = [[], [(inf, ((0, 1),)), (-inf, ())], [(nan, ())], [(2.0, ((1, 3), (0, 1)))]]
+    got = maps._straight_line(compiled)([0.5, -2.0])
+    want = [maps._ceval(terms, [0.5, -2.0]) for terms in compiled]
+    assert bits(got) == bits(want)
+    assert bits(got[:1]) == bits([0.0])
+    assert maps._straight_line([])([1.0]) == ()
+    # Too many terms for one expression: the sum is split, in the same order.
+    long = [(1.0 + k / 7, ((0, 2), (1, 1))) for k in range(5000)]
+    state = [1.1, -0.7]
+    assert bits(maps._straight_line([long])(state)) == bits([maps._ceval(long, state)])
+
+
+def test_coefficient_folded_to_inf_is_evaluated():
+    # 10^300 h x1 at h = 1e10 compiles to the coefficient inf.
+    huge = Polynomial.const(10**300) * Polynomial.var(H) * Polynomial.var(x(1))
+    m = maps.solve_forward(ImplicitScheme(1, 1, H, (Polynomial.var(x(1, 1)) - huge,)))
+    for state in ([1.0], [0.0]):
+        with pytest.raises(maps.SingularStep, match="vanishing denominator"):
+            maps.step(m, state, 1e10)
+        assert outcome(maps.step, m, state, 1e10) == outcome(
+            ceval_step, m, state, 1e10, "forward"
+        )
+
+
+def test_unbound_parameter_is_rejected_when_the_evaluator_is_built():
+    with pytest.raises(ValueError, match="bound before stepping"):
+        maps._Stepper(quartic_symbolic().map, 0.1, "forward")
+    a = Polynomial.var(param("a"))
+    with pytest.raises(ValueError, match="unbound variable a"):
+        maps.first_order_field(PolyOdeSystem(1, 1, (a * Polynomial.var(x(1)),)))
+
+
+def ceval_field(sys):
+    """first_order_field with one ``_ceval`` call per component."""
+    n, N = sys.order, sys.dim
+    compiled = [maps._compile(p, {x(j): j - 1 for j in range(1, N + 1)}, {}) for p in sys.rhs]
+
+    def field(y):
+        out = np.empty_like(y)
+        out[: (n - 1) * N] = y[N:]
+        for i, terms in enumerate(compiled):
+            out[(n - 1) * N + i] = maps._ceval(terms, y[:N])
+        return out
+
+    return field
+
+
+@pytest.mark.parametrize("name", ["quartic", "lv", "beam_sym", "euler_top"])
+def test_first_order_field_equals_the_ceval_loop_on_an_rk4_sample(name):
+    beam = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
+    sys, y0 = {
+        "quartic": lambda: (quartic_numeric().system, [0.31, 0.0]),
+        "lv": lambda: (cases.lotka_volterra(1).system, [1.2, 0.9]),
+        "beam_sym": lambda: (cases.beam_symmetric(beam).system, [1.1, 0.0, 0.0, 0.0]),
+        "euler_top": lambda: (euler_top_system(), [1.0, 0.5, 0.3]),
+    }[name]()
+    y0 = np.array(y0, dtype=float)
+    got = maps._rk4_to(maps.first_order_field(sys), y0, 0.0, 1.0, 0.05)
+    want = maps._rk4_to(ceval_field(sys), y0, 0.0, 1.0, 0.05)
+    assert got.tobytes() == want.tobytes()

@@ -293,6 +293,14 @@ def test_constructor_accumulates_like_repeated_add(pairs):
     assert list(p.terms()) == list(expected.terms())
 
 
+@given(term_lists())
+def test_leading_coefficient_is_that_of_the_first_sorted_term(pairs):
+    p = Polynomial(pairs)
+    want = p.sorted_terms()[0][1] if not p.is_zero() else 0
+    assert p.leading_coefficient() == want and type(p.leading_coefficient()) is type(want)
+    assert Polynomial().leading_coefficient() == 0
+
+
 def test_cancelled_term_reenters_last():
     a, b = Monomial.from_pairs([(x(1), 1)]), Monomial.from_pairs([(x(2), 1)])
     A, B = Polynomial.monomial(a), Polynomial.monomial(b)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +25,36 @@ W = lambda k: Polynomial.var(x(1, k))
 
 def mono(*pairs):
     return Monomial.from_pairs(list(pairs))
+
+
+def symmetrize_by_permutations(m, n):
+    """One term per injective assignment of levels, in permutation order;
+    the constructor merges the repeats."""
+    factors = [v for v, e in m.factors if not v.is_param for _ in range(e)]
+    params = [(v, e) for v, e in m.factors if v.is_param]
+    d = len(factors)
+    weight = Fraction(math.factorial(n + 1 - d), math.factorial(n + 1))
+    terms = []
+    for levels in itertools.permutations(range(n + 1), d):
+        shifted = [(x(v.comp, k), 1) for v, k in zip(factors, levels)]
+        terms.append((Monomial.from_pairs(shifted + params), weight))
+    return Polynomial(terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetrize_monomial_equals_the_permutation_construction(n):
+    a, b = param("a"), param("b")
+    parameter_parts = [[], [(a, 1)], [(a, 2), (b, 1)]]
+    for d in range(n + 2):
+        for split in itertools.product(range(d + 1), repeat=3):
+            if sum(split) != d:
+                continue
+            state = [(x(j + 1), e) for j, e in enumerate(split)]
+            for params in parameter_parts:
+                m = mono(*state, *params)
+                got, want = symmetrize_monomial(m, n), symmetrize_by_permutations(m, n)
+                assert list(got.terms()) == list(want.terms())
+                assert [type(c) for _, c in got.terms()] == [type(c) for _, c in want.terms()]
 
 
 def test_kahan_rules_order_one():
