@@ -344,7 +344,6 @@ class MeasureReport:
     symmetry_holds: bool  # dF/d(lowest) equals dF/d(highest) as functions
     max_rel_gap: float  # worst |det - density ratio| / |det| over samples
     samples: int
-    density_description: str
 
 
 def beam_measure_check(
@@ -384,7 +383,6 @@ def beam_measure_check(
         symmetry_holds=G.shift_states(-1) == Hi,
         max_rel_gap=worst,
         samples=n_points,
-        density_description="dw^(-2)^dw^(-1)^dw^(0)^dw^(1) / (1 - h^4*H)",
     )
 
 
@@ -693,7 +691,7 @@ def beam_fixed_point_analysis(
     spectra = {}
     for w in ws:
         M = maps.linearize_at(case.map, [w] * 4, float(p.h))
-        spectra[w] = maps.char_poly_and_roots(M, fixed_point=[w] * 4)
+        spectra[w] = maps.char_poly_and_roots(M)
     _, slope, wsq = roots[0]
     fprime = 2 * ws[0] * slope
     # lambda^4 = F' <= 0 puts the roots on the diagonals: Re = (|F'|/4)^(1/4)

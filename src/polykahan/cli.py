@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import cases, darboux, linalg, maps
-from .poly import DenominatorVanished, Monomial, Polynomial, Var, param, x
-from .scheme import H, DegreeTooHigh, ImplicitScheme, PolyOdeSystem, discretize
+from . import cases, darboux, maps
+from .poly import Monomial, Polynomial, Var, param, x
+from .scheme import H, ImplicitScheme, PolyOdeSystem, discretize
 
 
 class ParseError(ValueError):
@@ -367,6 +367,8 @@ def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path) -> list[str]:
         raise ValidationError(
             f"init needs {bundle.map.dim} values, got {len(init)}"
         )
+    if not all(0 <= k < bundle.map.dim for k in cfg.plot):
+        raise ValidationError(f"plot indices must lie in 0..{bundle.map.dim - 1}, got {cfg.plot}")
     orbit = maps.iterate(bundle.map, init, float(cfg.h), cfg.steps)
     names = state_names(bundle.map)
     write_csv(out / "orbit.csv", orbit, names)
@@ -463,9 +465,7 @@ def scheme_section(bundle: CaseBundle) -> list[str]:
     for i, e in enumerate(bundle.scheme.equations):
         lines.append(f"E[{i}] = 0 with E[{i}] = {e}")
     if bundle.map.forward is not None:
-        lines.append("[map]")
-        for v, rf in zip(bundle.map.state_vars, bundle.map.forward):
-            lines.append(f"{v} -> {rf}")
+        lines += ["[map]", str(bundle.map)]
     return lines
 
 
@@ -476,7 +476,7 @@ def scheme_section(bundle: CaseBundle) -> list[str]:
 
 def _load_config(args) -> RunConfig:
     if args.config:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     elif args.preset:
         cfg = RunConfig(preset=args.preset)
         cfg.validate()
@@ -506,29 +506,12 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", help="output directory (default: current)")
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-    except (ParseError, ValidationError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return _run(args.command, cfg)
-    except (ParseError, ValidationError, DegreeTooHigh) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (
-        maps.SingularStep,
-        maps.ZeroDeterminant,
-        maps.NoConvergence,
-        maps.NotFixedPoint,
-        linalg.SingularMatrix,
-        darboux.CofactorMismatch,
-        cases.NoRealFixedPoint,
-        DenominatorVanished,
-        ZeroDivisionError,
-    ) as e:
+        return _run(args.command, _load_config(args))
+    # NotFixedPoint and NoRealFixedPoint are ValueErrors, so this comes first
+    except (ArithmeticError, maps.NotFixedPoint, cases.NoRealFixedPoint) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

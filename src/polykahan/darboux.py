@@ -51,7 +51,6 @@ class DarbouxCertificate:
 
     P: Polynomial
     cofactor: RationalFunction
-    degree_bound: int
     witness: Polynomial
     map: BirationalMap
 
@@ -73,9 +72,6 @@ class Pencil:
 
     P1: Polynomial
     P2: Polynomial
-
-    def describe(self) -> str:
-        return f"lambda*({self.P1}) + ({self.P2}) = 0"
 
     def level(self, point) -> float:
         """The lambda-level of the member passing through a point."""
@@ -193,17 +189,13 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
     return row
 
 
-def _certify(
-    P: Polynomial, m: BirationalMap, J: RationalFunction, degree_bound: int
-) -> DarbouxCertificate:
+def _certify(P: Polynomial, m: BirationalMap, J: RationalFunction) -> DarbouxCertificate:
     """Substitute the map into P and check P(Phi) - J*P is exactly zero."""
     sigma = dict(zip(m.state_vars, m.forward))
     residual = P.substitute(sigma) - J * RationalFunction(P)
     if not residual.num.is_zero():
         raise CofactorMismatch(f"P = {P} is not Darboux: residual {residual.num}")
-    return DarbouxCertificate(
-        P=P, cofactor=J, degree_bound=degree_bound, witness=residual.num, map=m
-    )
+    return DarbouxCertificate(P=P, cofactor=J, witness=residual.num, map=m)
 
 
 def find_darboux(m: BirationalMap, maxdeg: int) -> list[DarbouxCertificate]:
@@ -229,23 +221,19 @@ def find_darboux(m: BirationalMap, maxdeg: int) -> list[DarbouxCertificate]:
                 continue
         null = linalg.nullspace(rows, ncols=len(basis))
         try:
-            return [_certify(Polynomial(zip(basis, vec)), m, J, maxdeg) for vec in null]
+            return [_certify(Polynomial(zip(basis, vec)), m, J) for vec in null]
         except CofactorMismatch:
             continue  # too few or too special points: sample more
 
 
-def verify_darboux(
-    P: Polynomial, m: BirationalMap, degree_bound: int | None = None
-) -> DarbouxCertificate:
+def verify_darboux(P: Polynomial, m: BirationalMap) -> DarbouxCertificate:
     """Exact check that P(Phi) = J*P; parameters may stay symbolic.
 
     Raises CofactorMismatch when the relation fails.
     """
     if m.forward is None:
         raise ValueError("needs the symbolic map")
-    return _certify(
-        P, m, jacobian(m)[1], degree_bound if degree_bound is not None else P.degree()
-    )
+    return _certify(P, m, jacobian(m)[1])
 
 
 @dataclass
@@ -357,11 +345,7 @@ class ContinuumLimitReport:
         )
 
 
-def continuum_limit_check(
-    P1: Polynomial,
-    P2: Polynomial,
-    step_var: Var | None = None,
-) -> ContinuumLimitReport:
+def continuum_limit_check(P1: Polynomial, P2: Polynomial) -> ContinuumLimitReport:
     """Verify P1 = 1 + O(h^2) and P2 = 4 H h^2 + O(h^3) exactly.
 
     ``P1``/``P2`` are polynomials in the planar variables x = x1^(0),
@@ -370,7 +354,7 @@ def continuum_limit_check(
     then compares h-coefficients with the Hamiltonian
     H = p^2/2 + a x^4/4 + b x^3/3 + c x^2/2 + d x.
     """
-    hvar = step_var if step_var is not None else param("h")
+    hvar = param("h")
     h = Polynomial.var(hvar)
     a, b, c, d, p = (Polynomial.var(param(s)) for s in ("a", "b", "c", "d", "p"))
     xv = Polynomial.var(x(1, 0))

@@ -34,6 +34,8 @@ from .poly import Polynomial, RationalFunction, Var, collect_linear, x
 from .scheme import ImplicitScheme, PolyOdeSystem, discretize
 
 SYMBOLIC_DIM_LIMIT = 3  # Cramer's rule is built only for N at most this
+UNIT_TOL = 1e-7  # an eigenvalue group within this of modulus 1 is "unit"
+_ROOT_MAX_ITER = 10_000  # Durand-Kerner sweeps before it gives up
 
 
 class ZeroDeterminant(ArithmeticError):
@@ -413,14 +415,13 @@ def jacobian(
     return m._cache["jacobian"]
 
 
-def linearize_at(
-    m: BirationalMap, p: Sequence[float], h: float, tol: float = 1e-9
-) -> np.ndarray:
-    """Numeric Jacobian at an (approximate) fixed point of the map."""
+def linearize_at(m: BirationalMap, p: Sequence[float], h: float) -> np.ndarray:
+    """Numeric Jacobian at an (approximate) fixed point of the map; raises
+    NotFixedPoint when one step moves a coordinate of p by more than 1e-9."""
     image = step(m, p, h)
     err = max(abs(a - b) for a, b in zip(image, p))
-    if err > tol:
-        raise NotFixedPoint(f"|m(p) - p| = {err:.3e} exceeds {tol}")
+    if err > 1e-9:
+        raise NotFixedPoint(f"|m(p) - p| = {err:.3e} exceeds 1e-09")
     J, _ = jacobian(m)
     point: dict[Var, float] = {v: float(s) for v, s in zip(m.state_vars, p)}
     point[m.scheme.step] = float(h)
@@ -429,23 +430,20 @@ def linearize_at(
 
 @dataclass
 class SpectrumReport:
-    fixed_point: list[float]
-    matrix: np.ndarray
     char_coeffs: list[float]  # monic, highest power first
     roots: list[complex]
     palindromic_defect: float
     classification: list[str]  # per root: "inside" | "unit" | "outside"
     residual: float
-    unit_tol: float = 1e-7
+    unit_tol: float = UNIT_TOL
 
 
-def char_poly_and_roots(
-    M: np.ndarray,
-    fixed_point: Sequence[float] | None = None,
-    unit_tol: float = 1e-7,
-) -> SpectrumReport:
+def char_poly_and_roots(M: np.ndarray) -> SpectrumReport:
     """Characteristic polynomial via Faddeev-LeVerrier, roots via
-    Durand-Kerner with deterministic starting points on a scaled circle."""
+    Durand-Kerner with deterministic starting points on a scaled circle,
+    stopped at relative residual 1e-12 (1e-8 is accepted after
+    ``_ROOT_MAX_ITER`` sweeps).  A root group whose mean has modulus within
+    ``UNIT_TOL`` = 1e-7 of 1 is classified "unit"."""
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
     if d > 8:
@@ -471,21 +469,18 @@ def char_poly_and_roots(
     for g in group:
         members = [z for z, k in zip(roots, group) if k == g]
         r = abs(sum(members) / len(members))
-        if abs(r - 1.0) <= unit_tol:
+        if abs(r - 1.0) <= UNIT_TOL:
             classes.append("unit")
         elif r < 1.0:
             classes.append("inside")
         else:
             classes.append("outside")
     return SpectrumReport(
-        fixed_point=list(fixed_point) if fixed_point is not None else [],
-        matrix=M,
         char_coeffs=coeffs,
         roots=roots,
         palindromic_defect=float(defect),
         classification=classes,
         residual=residual,
-        unit_tol=unit_tol,
     )
 
 
@@ -496,11 +491,7 @@ def _polyval(coeffs: Sequence[float], z: complex) -> complex:
     return out
 
 
-def _durand_kerner(
-    coeffs: Sequence[float], tol: float = 1e-12, max_iter: int = 10_000
-) -> tuple[list[complex], float]:
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+def _durand_kerner(coeffs: Sequence[float]) -> tuple[list[complex], float]:
     d = len(coeffs) - 1
     if d == 0:
         return [], 0.0
@@ -511,7 +502,7 @@ def _durand_kerner(
         radius * complex(math.cos(2 * math.pi * k / d + 0.4), math.sin(2 * math.pi * k / d + 0.4))
         for k in range(d)
     ]
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         new_roots = []
         moved = 0.0
         for k, z in enumerate(roots):
@@ -526,7 +517,7 @@ def _durand_kerner(
             moved = max(moved, abs(dz))
         roots = new_roots
         residual = max(abs(_polyval(coeffs, z)) for z in roots) / scale
-        if residual <= tol or moved < 1e-16:
+        if residual <= 1e-12 or moved < 1e-16:
             return sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))), residual
     if residual <= 1e-8:
         return sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))), residual
@@ -616,19 +607,18 @@ def convergence_order(
     init: Sequence[float],
     T: float,
     hs: Sequence[float],
-    oracle_step: float | None = None,
 ) -> ConvergenceReport:
     """Measured order of the scheme against the high-accuracy oracle.
 
     The window is seeded from the continuous initial-value problem (initial
     position and derivatives), the map is iterated to time T, and the slope
-    of log(error) against log(h) is fit by least squares.  Steps where the
-    map hits a singularity are excluded and reported.
+    of log(error) against log(h) is fit by least squares.  The oracle steps
+    at a hundredth of the smallest h.  Steps where the map hits a
+    singularity are excluded and reported.
     """
     n, N = sys.order, sys.dim
     m = solve_forward(discretize(sys))
-    if oracle_step is None:
-        oracle_step = min(hs) / 100.0
+    oracle_step = min(hs) / 100.0
     ref_T = reference_solution(sys, init, [T], oracle_step)[0]
     hs_used: list[float] = []
     errors: list[float] = []

@@ -149,6 +149,38 @@ def test_config_error_exit_code(tmp_path):
     assert main(["darboux", "--preset", "beam-sym", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("plot", ["0, 5", "-1, 0"])
+def test_plot_indices_outside_the_map_are_config_errors(tmp_path, capsys, plot):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"preset = quartic\nplot = {plot}\n")
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err.startswith("config error: plot indices")
+    assert not (tmp_path / "p" / "orbit.csv").exists()
+
+
+def _no_convergence(command, cfg):
+    raise maps.NoConvergence("stalled")
+
+
+@pytest.mark.parametrize("case,code", [
+    ("overflow", 3), ("out_is_a_file", 2), ("not_utf8", 2), ("no_convergence", 3),
+])
+def test_failures_exit_with_one_stderr_line(tmp_path, capsys, monkeypatch, case, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = quartic\n")
+    out = tmp_path / "out"
+    if case == "overflow":
+        cfg.write_text("preset = quartic\nh = 1e400\n")
+    elif case == "out_is_a_file":
+        out.write_text("")
+    elif case == "not_utf8":
+        cfg.write_bytes(b"preset = quartic\n# \xff\xfe\n")
+    else:
+        monkeypatch.setattr("polykahan.cli._run", _no_convergence)
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_inline_report(tmp_path):
     cfg = tmp_path / "inline.cfg"
     cfg.write_text(

@@ -332,7 +332,7 @@ def test_perturbed_basis_vector_fails_certification():
     cert = darboux.find_darboux(m, 4)[0]
     perturbed = cert.P + Fraction(1, 1000) * X0**2 * X1
     with pytest.raises(darboux.CofactorMismatch):
-        darboux._certify(perturbed, m, cert.cofactor, 4)
+        darboux._certify(perturbed, m, cert.cofactor)
 
 
 def test_search_builds_the_jacobian_once(monkeypatch):

@@ -315,11 +315,10 @@ def test_char_poly_classifies_a_split_multiple_root_by_its_mean():
     assert by_root == {0.5: "inside", 0.999: "inside", 1.001: "outside", 2.0: "outside"}
 
 
-def test_root_iteration_needs_at_least_one_iteration():
-    with pytest.raises(ValueError, match="max_iter"):
-        maps._durand_kerner([1.0, 0.0, 1.0], max_iter=0)
+def test_root_iteration_needs_at_least_one_iteration(monkeypatch):
+    monkeypatch.setattr(maps, "_ROOT_MAX_ITER", 1)
     with pytest.raises(maps.NoConvergence):
-        maps._durand_kerner([1.0, -3.0, 2.0], max_iter=1)
+        maps._durand_kerner([1.0, -3.0, 2.0])
 
 
 def test_reference_oracle_self_checks():
