@@ -151,6 +151,13 @@ def _fraction(value: str, line: int) -> Fraction:
         raise ParseError(f"expected a number, got {value!r}", line) from None
 
 
+def _float(value: str, line: int) -> float:
+    try:
+        return float(_fraction(value, line))
+    except OverflowError:
+        raise ParseError(f"{value!r} is too large for a float", line) from None
+
+
 def _integer(value: str, line: int) -> int:
     q = _fraction(value, line)
     if q.denominator != 1:
@@ -183,10 +190,8 @@ def parse_config(text: str) -> RunConfig:
             cfg.h = _fraction(value, lineno)
         elif key == "steps":
             cfg.steps = _integer(value, lineno)
-        elif key == "init":
-            cfg.init = [float(_fraction(v.strip(), lineno)) for v in value.split(",")]
-        elif key == "init_ode":
-            cfg.init_ode = [float(_fraction(v.strip(), lineno)) for v in value.split(",")]
+        elif key in ("init", "init_ode"):
+            setattr(cfg, key, [_float(v.strip(), lineno) for v in value.split(",")])
         elif key == "out":
             cfg.out = value
         elif key == "darboux_maxdeg":
@@ -517,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(command: str, cfg: RunConfig) -> int:
+    # validate() checks the exact h > 0; these commands step at float(h).
+    if command in ("orbit", "analyze-beam", "report") and float(cfg.h) == 0.0:
+        raise ValidationError("h is below the float range: it rounds to 0.0")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     sections: list[str] = ["[config]"]

@@ -8,10 +8,14 @@ lowest shifts gives the inverse the same way, so the map is birational.
 
 Symbolic solutions (Cramer on the polynomial coefficient matrix) are built
 for N <= 3; numeric stepping always goes through an LU solve of the
-evaluated N x N system, so larger systems iterate fine without closed
-forms.  Every float evaluation reads one term list, ``_compile``'s, in one
-operation order, through one of two consumers chosen by how the call site
-uses it.  The stepper and ``first_order_field`` evaluate the same
+evaluated N x N system, so larger systems iterate fine without closed forms.
+That solve is ``np.linalg.solve``'s LAPACK gufunc call,
+``_umath_linalg.solve1`` (``dgesv``) under its error state
+``_solve_errstate``, minus the wrapper, which costs more than the solve;
+``iterate`` enters the state once per orbit.  Float Cramer would round
+differently.  Every float evaluation reads one term list, ``_compile``'s, in
+one operation order, through one of two consumers chosen by how the call
+site uses it.  The stepper and ``first_order_field`` evaluate the same
 polynomials at one state after another, so they run straight-line Python
 generated once from the terms (``_straight_line``); residuals and
 ``eval_batch`` evaluate each polynomial once over a whole batch, where the
@@ -20,6 +24,7 @@ loop ``_ceval`` costs less than generating code would.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -28,6 +33,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import linalg
 from .poly import Polynomial, RationalFunction, Var, collect_linear, x
@@ -189,12 +195,11 @@ class _Stepper:
 
     def __init__(self, m: BirationalMap, h: float, direction: str):
         self.m = m
-        self.h = float(h)
         free = m.free_parameters()
         if free:
             raise ValueError(f"parameters must be bound before stepping: {sorted(map(str, free))}")
         n, N = m.n, m.N
-        consts = {m.scheme.step: self.h}
+        consts = {m.scheme.step: float(h)}
         if direction == "forward":
             A, r = m._top
             slots = {v: i for i, v in enumerate(m.state_vars)}
@@ -211,12 +216,6 @@ class _Stepper:
         )
         self.direction = direction
 
-    def solved_block(self, state: Sequence[float]) -> list[float]:
-        try:
-            return self._solved_block(state)
-        except OverflowError:
-            raise SingularStep(f"float overflow at state {list(state)}") from None
-
     def _solved_block(self, state: Sequence[float]) -> list[float]:
         N = self.m.N
         vals = self.values(state)
@@ -228,25 +227,42 @@ class _Stepper:
         flat = np.array(vals, dtype=float)
         A, rhs = flat[: N * N].reshape(N, N), -flat[N * N :]
         try:
-            sol = np.linalg.solve(A, rhs).tolist()  # LU with partial pivoting
+            # np.linalg.solve's LU (LAPACK dgesv) minus its wrapper; needs _solve_errstate()
+            sol = _umath_linalg.solve1(A, rhs, signature="dd->d").tolist()
+            if all(map(math.isfinite, sol)):
+                return sol
+            what = "non-finite solve"
         except np.linalg.LinAlgError:
-            raise SingularStep(
-                f"singular linear system at state {list(state)}",
-                condition=float(np.linalg.cond(A)),
-            ) from None
-        if not all(map(math.isfinite, sol)):
-            raise SingularStep(
-                f"non-finite solve at state {list(state)}",
-                condition=float(np.linalg.cond(A)),
-            )
-        return sol
+            what = "singular linear system"
+        raise SingularStep(f"{what} at state {list(state)}", condition=float(np.linalg.cond(A)))
 
     def __call__(self, state: Sequence[float]) -> list[float]:
+        """One step; for N >= 2 the caller must hold ``_solve_errstate()``."""
         N = self.m.N
-        block = self.solved_block(state)
+        try:
+            block = self._solved_block(state)
+        except OverflowError:
+            raise SingularStep(f"float overflow at state {list(state)}") from None
         if self.direction == "forward":
             return [float(v) for v in state[N:]] + block
         return block + [float(v) for v in state[:-N]]
+
+    def once(self, state: Sequence[float]) -> list[float]:
+        """One step on its own, entering the solve's error state if N >= 2."""
+        if self.m.N == 1:
+            return self(state)
+        with _solve_errstate():
+            return self(state)
+
+
+def _singular(err: str, flag: int):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# np.linalg.solve's error state: a singular matrix raises, over/underflow pass.
+_solve_errstate = functools.partial(
+    np.errstate, call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
 
 
 def _compile(p: Polynomial, slots: dict[Var, int], consts: Mapping[Var, float]):
@@ -336,12 +352,12 @@ def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) ->
 
 def step(m: BirationalMap, state: Sequence[float], h: float) -> list[float]:
     """One forward application of the map at step size h (float path)."""
-    return m._stepper(h, "forward")(state)
+    return m._stepper(h, "forward").once(state)
 
 
 def step_back(m: BirationalMap, state: Sequence[float], h: float) -> list[float]:
     """One application of the inverse map (solved from the lowest shifts)."""
-    return m._stepper(h, "backward")(state)
+    return m._stepper(h, "backward").once(state)
 
 
 def eval_exact(
@@ -372,12 +388,13 @@ def iterate(m: BirationalMap, state: Sequence[float], h: float, steps: int) -> O
     st = m._stepper(h, "forward")
     points = [[float(v) for v in state]]
     cur = points[0]
-    for k in range(steps):
-        try:
-            cur = st(cur)
-        except SingularStep:
-            return Orbit(h, points, status=f"singular-at-step {k + 1}", singular_step=k + 1)
-        points.append(cur)
+    with _solve_errstate() if m.N > 1 else contextlib.nullcontext():
+        for k in range(steps):
+            try:
+                cur = st(cur)
+            except SingularStep:
+                return Orbit(h, points, status=f"singular-at-step {k + 1}", singular_step=k + 1)
+            points.append(cur)
     return Orbit(h, points)
 
 

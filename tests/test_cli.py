@@ -372,3 +372,32 @@ def test_default_report_files_are_pinned(tmp_path, preset):
     for name in ("orbit.csv", "phase.svg", "report.txt"):
         digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
         assert digest == DEFAULT_REPORT_SHA256[f"{preset}/{name}"], name
+
+
+@pytest.mark.parametrize("key", ["init", "init_ode"])
+def test_a_value_too_large_for_a_float_is_a_parse_error(tmp_path, capsys, key):
+    text = f"preset = quartic\n{key} = 1e400, 0\n"
+    with pytest.raises(ParseError, match="too large for a float") as err:
+        parse_config(text)
+    assert err.value.line == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: line 2: '1e400' is too large for a float\n"
+
+
+@pytest.mark.parametrize("command", ["orbit", "report", "analyze-beam"])
+def test_an_h_that_rounds_to_zero_is_rejected_before_any_file(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = beam-lag\nh = 1e-400\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: h is below the float range: it rounds to 0.0\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_exact_commands_keep_an_h_below_the_float_range(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = quartic\nh = 1e-400\n")
+    assert main(["discretize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert f"h = 1/{10**400}\n" in (tmp_path / "o" / "report.txt").read_text()

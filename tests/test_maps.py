@@ -566,3 +566,117 @@ def test_first_order_field_equals_the_ceval_loop_on_an_rk4_sample(name):
     got = maps._rk4_to(maps.first_order_field(sys), y0, 0.0, 1.0, 0.05)
     want = maps._rk4_to(ceval_field(sys), y0, 0.0, 1.0, 0.05)
     assert got.tobytes() == want.tobytes()
+
+
+# -- the N >= 2 solve: numpy's gufunc under np.linalg.solve's error state --------
+
+_GUFUNC = maps._umath_linalg
+
+
+class RecordingGufunc:
+    """Stands in for ``maps._umath_linalg``; keeps what ``solve1`` gave the stepper."""
+
+    def __init__(self):
+        self.result = None
+
+    def solve1(self, *args, **kwargs):
+        try:
+            out = _GUFUNC.solve1(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            self.result = "LinAlgError"
+            raise
+        self.result = bits(out.tolist())
+        return out
+
+
+small = st.integers(-2, 2).map(float)  # many such systems are exactly singular
+entry_pools = [
+    small,
+    st.one_of(small, st.floats(1e299, 1e301), st.floats(-1e301, -1e299)),
+    st.one_of(small, small, small, st.sampled_from([math.inf, -math.inf, math.nan])),
+]
+
+
+@given(data=st.data())
+def test_the_stepper_solve_is_np_linalg_solve_bit_for_bit(data):
+    # Guards the private gufunc: verified against numpy 2.4.6.
+    N = data.draw(st.sampled_from([2, 3]))
+    entries = data.draw(st.sampled_from(entry_pools))
+    A = np.array(data.draw(st.lists(entries, min_size=N * N, max_size=N * N))).reshape(N, N)
+    b = np.array(data.draw(st.lists(entries, min_size=N, max_size=N)))
+    try:
+        sol = np.linalg.solve(A, b).tolist()
+        want = bits(sol)
+        step_outcome = want if all(map(math.isfinite, sol)) else "non-finite solve"
+    except np.linalg.LinAlgError:
+        want, step_outcome = "LinAlgError", "singular linear system"
+    m = benchmark_map("lv" if N == 2 else "euler_top")  # order 1: the step is the solve
+    recorder = RecordingGufunc()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(m._stepper(0.1, "forward"), "values", lambda s: (*A.flat, *(-b).tolist()))
+        mp.setattr(maps, "_umath_linalg", recorder)
+        try:
+            got = bits(maps.step(m, [0.0] * N, 0.1))
+        except maps.SingularStep as err:
+            got = str(err).split(" at state")[0]
+        except np.linalg.LinAlgError:  # the SVD in np.linalg.cond fails on some non-finite A
+            assert not np.isfinite(A).all()
+            got = step_outcome
+    assert recorder.result == want
+    assert got == step_outcome
+
+
+@pytest.mark.parametrize("name,start", [("lv", [1.2, 0.9]), ("euler_top", [1.0, 0.5, 0.3])])
+def test_iterate_equals_a_loop_of_the_ceval_step_bit_for_bit(name, start):
+    m = benchmark_map(name)
+    orbit = maps.iterate(m, start, 0.1, 500)
+    assert orbit.status == "complete"
+    points = [start]
+    for _ in range(500):
+        points.append(ceval_step(m, points[-1], 0.1, "forward"))
+    assert bits(sum(orbit.points, [])) == bits(sum(points, []))
+
+
+def test_an_exactly_singular_system_ends_the_orbit():
+    m = cases.lotka_volterra(1).map
+    stepper = m._stepper(0.1, "forward")
+    values, calls = stepper.values, []
+
+    def singular_from_the_seventh_call(state):  # A = [[1, 1], [1, 1]]
+        calls.append(state)
+        return (1.0,) * 4 + values(state)[4:] if len(calls) >= 7 else values(state)
+
+    numpy_errors = np.geterr(), np.geterrcall()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "values", singular_from_the_seventh_call)
+        orbit = maps.iterate(m, [1.2, 0.9], 0.1, 20)
+        assert (np.geterr(), np.geterrcall()) == numpy_errors
+        with pytest.raises(maps.SingularStep, match="singular linear system") as err:
+            maps.step(m, orbit.points[-1], 0.1)
+        assert (np.geterr(), np.geterrcall()) == numpy_errors
+    assert orbit.status == "singular-at-step 7" and orbit.singular_step == 7
+    assert len(orbit.points) == 7
+    assert err.value.condition is not None
+    assert maps.iterate(m, [1.2, 0.9], 0.1, 20).status == "complete"
+    assert (np.geterr(), np.geterrcall()) == numpy_errors
+
+
+def test_the_solve_error_state_is_entered_once_per_orbit_and_never_at_n_1(monkeypatch):
+    entered = []
+
+    def counting():
+        entered.append(1)
+        return errstate()
+
+    errstate = maps._solve_errstate
+    monkeypatch.setattr(maps, "_solve_errstate", counting)
+    lv = benchmark_map("lv")
+    assert maps.iterate(lv, [1.2, 0.9], 0.1, 100).status == "complete"
+    assert len(entered) == 1
+    maps.step(lv, [1.2, 0.9], 0.1)
+    maps.step_back(lv, [1.2, 0.9], 0.1)
+    assert len(entered) == 3
+    quartic = benchmark_map("quartic")
+    maps.step(quartic, [0.31, 0.30], 0.1)
+    maps.iterate(quartic, [0.31, 0.30], 0.1, 100)
+    assert len(entered) == 3
