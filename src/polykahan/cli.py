@@ -523,8 +523,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(command: str, cfg: RunConfig) -> int:
     # validate() checks the exact h > 0; these commands step at float(h).
-    if command in ("orbit", "analyze-beam", "report") and float(cfg.h) == 0.0:
-        raise ValidationError("h is below the float range: it rounds to 0.0")
+    if command in ("orbit", "analyze-beam", "report"):
+        try:
+            h = float(cfg.h)
+        except OverflowError:
+            raise ValidationError("h is above the float range") from None
+        if h == 0.0:
+            raise ValidationError("h is below the float range: it rounds to 0.0")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     sections: list[str] = ["[config]"]

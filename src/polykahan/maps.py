@@ -11,15 +11,17 @@ for N <= 3; numeric stepping always goes through an LU solve of the
 evaluated N x N system, so larger systems iterate fine without closed forms.
 That solve is ``np.linalg.solve``'s LAPACK gufunc call,
 ``_umath_linalg.solve1`` (``dgesv``) under its error state
-``_solve_errstate``, minus the wrapper, which costs more than the solve;
-``iterate`` enters the state once per orbit.  Float Cramer would round
-differently.  Every float evaluation reads one term list, ``_compile``'s, in
-one operation order, through one of two consumers chosen by how the call
-site uses it.  The stepper and ``first_order_field`` evaluate the same
-polynomials at one state after another, so they run straight-line Python
-generated once from the terms (``_straight_line``); residuals and
-``eval_batch`` evaluate each polynomial once over a whole batch, where the
-loop ``_ceval`` costs less than generating code would.
+``_solve_errstate``, minus the wrapper, which costs more than the solve.
+Float Cramer would round differently.  Every float evaluation reads one term
+list, ``_compile``'s, in one operation order, through one of two consumers
+chosen by how the call site uses it.  The stepper and ``first_order_field``
+evaluate the same polynomials at one state after another, so they run
+straight-line Python generated once from the terms (``_value_lines``).  Per
+map, direction and h, one generated function runs a whole orbit, with the
+window in local variables: ``iterate`` enters the error state and calls it
+once per orbit, and ``step``/``step_back`` call it for one step.  Residuals
+and ``eval_batch`` evaluate each polynomial once over a whole batch, where
+the loop ``_ceval`` costs less than generating code would.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ class ZeroDeterminant(ArithmeticError):
 
 
 class SingularStep(ArithmeticError):
-    """A denominator or linear system became singular at a concrete state."""
+    """A denominator or linear system became singular at a concrete state.
+    ``condition`` is the 2-norm condition number of a singular or
+    non-finite linear solve's A; it is None for a vanishing denominator, a
+    float overflow, and an A whose SVD fails, as on a non-finite A."""
 
     def __init__(self, message: str, condition: float | None = None):
         super().__init__(message)
@@ -122,13 +127,20 @@ class BirationalMap:
 
     # -- numeric stepping ------------------------------------------------------
 
-    def _stepper(self, h: float, direction: str) -> "_Stepper":
+    def _stepper(self, h: float, direction: str) -> Callable[[list, int], None]:
+        """The generated stepping function of one direction at h, built once."""
         key = (direction, float(h))
-        st = self._cache.get(key)
-        if st is None:
-            st = _Stepper(self, h, direction)
-            self._cache[key] = st
-        return st
+        if key not in self._cache:
+            if free := self.free_parameters():
+                raise ValueError(f"parameters must be bound before stepping: {sorted(map(str, free))}")
+            forward = direction == "forward"
+            A, r = self._top if forward else self._bottom
+            # Backward solves for level 0 given levels 1..n: the window is read as those levels.
+            slots = _level_slots(self.N, range(self.n) if forward else range(1, self.n + 1))
+            consts = {self.scheme.step: key[1]}
+            compiled = [_compile(p, slots, consts) for p in itertools.chain(*A, r)]
+            self._cache[key] = _stepping_function(compiled, self.N, self.dim, forward)
+        return self._cache[key]
 
 
 def solve_forward(scheme: ImplicitScheme) -> BirationalMap:
@@ -190,71 +202,6 @@ def _cramer(A: list[list[Polynomial]], r: list[Polynomial]) -> list[RationalFunc
     return out
 
 
-class _Stepper:
-    """Compiled float evaluation of one map direction at a fixed h."""
-
-    def __init__(self, m: BirationalMap, h: float, direction: str):
-        self.m = m
-        free = m.free_parameters()
-        if free:
-            raise ValueError(f"parameters must be bound before stepping: {sorted(map(str, free))}")
-        n, N = m.n, m.N
-        consts = {m.scheme.step: float(h)}
-        if direction == "forward":
-            A, r = m._top
-            slots = {v: i for i, v in enumerate(m.state_vars)}
-        else:
-            A, r = m._bottom
-            # Backward solves for level 0 given levels 1..n: the state vector
-            # is read as those upper levels.
-            slots = {
-                x(j, k + 1): k * N + (j - 1) for k in range(n) for j in range(1, N + 1)
-            }
-        # Entries of A row by row, then r: one generated function per stepper.
-        self.values = _straight_line(
-            [_compile(p, slots, consts) for p in itertools.chain(*A, r)]
-        )
-        self.direction = direction
-
-    def _solved_block(self, state: Sequence[float]) -> list[float]:
-        N = self.m.N
-        vals = self.values(state)
-        if N == 1:
-            den, num = vals[0], -vals[1]
-            if den == 0.0 or not math.isfinite(num / den if den else math.inf):
-                raise SingularStep(f"vanishing denominator at state {list(state)}")
-            return [num / den]
-        flat = np.array(vals, dtype=float)
-        A, rhs = flat[: N * N].reshape(N, N), -flat[N * N :]
-        try:
-            # np.linalg.solve's LU (LAPACK dgesv) minus its wrapper; needs _solve_errstate()
-            sol = _umath_linalg.solve1(A, rhs, signature="dd->d").tolist()
-            if all(map(math.isfinite, sol)):
-                return sol
-            what = "non-finite solve"
-        except np.linalg.LinAlgError:
-            what = "singular linear system"
-        raise SingularStep(f"{what} at state {list(state)}", condition=float(np.linalg.cond(A)))
-
-    def __call__(self, state: Sequence[float]) -> list[float]:
-        """One step; for N >= 2 the caller must hold ``_solve_errstate()``."""
-        N = self.m.N
-        try:
-            block = self._solved_block(state)
-        except OverflowError:
-            raise SingularStep(f"float overflow at state {list(state)}") from None
-        if self.direction == "forward":
-            return [float(v) for v in state[N:]] + block
-        return block + [float(v) for v in state[:-N]]
-
-    def once(self, state: Sequence[float]) -> list[float]:
-        """One step on its own, entering the solve's error state if N >= 2."""
-        if self.m.N == 1:
-            return self(state)
-        with _solve_errstate():
-            return self(state)
-
-
 def _singular(err: str, flag: int):
     raise np.linalg.LinAlgError("Singular matrix")
 
@@ -263,6 +210,18 @@ def _singular(err: str, flag: int):
 _solve_errstate = functools.partial(
     np.errstate, call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
 )
+
+
+def _condition(A: np.ndarray) -> float | None:
+    try:
+        return float(np.linalg.cond(A))
+    except np.linalg.LinAlgError:  # the SVD does not converge on a non-finite A
+        return None
+
+
+def _level_slots(N: int, levels: Sequence[int]) -> dict[Var, int]:
+    """Slot i * N + j - 1 for x_j at the i-th of the given levels."""
+    return {x(j, k): i * N + j - 1 for i, k in enumerate(levels) for j in range(1, N + 1)}
 
 
 def _compile(p: Polynomial, slots: dict[Var, int], consts: Mapping[Var, float]):
@@ -282,39 +241,92 @@ def _compile(p: Polynomial, slots: dict[Var, int], consts: Mapping[Var, float]):
     return terms
 
 
-def _straight_line(compiled: Sequence[list]) -> Callable[[Sequence[float]], tuple]:
-    """One generated function of a state that returns ``_ceval(terms, state)``
-    for each term list, as a tuple.  Each value is written out as
-    ``v = 0.0``, ``v = v + c0 * s0 ** e * s1 + ...``: ``_ceval``'s operations
-    in its order, so the floats are the same bit for bit, and an overflowing
-    ``**`` still raises OverflowError.  ``** 1`` is left out, since ``x ** 1``
-    is ``x`` for a float; numpy's scalar power may rewrite a NaN's sign or
-    payload, so on ndarray input a NaN can differ in those bits only.  The
-    coefficients are bound as default arguments, not written as literals,
-    because they may be inf or nan."""
+def _value_lines(compiled: Sequence[list]) -> tuple[list[str], list[float]]:
+    """Lines that leave ``_ceval(compiled[k], s)`` in ``v{k}``, reading slot i
+    from a local ``s{i}``, and the coefficients they name ``c0, c1, ...``.
+    Each value is written out as ``v = 0.0``, ``v = v + c0 * s0 ** e * s1 +
+    ...``: ``_ceval``'s operations in its order, so the floats are the same
+    bit for bit, and an overflowing ``**`` still raises OverflowError.
+    ``** 1`` is left out, since ``x ** 1`` is ``x`` for a float; numpy's
+    scalar power may rewrite a NaN's sign or payload, so on ndarray input a
+    NaN can differ in those bits only."""
     coeffs: list[float] = []
-    slots: set[int] = set()
-    body = []
+    lines = []
     for k, terms in enumerate(compiled):
         summands = []
         for coeff, idx in terms:
             factors = [f"s{i}" if e == 1 else f"s{i} ** {e}" for i, e in idx]
             summands.append(" * ".join([f"c{len(coeffs)}", *factors]))
             coeffs.append(coeff)
-            slots.update(i for i, _ in idx)
-        body.append(f"v{k} = 0.0")
+        lines.append(f"v{k} = 0.0")
         # A sum of a few thousand terms in one expression nests too deep for
         # the compiler; a running sum over chunks adds in the same order.
         for j in range(0, len(summands), 256):
-            body.append(f"v{k} = v{k} + " + " + ".join(summands[j : j + 256]))
-    body[:0] = [f"s{i} = s[{i}]" for i in sorted(slots)]
-    body.append(f"return ({''.join(f'v{k}, ' for k in range(len(compiled)))})")
-    params = "".join(f", c{k}" for k in range(len(coeffs)))
+            lines.append(f"v{k} = v{k} + " + " + ".join(summands[j : j + 256]))
+    return lines, coeffs
+
+
+def _define(params: str, body: Sequence[str], coeffs: Sequence[float]) -> Callable:
+    """``def fn(<params>, c0, c1, ...): <body>`` in this module's globals.
+    The coefficients are bound as default arguments, not written as
+    literals, because they may be inf or nan."""
+    params += "".join(f", c{k}" for k in range(len(coeffs)))
     namespace: dict = {}
-    exec(f"def values(s{params}):\n" + "".join(f"    {line}\n" for line in body), namespace)
-    fn = namespace["values"]
+    exec(f"def fn({params}):\n" + "".join(f"    {line}\n" for line in body), globals(), namespace)
+    fn = namespace["fn"]
     fn.__defaults__ = tuple(coeffs)
     return fn
+
+
+def _straight_line(compiled: Sequence[list]) -> Callable[[Sequence[float]], tuple]:
+    """One generated function of a state that returns ``_ceval(terms, state)``
+    for each term list, as a tuple (see ``_value_lines``)."""
+    lines, coeffs = _value_lines(compiled)
+    used = sorted({i for terms in compiled for _, idx in terms for i, _ in idx})
+    values = "".join(f"v{k}, " for k in range(len(compiled)))
+    return _define("s", [*(f"s{i} = s[{i}]" for i in used), *lines, f"return ({values})"], coeffs)
+
+
+def _stepping_function(compiled: Sequence[list], N: int, dim: int, forward: bool) -> Callable:
+    """``run(points, steps)``: ``steps`` steps from the window ``points[-1]``,
+    each new window appended to ``points``.  ``compiled`` holds A's entries
+    row by row, then r, in the window's slots; a step solves A b = -r, by a
+    division at N = 1, else by ``_umath_linalg.solve1`` under the caller's
+    ``_solve_errstate()``, and shifts the window in local variables."""
+    lines, coeffs = _value_lines(compiled)
+    slots, block = [f"s{i}" for i in range(dim)], [f"b{j}" for j in range(N)]
+    s, b = ", ".join(slots), ", ".join(block)
+    at = "at state {[" + s + "]}"  # the window as list(state) shows it
+    if N == 1:
+        solve = [
+            "b0 = -v1 / v0 if v0 else math.inf",
+            "if not math.isfinite(b0):",
+            f'    raise SingularStep(f"vanishing denominator {at}")',
+        ]
+    else:
+        A = ", ".join(f"v{k}" for k in range(N * N))
+        rhs = ", ".join(f"-v{k}" for k in range(N * N, N * N + N))
+        solve = [
+            f"A = np.array(({A})).reshape({N}, {N})",
+            "try:",
+            f'    {b} = _umath_linalg.solve1(A, np.array(({rhs})), signature="dd->d").tolist()',
+            "except np.linalg.LinAlgError:",
+            f'    raise SingularStep(f"singular linear system {at}", _condition(A)) from None',
+            f"if not ({' and '.join(f'math.isfinite(b{j})' for j in range(N))}):",
+            f'    raise SingularStep(f"non-finite solve {at}", _condition(A))',
+        ]
+    window = slots[N:] + block if forward else block + slots[:-N]
+    body = [
+        f"{s}, = points[-1]",
+        "for _ in range(steps):",
+        "    try:",
+        *(f"        {line}" for line in lines + solve),
+        "    except OverflowError:",
+        f'        raise SingularStep(f"float overflow {at}") from None',
+        f"    {s} = {', '.join(window)}",
+        f"    points.append([{s}])",
+    ]
+    return _define("points, steps", body, coeffs)
 
 
 def _ceval(terms, state):
@@ -350,14 +362,23 @@ def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) ->
         return [np.broadcast_to(_ceval(_compile(p, slots, {}), batch), len(states)) for p in polys]
 
 
+def _steps(m: BirationalMap, points: list, h: float, direction: str, steps: int) -> list:
+    """Append ``steps`` windows to ``points``; N >= 2 solves under ``_solve_errstate()``."""
+    with _solve_errstate() if m.N > 1 else contextlib.nullcontext():
+        m._stepper(h, direction)(points, steps)
+    return points
+
+
 def step(m: BirationalMap, state: Sequence[float], h: float) -> list[float]:
-    """One forward application of the map at step size h (float path)."""
-    return m._stepper(h, "forward").once(state)
+    """One forward application of the map at step size h (float path), as
+    ``iterate`` steps but at the state's own values: an int or Fraction
+    state is not rounded first.  Raises SingularStep where an orbit ends."""
+    return [float(v) for v in _steps(m, [state], h, "forward", 1)[-1]]
 
 
 def step_back(m: BirationalMap, state: Sequence[float], h: float) -> list[float]:
     """One application of the inverse map (solved from the lowest shifts)."""
-    return m._stepper(h, "backward").once(state)
+    return [float(v) for v in _steps(m, [state], h, "backward", 1)[-1]]
 
 
 def eval_exact(
@@ -383,18 +404,15 @@ class Orbit:
 
 
 def iterate(m: BirationalMap, state: Sequence[float], h: float, steps: int) -> Orbit:
-    """Iterate the map; a singular step ends the orbit with a status, not an
-    exception, since birational maps legitimately have indeterminacy loci."""
-    st = m._stepper(h, "forward")
+    """Iterate the map from the state rounded to floats, in one call of the
+    generated stepping function; a singular step ends the orbit with a status,
+    not an exception, since birational maps legitimately have indeterminacy loci."""
     points = [[float(v) for v in state]]
-    cur = points[0]
-    with _solve_errstate() if m.N > 1 else contextlib.nullcontext():
-        for k in range(steps):
-            try:
-                cur = st(cur)
-            except SingularStep:
-                return Orbit(h, points, status=f"singular-at-step {k + 1}", singular_step=k + 1)
-            points.append(cur)
+    try:
+        _steps(m, points, h, "forward", steps)
+    except SingularStep:
+        k = len(points)
+        return Orbit(h, points, status=f"singular-at-step {k}", singular_step=k)
     return Orbit(h, points)
 
 
@@ -404,13 +422,15 @@ def orbit_residuals(m: BirationalMap, orbit: Orbit) -> list[float]:
     n, N = m.n, m.N
     points = np.array(orbit.points, dtype=float).reshape(-1, m.dim)
     windows = _Batch(np.hstack([points[:-1], points[1:, -N:]]))
-    slots = {x(j, k): k * N + (j - 1) for k in range(n + 1) for j in range(1, N + 1)}
-    consts = {m.scheme.step: float(orbit.h)}
+    key = ("residuals", float(orbit.h))
+    if key not in m._cache:
+        slots = _level_slots(N, range(n + 1))
+        m._cache[key] = [_compile(e, slots, {m.scheme.step: key[1]}) for e in m.scheme.equations]
     worst = np.zeros(windows.shape[1])
     with np.errstate(all="ignore"):
-        for e in m.scheme.equations:
+        for compiled in m._cache[key]:
             # Term by term for the scale; sum() adds in _ceval's order, from 0.0.
-            terms = [_ceval([t], windows) for t in _compile(e, slots, consts)]
+            terms = [_ceval([t], windows) for t in compiled]
             scale = functools.reduce(np.maximum, map(abs, terms), 0.0)
             worst = np.maximum(worst, abs(sum(terms, 0.0)) / np.maximum(scale, 1.0))
     return worst.tolist()

@@ -163,7 +163,7 @@ def _no_convergence(command, cfg):
 
 
 @pytest.mark.parametrize("case,code", [
-    ("overflow", 3), ("out_is_a_file", 2), ("not_utf8", 2), ("no_convergence", 3),
+    ("overflow", 2), ("out_is_a_file", 2), ("not_utf8", 2), ("no_convergence", 3),
 ])
 def test_failures_exit_with_one_stderr_line(tmp_path, capsys, monkeypatch, case, code):
     cfg = tmp_path / "run.cfg"
@@ -396,8 +396,20 @@ def test_an_h_that_rounds_to_zero_is_rejected_before_any_file(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["orbit", "report", "analyze-beam"])
+def test_an_h_above_the_float_range_is_rejected_before_any_file(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = beam-lag\nh = 1e400\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: h is above the float range\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_exact_commands_keep_an_h_below_the_float_range(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset = quartic\nh = 1e-400\n")
     assert main(["discretize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert f"h = 1/{10**400}\n" in (tmp_path / "o" / "report.txt").read_text()
+    cfg.write_text("preset = quartic\nh = 1e400\n")
+    assert main(["discretize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert f"h = {10**400}\n" in (tmp_path / "o" / "report.txt").read_text()

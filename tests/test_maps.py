@@ -532,7 +532,7 @@ def test_coefficient_folded_to_inf_is_evaluated():
 
 def test_unbound_parameter_is_rejected_when_the_evaluator_is_built():
     with pytest.raises(ValueError, match="bound before stepping"):
-        maps._Stepper(quartic_symbolic().map, 0.1, "forward")
+        quartic_symbolic().map._stepper(0.1, "forward")
     a = Polynomial.var(param("a"))
     with pytest.raises(ValueError, match="unbound variable a"):
         maps.first_order_field(PolyOdeSystem(1, 1, (a * Polynomial.var(x(1)),)))
@@ -604,6 +604,9 @@ def test_the_stepper_solve_is_np_linalg_solve_bit_for_bit(data):
     entries = data.draw(st.sampled_from(entry_pools))
     A = np.array(data.draw(st.lists(entries, min_size=N * N, max_size=N * N))).reshape(N, N)
     b = np.array(data.draw(st.lists(entries, min_size=N, max_size=N)))
+    # Constant term lists: the step evaluates A and r = -b, each as 0.0 + c.
+    constant = [[(c, ())] for c in [*A.flat, *(-b).tolist()]]
+    b = np.where(b == 0.0, -0.0, b)  # the solve gets -(0.0 + -b): no +0.0
     try:
         sol = np.linalg.solve(A, b).tolist()
         want = bits(sol)
@@ -613,15 +616,12 @@ def test_the_stepper_solve_is_np_linalg_solve_bit_for_bit(data):
     m = benchmark_map("lv" if N == 2 else "euler_top")  # order 1: the step is the solve
     recorder = RecordingGufunc()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(m._stepper(0.1, "forward"), "values", lambda s: (*A.flat, *(-b).tolist()))
+        mp.setitem(m._cache, ("forward", 0.1), maps._stepping_function(constant, N, N, True))
         mp.setattr(maps, "_umath_linalg", recorder)
         try:
             got = bits(maps.step(m, [0.0] * N, 0.1))
         except maps.SingularStep as err:
             got = str(err).split(" at state")[0]
-        except np.linalg.LinAlgError:  # the SVD in np.linalg.cond fails on some non-finite A
-            assert not np.isfinite(A).all()
-            got = step_outcome
     assert recorder.result == want
     assert got == step_outcome
 
@@ -638,22 +638,17 @@ def test_iterate_equals_a_loop_of_the_ceval_step_bit_for_bit(name, start):
 
 
 def test_an_exactly_singular_system_ends_the_orbit():
-    m = cases.lotka_volterra(1).map
-    stepper = m._stepper(0.1, "forward")
-    values, calls = stepper.values, []
-
-    def singular_from_the_seventh_call(state):  # A = [[1, 1], [1, 1]]
-        calls.append(state)
-        return (1.0,) * 4 + values(state)[4:] if len(calls) >= 7 else values(state)
-
+    # x1' = x1 + 1 and (x1 - 6) x2' = x2: A = diag(1, x1 - 6) is exactly
+    # singular at x1 = 6, which the seventh step from x1 = 0 starts from.
+    x1, x2, x2_next = (Polynomial.var(v) for v in (x(1), x(2), x(2, 1)))
+    eqs = (Polynomial.var(x(1, 1)) - x1 - 1, (x1 - 6) * x2_next - x2)
+    m = maps.solve_forward(ImplicitScheme(1, 2, H, eqs))
     numpy_errors = np.geterr(), np.geterrcall()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stepper, "values", singular_from_the_seventh_call)
-        orbit = maps.iterate(m, [1.2, 0.9], 0.1, 20)
-        assert (np.geterr(), np.geterrcall()) == numpy_errors
-        with pytest.raises(maps.SingularStep, match="singular linear system") as err:
-            maps.step(m, orbit.points[-1], 0.1)
-        assert (np.geterr(), np.geterrcall()) == numpy_errors
+    orbit = maps.iterate(m, [0.0, 1.0], 0.1, 20)
+    assert (np.geterr(), np.geterrcall()) == numpy_errors
+    with pytest.raises(maps.SingularStep, match="singular linear system") as err:
+        maps.step(m, orbit.points[-1], 0.1)
+    assert (np.geterr(), np.geterrcall()) == numpy_errors
     assert orbit.status == "singular-at-step 7" and orbit.singular_step == 7
     assert len(orbit.points) == 7
     assert err.value.condition is not None
@@ -680,3 +675,70 @@ def test_the_solve_error_state_is_entered_once_per_orbit_and_never_at_n_1(monkey
     maps.step(quartic, [0.31, 0.30], 0.1)
     maps.iterate(quartic, [0.31, 0.30], 0.1, 100)
     assert len(entered) == 3
+
+
+def test_a_non_finite_system_is_a_singular_step_without_a_condition_number():
+    # np.linalg.cond's SVD does not converge on a nan A.
+    m = cases.lotka_volterra(1).map
+    assert maps.iterate(m, [math.nan, 1.0], 0.1, 5).status == "singular-at-step 1"
+    with pytest.raises(maps.SingularStep) as err:
+        maps.step(m, [math.nan, 1.0], 0.1)
+    assert err.value.condition is None
+
+
+@pytest.mark.parametrize("name", ["quartic", "lv", "beam_sym", "euler_top", "beam_lag"])
+@given(data=st.data())
+def test_iterate_equals_a_loop_of_step_bit_for_bit(name, data):
+    m = benchmark_map(name)
+    state = data.draw(st.lists(coordinates, min_size=m.dim, max_size=m.dim))
+    steps = data.draw(st.integers(0, 20))
+    orbit = maps.iterate(m, state, 0.1, steps)
+    points, status = [state], "complete"
+    while len(points) <= steps:
+        try:
+            points.append(maps.step(m, points[-1], 0.1))
+        except maps.SingularStep:
+            status = f"singular-at-step {len(points)}"
+            break
+    assert orbit.status == status
+    assert bits(sum(orbit.points, [])) == bits(sum(points, []))
+
+
+def test_step_at_the_last_point_of_a_singular_orbit_raises_the_same_message():
+    m = benchmark_map("beam_lag")
+    orbit = maps.iterate(m, [1.1] * 4, 0.1, 100)
+    assert orbit.status == "singular-at-step 72"
+    with pytest.raises(maps.SingularStep) as err:
+        maps.step(m, orbit.points[-1], 0.1)
+    assert str(err.value) == f"float overflow at state {orbit.points[-1]}"
+
+
+exact_coordinates = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-(10**200), 10**200),
+    st.fractions(-3, 3, max_denominator=10**6),
+    st.fractions(max_denominator=10**6).map(lambda q: q * 10**300),
+)
+
+
+@pytest.mark.parametrize("name", ["quartic", "lv", "beam_sym", "euler_top", "beam_lag"])
+@given(data=st.data())
+def test_int_and_fraction_states_are_evaluated_unrounded(name, data):
+    # The oracle evaluates at the state's own values, as step always has.
+    m = benchmark_map(name)
+    state = data.draw(st.lists(exact_coordinates, min_size=m.dim, max_size=m.dim))
+    direction = data.draw(st.sampled_from(["forward", "backward"]))
+    fn = maps.step if direction == "forward" else maps.step_back
+    assert outcome(fn, m, state, 0.1) == outcome(ceval_step, m, state, 0.1, direction)
+
+
+def test_residuals_compile_each_equation_once_per_map_and_h(monkeypatch):
+    m = quartic_numeric().map
+    orbit = maps.iterate(m, [0.3, 0.3], 0.1, 20)
+    compiled = []
+    compile_ = maps._compile
+    monkeypatch.setattr(maps, "_compile", lambda *a: compiled.append(1) or compile_(*a))
+    first = maps.orbit_residuals(m, orbit)
+    assert maps.orbit_residuals(m, orbit) == first and len(compiled) == len(m.scheme.equations)
+    maps.orbit_residuals(m, maps.Orbit(0.2, orbit.points))
+    assert len(compiled) == 2 * len(m.scheme.equations)
