@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import darboux, maps
 from .maps import BirationalMap, SingularStep, solve_forward
 from .poly import Monomial, Polynomial, RationalFunction, Var, collect_linear, param, x
@@ -328,6 +326,34 @@ def beam_symmetric(p: BeamParams) -> BeamSymmetricCase:
     )
 
 
+_NUMPY_NAMES = ("np", "_OMEGA")
+
+
+def _numpy():
+    """Bind ``_NUMPY_NAMES`` in this module on the first call, through
+    ``maps._numpy``; the float checks call it first."""
+    global np, _OMEGA
+    if "_OMEGA" in globals():  # bound last
+        return
+    np = maps._numpy()
+    _OMEGA = np.array(
+        [
+            [0.0, 0.0, -1.0, 0.0],
+            [0.0, 0.0, 0.0, -1.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+        ]
+    )
+
+
+def __getattr__(name: str):
+    # PEP 562: reading a name of _NUMPY_NAMES from outside loads numpy first.
+    if name in _NUMPY_NAMES:
+        _numpy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _eval_rational_batch(rfs, variables, states) -> tuple[list[np.ndarray], np.ndarray]:
     """Each rational function at each state, num over den as
     RationalFunction.eval divides them, and a mask of the states at which
@@ -357,6 +383,7 @@ def beam_measure_check(
     density 1/(1 - h^4 H) is invariant.  The exponent is the scheme's order:
     clearing Delta^4 w = F of its h^(-4) prefactor puts h^4 on the load.
     """
+    _numpy()
     F = case.rhs_full
     G = F.derivative(x(1, 0))
     Hi = F.derivative(x(1, 4))
@@ -574,16 +601,6 @@ class SymplecticityReport:
     resampled: int
 
 
-_OMEGA = np.array(
-    [
-        [0.0, 0.0, -1.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ]
-)
-
-
 def symplecticity_check(
     case: BeamLagrangianCase, n_states: int = 20, seed: int = 11
 ) -> SymplecticityReport:
@@ -595,6 +612,7 @@ def symplecticity_check(
     satisfy M^T Omega M = Omega; the defect is the worst infinity-norm gap
     over random window states.
     """
+    _numpy()
     h = float(case.params.h)
     # Canonical coordinates as polynomials on the map's own 0..3 window
     c_polys = [Polynomial.var(x(1, 2)), Polynomial.var(x(1, 3)), *case.lagrangian.momenta()]

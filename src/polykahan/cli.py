@@ -97,8 +97,16 @@ def parse_poly(text: str, line: int | None = None) -> Polynomial:
 # Run configuration
 # ---------------------------------------------------------------------------
 
-PRESETS = ("lv", "quartic", "weierstrass", "beam-sym", "beam-lag")
 _BEAM_LOAD = {"a", "b", "c"}  # the beam's general load; the normal form uses delta
+# The parameter sets each preset reads; a beam preset reads one of its two.
+_PRESET_PARAMS = {
+    "lv": [{"alpha"}],
+    "quartic": [{"a", "b", "c", "d"}],
+    "weierstrass": [{"b", "d"}],
+    "beam-sym": [_BEAM_LOAD, {"delta"}],
+    "beam-lag": [_BEAM_LOAD, {"delta"}],
+}
+PRESETS = tuple(_PRESET_PARAMS)
 
 
 @dataclass
@@ -131,8 +139,19 @@ class RunConfig:
             raise ValidationError("h must be positive")
         if self.steps < 0:
             raise ValidationError("steps must be >= 0")
+        if self.darboux_maxdeg < 0:
+            raise ValidationError("darboux_maxdeg must be >= 0")
         if self.epsilon not in (1, -1):
             raise ValidationError("epsilon must be +1 or -1")
+        if self.preset:
+            groups = _PRESET_PARAMS[self.preset]
+            unread = sorted(self.params.keys() - set().union(*groups))
+            unread += [key for key in ("order", "dim") if getattr(self, key) is not None]
+            if unread:
+                reads = " or ".join(" ".join(sorted(g)) for g in groups)
+                raise ValidationError(
+                    f"preset {self.preset} does not read {', '.join(unread)}; it reads {reads}"
+                )
         mixed = sorted(_BEAM_LOAD & self.params.keys())
         if self.preset in ("beam-sym", "beam-lag") and "delta" in self.params and mixed:
             raise ValidationError(f"the beam load is a, b, c or epsilon, delta: not delta with {mixed}")

@@ -22,6 +22,11 @@ window in local variables: ``iterate`` enters the error state and calls it
 once per orbit, and ``step``/``step_back`` call it for one step.  Residuals
 and ``eval_batch`` evaluate each polynomial once over a whole batch, where
 the loop ``_ceval`` costs less than generating code would.
+
+numpy is imported by the first float call, not with the module: each float
+entry point first calls ``_numpy``, which binds ``np``, ``_umath_linalg``,
+``_solve_errstate`` and ``_Batch`` here once.  The exact layer (solving,
+``jacobian``, ``eval_exact`` and all of ``darboux``) never loads numpy.
 """
 
 from __future__ import annotations
@@ -33,9 +38,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import linalg
 from .poly import Polynomial, RationalFunction, Var, collect_linear, x
@@ -206,10 +208,45 @@ def _singular(err: str, flag: int):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-# np.linalg.solve's error state: a singular matrix raises, over/underflow pass.
-_solve_errstate = functools.partial(
-    np.errstate, call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
-)
+_NUMPY_NAMES = ("np", "_umath_linalg", "_solve_errstate", "_Batch")
+
+
+def _numpy():
+    """Bind ``_NUMPY_NAMES`` in this module on the first call, and return
+    numpy.  Every float entry point calls it first; the exact layer never
+    does, so importing polykahan does not import numpy."""
+    global np, _umath_linalg, _solve_errstate, _Batch
+    if "_Batch" in globals():  # bound last
+        return np
+    import numpy as np
+    from numpy.linalg import _umath_linalg
+
+    # np.linalg.solve's error state: a singular matrix raises, over/underflow pass.
+    _solve_errstate = functools.partial(
+        np.errstate, call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
+
+    class _Batch(np.ndarray):
+        """States stored one row per slot, so ``batch[i]`` is slot i over all
+        states.  ``**`` is C ``pow`` per element, as for a float: numpy's own
+        power can differ in the last bit."""
+
+        def __new__(cls, states):
+            return np.array(states, dtype=float).T.copy().view(cls)
+
+        def __pow__(self, e):
+            plain = self.view(np.ndarray)
+            return plain if e == 1 else np.float_power(plain, e)
+
+    return np
+
+
+def __getattr__(name: str):
+    # PEP 562: reading a name of _NUMPY_NAMES from outside loads numpy first.
+    if name in _NUMPY_NAMES:
+        _numpy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _condition(A: np.ndarray) -> float | None:
@@ -340,22 +377,10 @@ def _ceval(terms, state):
     return total
 
 
-class _Batch(np.ndarray):
-    """States stored one row per slot, so ``batch[i]`` is slot i over all
-    states.  ``**`` is C ``pow`` per element, as for a float: numpy's own
-    power can differ in the last bit."""
-
-    def __new__(cls, states):
-        return np.array(states, dtype=float).T.copy().view(cls)
-
-    def __pow__(self, e):
-        plain = self.view(np.ndarray)
-        return plain if e == 1 else np.float_power(plain, e)
-
-
 def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) -> list[np.ndarray]:
     """Each polynomial at each state, as ``Polynomial.eval`` gives it; column
     k of ``states`` binds ``variables[k]``, and other variables raise ValueError."""
+    _numpy()
     slots = {v: k for k, v in enumerate(variables)}
     batch = _Batch(np.reshape(states, (len(states), len(variables))))
     with np.errstate(all="ignore"):
@@ -364,6 +389,7 @@ def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) ->
 
 def _steps(m: BirationalMap, points: list, h: float, direction: str, steps: int) -> list:
     """Append ``steps`` windows to ``points``; N >= 2 solves under ``_solve_errstate()``."""
+    _numpy()
     with _solve_errstate() if m.N > 1 else contextlib.nullcontext():
         m._stepper(h, direction)(points, steps)
     return points
@@ -419,6 +445,7 @@ def iterate(m: BirationalMap, state: Sequence[float], h: float, steps: int) -> O
 def orbit_residuals(m: BirationalMap, orbit: Orbit) -> list[float]:
     """Scheme residuals on the windows (point k, last level of point k+1),
     each normalized by its largest term; a non-finite window gives nan/inf."""
+    _numpy()
     n, N = m.n, m.N
     points = np.array(orbit.points, dtype=float).reshape(-1, m.dim)
     windows = _Batch(np.hstack([points[:-1], points[1:, -N:]]))
@@ -455,6 +482,7 @@ def jacobian(
 def linearize_at(m: BirationalMap, p: Sequence[float], h: float) -> np.ndarray:
     """Numeric Jacobian at an (approximate) fixed point of the map; raises
     NotFixedPoint when one step moves a coordinate of p by more than 1e-9."""
+    _numpy()
     image = step(m, p, h)
     err = max(abs(a - b) for a, b in zip(image, p))
     if err > 1e-9:
@@ -481,6 +509,7 @@ def char_poly_and_roots(M: np.ndarray) -> SpectrumReport:
     stopped at relative residual 1e-12 (1e-8 is accepted after
     ``_ROOT_MAX_ITER`` sweeps).  A root group whose mean has modulus within
     ``UNIT_TOL`` = 1e-7 of 1 is classified "unit"."""
+    _numpy()
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
     if d > 8:
@@ -574,6 +603,7 @@ class ConvergenceReport:
 
 def first_order_field(sys: PolyOdeSystem) -> Callable[[np.ndarray], np.ndarray]:
     """Vector field of the equivalent first-order system on (x, x', ..)."""
+    _numpy()
     n, N = sys.order, sys.dim
     slots = {x(j): j - 1 for j in range(1, N + 1)}  # _compile rejects unbound parameters
     values = _straight_line([_compile(p, slots, {}) for p in sys.rhs])
@@ -615,6 +645,7 @@ def reference_solution(
     is set the run is repeated at half the step and the two must agree,
     which guards against an untrustworthy oracle.
     """
+    _numpy()
     init = np.asarray(init, dtype=float)
     samples = _rk4_samples(sys, init, times, max_step)
     if check and times:
@@ -653,6 +684,7 @@ def convergence_order(
     at a hundredth of the smallest h.  Steps where the map hits a
     singularity are excluded and reported.
     """
+    _numpy()
     n, N = sys.order, sys.dim
     m = solve_forward(discretize(sys))
     oracle_step = min(hs) / 100.0

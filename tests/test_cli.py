@@ -413,3 +413,39 @@ def test_exact_commands_keep_an_h_below_the_float_range(tmp_path):
     cfg.write_text("preset = quartic\nh = 1e400\n")
     assert main(["discretize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert f"h = {10**400}\n" in (tmp_path / "o" / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["darboux", "report"])
+def test_a_negative_darboux_maxdeg_is_rejected_before_any_file(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = lv\ndarboux_maxdeg = -1\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: darboux_maxdeg must be >= 0\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("preset,line,unread,reads", [
+    ("lv", "a = 5", "a", "alpha"),
+    ("quartic", "alpha = 2", "alpha", "a b c d"),
+    ("weierstrass", "a = 1", "a", "b d"),
+    ("beam-sym", "d = 1", "d", "a b c or delta"),
+    ("beam-lag", "alpha = 2", "alpha", "a b c or delta"),
+    ("lv", "order = 2", "order", "alpha"),
+    ("quartic", "dim = 1", "dim", "a b c d"),
+    ("beam-lag", "order = 4\ndim = 1", "order, dim", "a b c or delta"),
+])
+def test_a_preset_rejects_a_key_it_does_not_read(tmp_path, capsys, preset, line, unread, reads):
+    text = f"preset = {preset}\n{line}\n"
+    message = f"preset {preset} does not read {unread}; it reads {reads}"
+    with pytest.raises(ValidationError, match=message):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_preset_accepts_the_keys_it_reads():
+    assert parse_config("preset = lv\nalpha = 2\n").params == {"alpha": 2}
+    assert parse_config("preset = weierstrass\nb = 2\nd = -3\n").params == {"b": 2, "d": -3}
