@@ -107,6 +107,7 @@ _PRESET_PARAMS = {
     "beam-lag": [_BEAM_LOAD, {"delta"}],
 }
 PRESETS = tuple(_PRESET_PARAMS)
+_BEAM_KEYS = ("alpha", "beta", "epsilon")  # the weight vectors and the normal-form sign
 
 
 @dataclass
@@ -122,7 +123,7 @@ class RunConfig:
     init_ode: list[float] | None = None
     out: str = "."
     darboux_maxdeg: int = 4
-    epsilon: int = 1
+    epsilon: int | None = None  # None when unset, so that setting it where it is not read fails
     alpha: tuple | None = None
     beta: tuple | None = None
     seed: int = 7
@@ -141,20 +142,32 @@ class RunConfig:
             raise ValidationError("steps must be >= 0")
         if self.darboux_maxdeg < 0:
             raise ValidationError("darboux_maxdeg must be >= 0")
-        if self.epsilon not in (1, -1):
+        if self.epsilon not in (None, 1, -1):
             raise ValidationError("epsilon must be +1 or -1")
+        beam = self.preset in ("beam-sym", "beam-lag")
+        beam_keys = [] if beam else [k for k in _BEAM_KEYS if getattr(self, k) is not None]
         if self.preset:
             groups = _PRESET_PARAMS[self.preset]
             unread = sorted(self.params.keys() - set().union(*groups))
             unread += [key for key in ("order", "dim") if getattr(self, key) is not None]
+            unread += beam_keys
             if unread:
                 reads = " or ".join(" ".join(sorted(g)) for g in groups)
                 raise ValidationError(
                     f"preset {self.preset} does not read {', '.join(unread)}; it reads {reads}"
                 )
+        elif beam_keys:
+            raise ValidationError(
+                f"inline systems do not read {', '.join(beam_keys)}; only the beam presets do"
+            )
         mixed = sorted(_BEAM_LOAD & self.params.keys())
-        if self.preset in ("beam-sym", "beam-lag") and "delta" in self.params and mixed:
-            raise ValidationError(f"the beam load is a, b, c or epsilon, delta: not delta with {mixed}")
+        normal = sorted({"delta"} & self.params.keys())
+        if self.epsilon is not None:
+            normal.insert(0, "epsilon")
+        if beam and normal and mixed:
+            raise ValidationError(
+                f"the beam load is a, b, c or epsilon, delta: not {', '.join(normal)} with {mixed}"
+            )
         for name, vec, size in (("alpha", self.alpha, 6), ("beta", self.beta, 4)):
             if vec is not None:
                 if len(vec) != size:
@@ -258,7 +271,7 @@ def _beam_params(cfg: RunConfig) -> cases.BeamParams:
         get = cfg.params.get
         return cases.BeamParams(get("a", 1), get("b", -2), get("c", Fraction(3, 4)), cfg.h, *weights)
     delta = cfg.params.get("delta", Fraction(1, 4))
-    return cases.BeamParams.normal_form(cfg.epsilon, delta, cfg.h, *weights)
+    return cases.BeamParams.normal_form(cfg.epsilon or 1, delta, cfg.h, *weights)
 
 
 def build_case(cfg: RunConfig) -> CaseBundle:

@@ -9,14 +9,15 @@ The search is linear algebra at points (Celledoni, Evripidou, McLaren, Owren,
 Quispel, Tapley, van der Kamp, J. Phys. A 52 (2019), arXiv:1902.04685): over
 an ansatz of all monomials up to a degree bound, each exact rational point p
 gives the row [m(Phi(p)) - J(p) m(p)].  Rows are built on integers: Phi and
-J are compiled once per search and evaluated homogenized at p = a/q, and
-each row is scaled by a nonzero integer of its point and divided by its gcd,
-which leaves its nullspace unchanged.  Every Darboux polynomial satisfies
-every row, so the nullspace contains the true space; exact substitution then
-certifies each basis vector, and a failure draws more points from a wider
-box.  A nonzero relation of bounded degree vanishes at a random point of a
-box of side S with probability at most degree/S, so the loop ends, and the
-echelonized basis depends only on the space, not on the points.
+J are compiled once per search over one monomial table, each monomial is
+evaluated once per point p = a/q, and each row is scaled by a positive
+integer of its point and divided by its gcd, which keeps its nullspace.
+Every Darboux polynomial satisfies every row, so the nullspace contains the
+true space; exact substitution then certifies each basis vector, and a
+failure draws more points from a wider box.  A nonzero relation of bounded
+degree vanishes at a random point of a box of side S with probability at
+most degree/S, so the loop ends, and the echelonized basis depends only on
+the space, not on the points.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Sequence
 
 from . import linalg
@@ -128,60 +130,66 @@ def _sample_points(dim: int, count: int, batch: int) -> list[tuple[Fraction, ...
     ]
 
 
-def _integer_form(p: Polynomial, vars_: Sequence[Var]):
-    """(scale, degree, terms) with p = scale * sum c*x^e: the integers c are
-    coprime, and a term is (c, [(index of x_i in vars_, e_i)], degree - |e|)."""
-    scale, deg, slot = p.content(), p.degree(), {v: i for i, v in enumerate(vars_)}
-    terms = [
-        (int(c / scale), [(slot[v], e) for v, e in mono.factors], deg - mono.degree)
-        for mono, c in p.terms()
-    ]
-    return scale, deg, terms
-
-
-def _homogeneous(terms, apow, qpow) -> int:
-    """q^degree * p(a/q), from the power tables of the integers a_i and q."""
-    return sum(
-        c * qpow[rest] * math.prod(apow[i][e] for i, e in factors) for c, factors, rest in terms
-    )
-
-
 def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
-    """Compile Phi and J to integer forms once; return the function that maps
-    a rational point p = a/q to the integer row
+    """Compile Phi and J once; return the function that maps a rational point
+    p = a/q to the integer row
 
         Jd q^k prod_j d_j^k * [mono(Phi(p)) - J(p)*mono(p) per ansatz exponent vector]
 
     divided by the gcd of its entries, where Phi_j(p) = n_j/d_j, J(p) = Jn/Jd
-    and k = maxdeg.  It raises DenominatorVanished where Phi or J is undefined."""
-    forms = []
-    for rf in (*m.forward, J):
-        (sn, dn, tn), (sd, dd, td) = (_integer_form(p, m.state_vars) for p in (rf.num, rf.den))
-        forms.append((sn / sd, dn, tn, dd, td))
-    k = max(map(sum, exps))
-    top = max(k, *(max(dn, dd) for _, dn, _, dd, _ in forms))
-    shape = [(ex, k - sum(ex)) for ex in exps]
+    and k = maxdeg.  It raises DenominatorVanished where Phi or J is undefined.
 
-    def value(ratio, dn, tn, dd, td, apow, qpow) -> Fraction:
-        d = _homogeneous(td, apow, qpow)
-        if d == 0:
-            raise DenominatorVanished("denominator vanished at a sample point")
-        n = _homogeneous(tn, apow, qpow)
-        return Fraction(ratio.numerator * n * qpow[dd], ratio.denominator * d * qpow[dn])
+    Each numerator and denominator is compiled with integer coefficients to
+    terms (c, index of x^e in one table of exponent vectors, degree - |e|),
+    and a point computes each monomial a^e of the table once.  Each value is
+    an integer pair (n, d), d > 0, some t > 0 times its lowest terms; the row
+    is then the lowest-terms row times t_J prod_j t_j^k > 0, and the
+    primitive row is the same bit for bit."""
+    table: dict[tuple[int, ...], int] = {}
+    slot = {v: i for i, v in enumerate(m.state_vars)}
+
+    def index(ex) -> int:
+        return table.setdefault(tuple(ex), len(table))
+
+    def terms(p: Polynomial, scale: Fraction, deg: int):
+        out = []
+        for mono, c in p.terms():
+            ex = [0] * len(slot)
+            for v, e in mono.factors:
+                ex[slot[v]] = e
+            out.append((int(c * scale), index(ex), deg - sum(ex)))
+        return out
+
+    forms = []
+    k = top = max(map(sum, exps))
+    for rf in (*m.forward, J):
+        cn, cd = rf.num.content(), rf.den.content()
+        ratio, deg = cn / cd, max(rf.num.degree(), rf.den.degree())
+        forms.append(
+            (terms(rf.num, ratio.numerator / cn, deg), terms(rf.den, ratio.denominator / cd, deg))
+        )
+        top = max(top, deg)
+    shape = [(ex, index(ex), k - sum(ex)) for ex in exps]
 
     def row(point) -> list[int]:
         q = math.lcm(*(v.denominator for v in point))
         apow = [_powers(v.numerator * (q // v.denominator), top) for v in point]
         qpow = _powers(q, top)
-        *image, jac = (value(*form, apow, qpow) for form in forms)
-        npow = [_powers(v.numerator, k) for v in image]
-        dpow = [_powers(v.denominator, k) for v in image]
-        lhs = jac.denominator * qpow[k]
-        rhs = jac.numerator * math.prod(d[k] for d in dpow)
+        mono = [math.prod(map(getitem, apow, ex)) for ex in table]
+        pairs = []
+        for num, den in forms:
+            d = sum(c * mono[i] * qpow[r] for c, i, r in den)
+            if d == 0:
+                raise DenominatorVanished("denominator vanished at a sample point")
+            n = sum(c * mono[i] * qpow[r] for c, i, r in num)
+            pairs.append((n, d) if d > 0 else (-n, -d))
+        *image, (jn, jd) = pairs
+        ratios = [[n**e * d ** (k - e) for e in range(k + 1)] for n, d in image]
+        lhs = jd * qpow[k]
+        rhs = jn * math.prod(t[0] for t in ratios)
         out = [
-            lhs * math.prod(n[e] * d[k - e] for n, d, e in zip(npow, dpow, ex))
-            - rhs * math.prod(a[e] for a, e in zip(apow, ex)) * qpow[rest]
-            for ex, rest in shape
+            lhs * math.prod(map(getitem, ratios, ex)) - rhs * mono[i] * qpow[rest]
+            for ex, i, rest in shape
         ]
         g = math.gcd(*out)
         return [v // g for v in out] if g > 1 else out

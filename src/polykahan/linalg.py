@@ -2,11 +2,11 @@
 
 ``nullspace`` first solves its integer rows modulo one word-size prime,
 _PRIME = 2^61 - 1: Gauss-Jordan elimination with a deterministic pivot
-rule -- first nonzero entry in column order -- and Wang's rational
-reconstruction (SYMSAC 1981) of each basis entry.  Every reconstructed
-vector is then checked exactly against every row, and only a basis that
-passes is returned; otherwise the fraction-free (Bareiss) elimination with
-the same pivot rule gives it.  Both paths return the same basis (see
+rule -- first nonzero entry in column order -- on rows packed one to an int
+in lazily reduced slots, and Wang's rational reconstruction (SYMSAC 1981)
+of each basis entry.  Every reconstructed vector is then checked exactly
+against every row, and only a basis that passes is returned; otherwise
+the fraction-free (Bareiss) elimination with the same pivot rule gives it.  Both paths return the same basis (see
 ``nullspace``), so it is reproducible across runs.  ``rank``, ``solve`` and
 ``inverse`` read their answers off that checked nullspace: the module has
 one exact elimination.
@@ -15,6 +15,7 @@ one exact elimination.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from typing import Sequence
 
@@ -74,32 +75,13 @@ def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
 
 _PRIME = 2**61 - 1
 _BOUND = math.isqrt(_PRIME // 2)  # Wang's bound on |numerator| and denominator
+_WORD = (1 << 64) - 1
 
 
 def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | None:
     """The nullspace basis from Gauss-Jordan elimination mod _PRIME, or None
     when an entry does not reconstruct or a vector misses a row exactly."""
-    p = _PRIME
-    red = [[v % p for v in row] for row in mat]
-    width = len(red[0]) if red else 0
-    pivots: list[int] = []
-    for c in range(width):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(red)) if red[i][c]), None)
-        if pr is None:
-            continue
-        red[r], red[pr] = red[pr], red[r]
-        inv = pow(red[r][c], -1, p)
-        tail = red[r][c + 1 :] = [v * inv % p for v in red[r][c + 1 :]]
-        red[r][c] = 1
-        for i, row in enumerate(red):
-            f = row[c]
-            if f and i != r:  # the pivot row is zero left of c
-                row[c + 1 :] = [(a - f * b) % p for a, b in zip(row[c + 1 :], tail)]
-                row[c] = 0
-        pivots.append(c)
-        if len(pivots) == len(red):
-            break
+    pivots, echelon = _modular_echelon(mat)
     pivot_cols = set(pivots)
     basis: list[list[int]] = []
     for f in range(ncols):
@@ -108,7 +90,7 @@ def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | No
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            entry = _reconstruct(-red[r][f] % p)
+            entry = _reconstruct(-echelon[r][f] % _PRIME)
             if entry is None:
                 return None
             vec[c] = entry
@@ -117,6 +99,47 @@ def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | No
             return None
         basis.append(ints)
     return basis
+
+
+def _modular_echelon(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Pivot columns and nonzero rows of the reduced echelon form of ``mat``
+    mod _PRIME (unique, so any elimination gives it).  A row is one int of
+    128-bit slots, each below 2^63 and congruent to its entry; the pivot
+    test, the multiplier f and the stored pivot row read them reduced."""
+    p = _PRIME
+    width = len(mat[0]) if mat else 0
+    slots = struct.Struct("<" + "Q8x" * width)  # a slot is below 2^64 when packed or read
+
+    def pack(values) -> int:
+        return int.from_bytes(slots.pack(*values), "little")
+
+    def unpack(x: int) -> list[int]:
+        return [v % p for v in slots.unpack(x.to_bytes(slots.size, "little"))]
+
+    red = [pack([v % p for v in row]) for row in mat]
+    m61, m62 = pack([p] * width), pack([(1 << 62) - 1] * width)  # p = 2^61 - 1 is also M61
+    pivots: list[int] = []
+    for c in range(width):
+        r, shift = len(pivots), 128 * c
+        pr = next((i for i in range(r, len(red)) if (red[i] >> shift & _WORD) % p), None)
+        if pr is None:
+            continue
+        red[r], red[pr] = red[pr], red[r]
+        row = unpack(red[r])
+        inv = pow(row[c], -1, p)
+        red[r] = pack([v * inv % p for v in row])
+        neg = (m61 >> shift << shift) - red[r]  # p - v in the slots from c on, each <= p
+        for i, x in enumerate(red):
+            f = (x >> shift & _WORD) % p
+            if f and i != r:  # the pivot row is zero left of c
+                # a slot is below 2^63 + 2^122 < 2^128 here, so none carries into
+                # the next; the fold by 2^61 = 1 mod p puts it below 2^61 + 2^62
+                x += f * neg
+                red[i] = (x & m61) + (x >> 61 & m62)
+        pivots.append(c)
+        if len(pivots) == len(red):
+            break
+    return pivots, [unpack(x) for x in red[: len(pivots)]]
 
 
 def _reconstruct(u: int) -> Fraction | None:

@@ -643,18 +643,22 @@ def reference_solution(
 
     Classical one-step 4th-order integration at ``max_step``; when ``check``
     is set the run is repeated at half the step and the two must agree,
-    which guards against an untrustworthy oracle.
+    which guards against an untrustworthy oracle.  A sample that overflows
+    or is nan is NoConvergence, without a numpy warning.
     """
     _numpy()
     init = np.asarray(init, dtype=float)
-    samples = _rk4_samples(sys, init, times, max_step)
-    if check and times:
-        finer = _rk4_samples(sys, init, times, max_step / 2.0)
-        gap = max(float(np.max(np.abs(a - b))) for a, b in zip(samples, finer))
-        scale = max(1.0, max(float(np.max(np.abs(s))) for s in samples))
-        if gap / scale > 1e-8:
-            raise NoConvergence(f"reference oracle self-check gap {gap:.3e}")
-        samples = finer
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = _rk4_samples(sys, init, times, max_step)
+        finer = _rk4_samples(sys, init, times, max_step / 2.0) if check and times else []
+        if not all(np.isfinite(s).all() for s in samples + finer):
+            raise NoConvergence("reference oracle is not finite")
+        if finer:
+            gap = max(float(np.max(np.abs(a - b))) for a, b in zip(samples, finer))
+            scale = max(1.0, max(float(np.max(np.abs(s))) for s in samples))
+            if gap / scale > 1e-8:  # an inf gap fails too
+                raise NoConvergence(f"reference oracle self-check gap {gap:.3e}")
+            samples = finer
     return samples
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -449,3 +450,43 @@ def test_a_preset_rejects_a_key_it_does_not_read(tmp_path, capsys, preset, line,
 def test_a_preset_accepts_the_keys_it_reads():
     assert parse_config("preset = lv\nalpha = 2\n").params == {"alpha": 2}
     assert parse_config("preset = weierstrass\nb = 2\nd = -3\n").params == {"b": 2, "d": -3}
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings must not reach stderr
+def test_a_non_finite_reference_oracle_is_a_numeric_failure(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = quartic\ninit_ode = 1e200, 0\nsteps = 3\n")
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "numeric failure: reference oracle is not finite\n"
+    assert not (tmp_path / "o" / "orbit.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (
+        "preset = quartic\nalpha = 1/2,1/2,0,0,0,0\nepsilon = -1\n",
+        "preset quartic does not read alpha, epsilon; it reads a b c d",
+    ),
+    ("preset = lv\nbeta = 1/4,1/4,1/4,1/4\n", "preset lv does not read beta; it reads alpha"),
+    (
+        "rhs = -a*x1^3\norder = 2\na = 1\nalpha = 1/2,1/2,0,0,0,0\nepsilon = 1\n",
+        "inline systems do not read alpha, epsilon; only the beam presets do",
+    ),
+    (
+        "preset = beam-sym\na = 2\nb = -3\nc = 1\nepsilon = -1\n",
+        "the beam load is a, b, c or epsilon, delta: not epsilon with ['a', 'b', 'c']",
+    ),
+], ids=["quartic", "lv", "inline", "beam-coefficients"])
+def test_beam_only_keys_are_config_errors_where_nothing_reads_them(tmp_path, capsys, text, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_beam_preset_reads_epsilon_with_delta_and_defaults_it_to_one():
+    built = build_case(parse_config("preset = beam-sym\nepsilon = -1\ndelta = 1/2\n"))
+    assert (built.beam_sym.params.b, built.beam_sym.params.c) == (2, Fraction(1, 2))
+    assert build_case(parse_config("preset = beam-sym\n")).beam_sym.params.b == -2

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,84 @@ def low_rank_products(draw):
 def test_nullspace_equals_bareiss_on_low_rank_products(case):
     rows, ncols = case
     assert linalg.nullspace(rows, ncols=ncols) == reference(rows, ncols)
+
+
+def _list_echelon(mat, width):
+    """Gauss-Jordan mod p on lists of residues, with the pivot rule of
+    linalg: the first row from the current one with a nonzero entry."""
+    red = [[v % P for v in row] for row in mat]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(red)) if red[i][c]), None)
+        if pr is None:
+            continue
+        red[r], red[pr] = red[pr], red[r]
+        inv = pow(red[r][c], -1, P)
+        red[r] = [v * inv % P for v in red[r]]
+        for i, row in enumerate(red):
+            f = row[c]
+            if f and i != r:
+                red[i] = [(a - f * b) % P for a, b in zip(row, red[r])]
+        pivots.append(c)
+    return pivots, red[: len(pivots)]
+
+
+def _list_nullspace(mat, ncols):
+    """The modular nullspace with the list elimination: the same
+    reconstruction and exact check, None where either fails."""
+    pivots, echelon = _list_echelon(mat, len(mat[0]) if mat else 0)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for c, row in zip(pivots, echelon):
+            entry = linalg._reconstruct(-row[f] % P)
+            if entry is None:
+                return None
+            vec[c] = entry
+        ints = linalg._normalize_int(vec)
+        if any(sum(a * v for a, v in zip(row, ints)) for row in mat):
+            return None
+        basis.append(ints)
+    return basis
+
+
+@st.composite
+def residue_matrices(draw):
+    """Integer matrices up to 40 columns wide whose entries may be past p,
+    negative or = 0 mod p, with zero rows and rows that combine earlier
+    ones, so that the rank is often deficient.  ``small`` keeps every entry
+    in -3..3, where the nullspace usually reconstructs."""
+    width = draw(st.integers(1, 40))
+    small = draw(st.booleans())
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # entries in bulk, not one draw each
+    kinds = [
+        lambda: rnd.randint(-3, 3),
+        lambda: rnd.randint(-3, 3) * P,
+        lambda: P + rnd.randint(-2, 2),
+        lambda: rnd.randint(-(2**70), 2**70),
+    ]
+    rows = []
+    for _ in range(draw(st.integers(0, width + 2))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "combination" and rows:
+            a, b, s, t = rnd.choice(rows), rnd.choice(rows), rnd.randint(-3, 3), rnd.randint(-3, 3)
+            rows.append([s * u + t * v for u, v in zip(a, b)])
+        else:
+            rows.append([rnd.choice(kinds[:1] if small else kinds)() for _ in range(width)])
+    return rows, width
+
+
+@given(residue_matrices())
+def test_packed_elimination_equals_the_list_elimination(case):
+    rows, width = case
+    assert linalg._modular_echelon(rows) == _list_echelon(rows, width)
+    assert linalg._modular_nullspace(rows, width) == _list_nullspace(rows, width)
 
 
 @pytest.mark.parametrize("rows", [[[3**20, -1]], [[2**40, -1], [2**41, -2]]])
