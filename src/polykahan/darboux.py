@@ -9,11 +9,11 @@ The search is linear algebra at points (Celledoni, Evripidou, McLaren, Owren,
 Quispel, Tapley, van der Kamp, J. Phys. A 52 (2019), arXiv:1902.04685): over
 an ansatz of all monomials up to a degree bound, each exact rational point p
 gives the row [m(Phi(p)) - J(p) m(p)].  Rows are built on integers: Phi and
-J are compiled once per search over one monomial table, each monomial is
+J are compiled once per bound map over one monomial table, each monomial is
 evaluated once per point p = a/q, and each row is scaled by a positive
 integer of its point and divided by its gcd, which keeps its nullspace.
 Every Darboux polynomial satisfies every row, so the nullspace contains the
-true space; exact substitution then certifies each basis vector, and a
+true space; an exact pullback identity certifies each basis vector, and a
 failure draws more points from a wider box.  A nonzero relation of bounded
 degree vanishes at a random point of a box of side S with probability at
 most degree/S, so the loop ends, and the echelonized basis depends only on
@@ -32,7 +32,7 @@ from typing import Sequence
 
 from . import linalg
 from .maps import BirationalMap, jacobian
-from .poly import DenominatorVanished
+from .poly import DenominatorVanished, try_divide
 from .poly import Monomial, Polynomial, RationalFunction, Var, _grlex_key, _powers, param, x
 
 _EXTRA_ROWS = 2  # rows per batch beyond the number of ansatz monomials
@@ -44,20 +44,17 @@ class CofactorMismatch(ArithmeticError):
 
 @dataclass
 class DarbouxCertificate:
-    """A Darboux polynomial with its cofactor and a residual-zero witness.
+    """A primitive Darboux polynomial with its cofactor and a zero witness.
 
-    ``witness`` is the numerator of the substitution residual P(Phi) - J*P
-    and must be identically zero; it is kept as evidence rather than
-    re-derived on use.
+    ``witness`` is a*num - b*P, where num/den = P(Phi) is the pullback and
+    a*num = b*P is P(Phi) = J*P with denominators cleared; it is zero exactly
+    when the residual is, and is kept as evidence rather than re-derived.
     """
 
     P: Polynomial
     cofactor: RationalFunction
     witness: Polynomial
     map: BirationalMap
-
-    def __post_init__(self):
-        self.P = self.P.primitive()
 
     @property
     def valid(self) -> bool:
@@ -131,8 +128,8 @@ def _sample_points(dim: int, count: int, batch: int) -> list[tuple[Fraction, ...
 
 
 def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
-    """Compile Phi and J once; return the function that maps a rational point
-    p = a/q to the integer row
+    """Compile Phi and J once per bound map and cofactor; return the function
+    that maps a rational point p = a/q to the integer row
 
         Jd q^k prod_j d_j^k * [mono(Phi(p)) - J(p)*mono(p) per ansatz exponent vector]
 
@@ -141,35 +138,36 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
 
     Each numerator and denominator is compiled with integer coefficients to
     terms (c, index of x^e in one table of exponent vectors, degree - |e|),
-    and a point computes each monomial a^e of the table once.  Each value is
-    an integer pair (n, d), d > 0, some t > 0 times its lowest terms; the row
-    is then the lowest-terms row times t_J prod_j t_j^k > 0, and the
-    primitive row is the same bit for bit."""
-    table: dict[tuple[int, ...], int] = {}
-    slot = {v: i for i, v in enumerate(m.state_vars)}
+    the ansatz exponents extend a copy of the table, and a point computes
+    each monomial a^e of it once.  Each value is an integer pair (n, d), d > 0,
+    some t > 0 times its lowest terms; the row is then the lowest-terms row
+    times t_J prod_j t_j^k > 0, and the primitive row is the same bit for bit."""
+    if m._cache.get("relation_forms", (None,))[0] is not J:
+        table, forms, top = {}, [], 0
+        slot = {v: i for i, v in enumerate(m.state_vars)}
 
-    def index(ex) -> int:
-        return table.setdefault(tuple(ex), len(table))
+        def terms(p: Polynomial, scale: Fraction, deg: int):
+            out = []
+            for mono, c in p.terms():
+                ex = [0] * len(slot)
+                for v, e in mono.factors:
+                    ex[slot[v]] = e
+                out.append((int(c * scale), table.setdefault(tuple(ex), len(table)), deg - sum(ex)))
+            return out
 
-    def terms(p: Polynomial, scale: Fraction, deg: int):
-        out = []
-        for mono, c in p.terms():
-            ex = [0] * len(slot)
-            for v, e in mono.factors:
-                ex[slot[v]] = e
-            out.append((int(c * scale), index(ex), deg - sum(ex)))
-        return out
-
-    forms = []
-    k = top = max(map(sum, exps))
-    for rf in (*m.forward, J):
-        cn, cd = rf.num.content(), rf.den.content()
-        ratio, deg = cn / cd, max(rf.num.degree(), rf.den.degree())
-        forms.append(
-            (terms(rf.num, ratio.numerator / cn, deg), terms(rf.den, ratio.denominator / cd, deg))
-        )
-        top = max(top, deg)
-    shape = [(ex, index(ex), k - sum(ex)) for ex in exps]
+        for rf in (*m.forward, J):
+            cn, cd = rf.num.content(), rf.den.content()
+            ratio, deg = cn / cd, max(rf.num.degree(), rf.den.degree())
+            forms.append(
+                (terms(rf.num, ratio.numerator / cn, deg), terms(rf.den, ratio.denominator / cd, deg))
+            )
+            top = max(top, deg)
+        m._cache["relation_forms"] = (J, forms, top, table)
+    _, forms, top, table = m._cache["relation_forms"]
+    table = dict(table)
+    k = max(map(sum, exps))
+    top = max(top, k)
+    shape = [(ex, table.setdefault(tuple(ex), len(table)), k - sum(ex)) for ex in exps]
 
     def row(point) -> list[int]:
         q = math.lcm(*(v.denominator for v in point))
@@ -197,13 +195,59 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
     return row
 
 
+def pullback(m: BirationalMap, P: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(num, den) with P(Phi) = num/den exactly; parameters may stay symbolic.
+
+    Coordinates that Phi only shifts (Phi_v a bare variable) are renamed.
+    Terms are grouped by their exponents e_v in the solved coordinates,
+    Phi_v = n_v/d_v, and each group times prod_v n_v^e_v d_v^(E_v - e_v),
+    E_v = deg_v P, from tables cached per v and E_v; den = prod_v d_v^E_v."""
+    renames, solved = {}, {}
+    for v, rf in zip(m.state_vars, m.forward):
+        if rf.den == 1 and rf.num == Polynomial.var(w := next(iter(rf.num.vars()), v)):
+            renames[v] = w
+        elif E := P.degree_in({v}):
+            solved[v] = rf, E
+    groups: dict[tuple[int, ...], list] = {}
+    for mono, c in P.terms():
+        rest = [(renames.get(v, v), e) for v, e in mono.factors if v not in solved]
+        key = tuple(mono.exponent(v) for v in solved)
+        groups.setdefault(key, []).append((Monomial.from_pairs(rest), c))
+    tables = []
+    for v, (rf, E) in solved.items():
+        if ("pullback", v, E) not in m._cache:
+            npow, dpow = _powers(rf.num, E), _powers(rf.den, E)
+            m._cache["pullback", v, E] = [npow[e] * dpow[E - e] for e in range(E + 1)]
+        tables.append(m._cache["pullback", v, E])
+    num = []
+    for key, pairs in groups.items():
+        g = Polynomial(pairs)
+        for t, e in zip(tables, key):
+            g = g * t[e]
+        num.extend(g.terms())
+    return Polynomial(num), math.prod((t[0] for t in tables), start=Polynomial.const(1))
+
+
 def _certify(P: Polynomial, m: BirationalMap, J: RationalFunction) -> DarbouxCertificate:
-    """Substitute the map into P and check P(Phi) - J*P is exactly zero."""
-    sigma = dict(zip(m.state_vars, m.forward))
-    residual = P.substitute(sigma) - J * RationalFunction(P)
-    if not residual.num.is_zero():
-        raise CofactorMismatch(f"P = {P} is not Darboux: residual {residual.num}")
-    return DarbouxCertificate(P=P, cofactor=J, witness=residual.num, map=m)
+    """Check P(Phi) = J*P as a*num == b*P, num/den the pullback of P: (a, b) is
+    (1, Jn*den/Jd), (Jd/den, Jn) or (Jd, Jn*den) as Jd | den, den | Jd or neither."""
+    P = P.primitive()
+    num, den = pullback(m, P)
+    key = ("certify", *(P.degree_in({v}) for v in m.state_vars))
+    if m._cache.get(key, (None,))[0] is not J:
+        if (q := try_divide(den, J.den)) is not None:
+            m._cache[key] = (J, 1, J.num * q)
+        else:
+            q = try_divide(J.den, den)
+            m._cache[key] = (J, J.den, J.num * den) if q is None else (J, q, J.num)
+    _, a, b = m._cache[key]
+    witness = num * a - b * P
+    if not witness.is_zero():
+        raise CofactorMismatch(
+            f"P is not Darboux: the witness has {len(witness.terms())} terms of degree"
+            f" {witness.degree()}, leading term {Polynomial(witness.sorted_terms()[:1])}"
+        )
+    return DarbouxCertificate(P=P, cofactor=J, witness=witness, map=m)
 
 
 def find_darboux(m: BirationalMap, maxdeg: int) -> list[DarbouxCertificate]:
@@ -239,8 +283,6 @@ def verify_darboux(P: Polynomial, m: BirationalMap) -> DarbouxCertificate:
 
     Raises CofactorMismatch when the relation fails.
     """
-    if m.forward is None:
-        raise ValueError("needs the symbolic map")
     return _certify(P, m, jacobian(m)[1])
 
 
@@ -273,13 +315,10 @@ def first_integral(
         raise CofactorMismatch("certificates have different maps or cofactors")
     if not (c1.valid and c2.valid):
         raise CofactorMismatch("certificate witness is nonzero")
-    m = c1.map
-    sigma = {v: rf for v, rf in zip(m.state_vars, m.forward)}
-    K = RationalFunction(c2.P, c1.P)
-    pulled = c2.P.substitute(sigma) / c1.P.substitute(sigma)
-    if pulled != K:
+    (n1, d1), (n2, d2) = pullback(c1.map, c1.P), pullback(c1.map, c2.P)
+    if n2 * d1 * c1.P != n1 * d2 * c2.P:
         raise CofactorMismatch("ratio is not invariant under the map")
-    return K
+    return RationalFunction(c2.P, c1.P)
 
 
 def in_span(polys: Sequence[Polynomial], candidate: Polynomial) -> bool:

@@ -1,12 +1,15 @@
+import functools
 import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polykahan import cases, darboux, linalg, maps
-from polykahan.poly import DenominatorVanished, Polynomial, RationalFunction, param, x
+from polykahan.poly import DenominatorVanished, Monomial, Polynomial, RationalFunction, param, try_divide, x
 from polykahan.scheme import H, PolyOdeSystem, discretize
 
 X0 = Polynomial.var(x(1, 0))
@@ -515,3 +518,181 @@ def test_beam_sym_batch_rows_give_the_bareiss_basis(
     assert (len(rows), ncols) == (37, 35)
     assert linalg.nullspace(rows[:count], ncols=ncols) == _bareiss_nullspace(rows[:count], ncols)
     assert len(bareiss_calls) == fallbacks
+
+
+# -- the pullback, exact certification and the per-map caches -------------------
+
+
+def test_search_compiles_phi_and_j_once_per_bound_map():
+    m = RELATION_MAPS["lv"]()
+    assert "relation_forms" not in m._cache
+    assert [c.to_text() for c in darboux.find_darboux(m, 3)] == LV_D3
+    compiled = m._cache["relation_forms"]
+    assert compiled[0] is maps.jacobian(m)[1]  # the entry names its cofactor
+    assert [c.to_text() for c in darboux.find_darboux(m, 3)] == LV_D3
+    assert m._cache["relation_forms"] is compiled
+    fresh = RELATION_MAPS["lv"]()
+    assert "relation_forms" not in fresh._cache
+    assert [c.to_text() for c in darboux.find_darboux(fresh, 3)] == LV_D3
+    assert fresh._cache["relation_forms"] is not compiled
+
+
+def test_relation_rows_follow_a_cofactor_other_than_the_cached_one():
+    m = RELATION_MAPS["quartic"]()
+    J = maps.jacobian(m)[1]
+    other = J * RationalFunction(X0 + 3)
+    exps = _ansatz_exponents(m, 2)
+    darboux._relation_rows(m, J, exps)
+    for cofactor in (other, J):
+        relation_row = darboux._relation_rows(m, cofactor, exps)
+        assert m._cache["relation_forms"][0] is cofactor
+        checked = 0
+        for point in _relation_points(m.dim):
+            try:
+                expected = _fraction_row(m, cofactor, exps, point)
+            except DenominatorVanished:
+                continue
+            row = relation_row(point)
+            lead = next(i for i, v in enumerate(expected) if v)
+            ratio = Fraction(row[lead]) / expected[lead]
+            assert ratio > 0
+            assert [Fraction(v) for v in row] == [ratio * v for v in expected]
+            checked += 1
+        assert checked >= 6
+
+
+PULLBACK_MAPS = {
+    **RELATION_MAPS,
+    "weierstrass": lambda: cases.kahan_weierstrass(3, 1, Fraction(1, 2)).additive_map,
+    "lv_symbolic": lambda: cases.lotka_volterra().map,
+    "quartic_symbolic": lambda: cases.quartic_oscillator().map,
+}
+
+
+@functools.cache
+def _pullback_map(name):
+    return PULLBACK_MAPS[name]()
+
+
+def _polynomials(variables):
+    """Random polynomials of degree <= 3 in ``variables``."""
+    monomials = st.lists(st.sampled_from(variables), max_size=3).map(
+        lambda vs: Monomial.from_pairs([(v, 1) for v in vs])
+    )
+    coefficients = st.fractions(-6, 6, max_denominator=5)
+    return st.lists(st.tuples(monomials, coefficients), max_size=6).map(Polynomial)
+
+
+def _same_quotient(n1, d1, n2, d2) -> bool:
+    """n1/d1 == n2/d2 exactly.  Where d1 = c*d2 for a constant c this is
+    n1 == c*n2, which spares the cross products of the Euler top's large
+    numerators."""
+    mono, lam = next(iter(d2.terms()))
+    c = Fraction(d1.coefficient(mono)) / lam
+    if c and d1 == d2 * c:
+        return n1 == n2 * c
+    return n1 * d2 == n2 * d1
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_MAPS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pullback_equals_substitution(name, data):
+    m = _pullback_map(name)
+    P = data.draw(_polynomials([*m.state_vars, H, param("a"), param("alpha")]))
+    num, den = darboux.pullback(m, P)
+    s = P.substitute(dict(zip(m.state_vars, m.forward)))
+    assert _same_quotient(num, den, s.num, s.den)
+
+
+def _branch(m, J, P) -> str:
+    """The (a, b) case that certification takes for P under the cofactor J."""
+    _, den = darboux.pullback(m, P.primitive())
+    if try_divide(den, J.den) is not None:
+        return "Jd | den"
+    return "den | Jd" if try_divide(J.den, den) is not None else "neither"
+
+
+def _with_map_cofactor(m, P):
+    return m, maps.jacobian(m)[1], P
+
+
+def _with_unit_cofactor_over(m, P):
+    # J = 1 for the additive map, written over a factor that no pullback
+    # denominator has, so that neither denominator divides the other
+    g = Polynomial.var(m.state_vars[0]) + 3
+    J = RationalFunction(g, g)
+    assert J == maps.jacobian(m)[1] and J.den == g
+    return m, J, P
+
+
+def _weierstrass(*args, power=1):
+    case = cases.kahan_weierstrass(*args)
+    return case.additive_map, case.pencil.P2**power
+
+
+def _quartic(poly: str):
+    case = quartic_bound()
+    return case.bound_map, getattr(case, poly)
+
+
+def _beam_sym_density():
+    p = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
+    case = cases.beam_symmetric(p)
+    density = 1 - p.h**4 * case.rhs_full.derivative(x(1, 4))
+    return case.map.bind({"h": p.h}), density
+
+
+XY = Polynomial.var(x(1)) * Polynomial.var(x(2))
+NEGATIVE_CONTROLS = {
+    "quartic_invariant": (lambda: _with_map_cofactor(*_quartic("invariant_poly")), "Jd | den"),
+    # J = d^2/d^2 on the additive map and den = d^4 here: Jd is a proper divisor
+    "weierstrass_symbolic_squared": (
+        lambda: _with_map_cofactor(*_weierstrass(power=2)),
+        "Jd | den",
+    ),
+    "quartic_density": (lambda: _with_map_cofactor(*_quartic("density_poly")), "den | Jd"),
+    "beam_sym_density": (lambda: _with_map_cofactor(*_beam_sym_density()), "den | Jd"),
+    "lv_xy": (lambda: _with_map_cofactor(RELATION_MAPS["lv"](), XY), "den | Jd"),
+    "lv_xy_symbolic": (lambda: _with_map_cofactor(cases.lotka_volterra().map, XY), "den | Jd"),
+    "weierstrass_unit_over_g": (
+        lambda: _with_unit_cofactor_over(*_weierstrass(3, 1, Fraction(1, 2))),
+        "neither",
+    ),
+    "weierstrass_symbolic_unit_over_g": (
+        lambda: _with_unit_cofactor_over(*_weierstrass()),
+        "neither",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+def test_certification_passes_darboux_and_rejects_perturbed_in_each_branch(name):
+    build, branch = NEGATIVE_CONTROLS[name]
+    m, J, P = build()
+    perturbed = P + Polynomial.var(m.state_vars[0])
+    assert _branch(m, J, P) == _branch(m, J, perturbed) == branch
+    cert = darboux._certify(P, m, J)
+    assert cert.valid and cert.P == P.primitive()
+    with pytest.raises(darboux.CofactorMismatch):
+        darboux._certify(perturbed, m, J)
+
+
+def test_cofactor_mismatch_message_is_short():
+    # P1 = 1 - (h/2)^2 a2 a3 x1^2 of the Euler top is Darboux under the
+    # square root of J, not under J; the residual has thousands of characters
+    p1 = 1 + Fraction(1, 200) * Polynomial.var(x(1)) ** 2
+    with pytest.raises(darboux.CofactorMismatch) as failure:
+        darboux.verify_darboux(p1, RELATION_MAPS["euler_top"]())
+    message = str(failure.value)
+    assert len(message) < 300
+    assert "terms of degree" in message and "leading term" in message
+
+
+def test_certification_cache_records_its_cofactor():
+    case = quartic_bound()
+    J = maps.jacobian(case.bound_map)[1]
+    assert darboux._certify(case.density_poly, case.bound_map, J).valid
+    with pytest.raises(darboux.CofactorMismatch):
+        darboux._certify(case.density_poly, case.bound_map, J * 2)
+    assert darboux._certify(case.density_poly, case.bound_map, J).valid
