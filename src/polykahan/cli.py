@@ -396,10 +396,11 @@ def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path) -> list[str]:
         sysv = bundle.system
         if sysv is None:
             raise ValidationError("init_ode needs a polynomial system")
-        n = sysv.order
-        times = [k * float(cfg.h) for k in range(n)]
+        # One sample per window level; the map's N components lead each
+        # sample (the weierstrass map steps x alone, its system is in (x, p)).
+        times = [k * float(cfg.h) for k in range(bundle.map.n)]
         samples = maps.reference_solution(sysv, cfg.init_ode, times, float(cfg.h) / 100.0)
-        init = [float(s[j]) for s in samples for j in range(sysv.dim)]
+        init = [float(s[j]) for s in samples for j in range(bundle.map.N)]
     if len(init) != bundle.map.dim:
         raise ValidationError(
             f"init needs {bundle.map.dim} values, got {len(init)}"

@@ -33,7 +33,7 @@ from typing import Sequence
 from . import linalg
 from .maps import BirationalMap, jacobian
 from .poly import DenominatorVanished, try_divide
-from .poly import Monomial, Polynomial, RationalFunction, Var, _grlex_key, _powers, param, x
+from .poly import Monomial, Polynomial, RationalFunction, Var, _compose, _grlex_key, _powers, param, x
 
 _EXTRA_ROWS = 2  # rows per batch beyond the number of ansatz monomials
 
@@ -196,36 +196,9 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
 
 
 def pullback(m: BirationalMap, P: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """(num, den) with P(Phi) = num/den exactly; parameters may stay symbolic.
-
-    Coordinates that Phi only shifts (Phi_v a bare variable) are renamed.
-    Terms are grouped by their exponents e_v in the solved coordinates,
-    Phi_v = n_v/d_v, and each group times prod_v n_v^e_v d_v^(E_v - e_v),
-    E_v = deg_v P, from tables cached per v and E_v; den = prod_v d_v^E_v."""
-    renames, solved = {}, {}
-    for v, rf in zip(m.state_vars, m.forward):
-        if rf.den == 1 and rf.num == Polynomial.var(w := next(iter(rf.num.vars()), v)):
-            renames[v] = w
-        elif E := P.degree_in({v}):
-            solved[v] = rf, E
-    groups: dict[tuple[int, ...], list] = {}
-    for mono, c in P.terms():
-        rest = [(renames.get(v, v), e) for v, e in mono.factors if v not in solved]
-        key = tuple(mono.exponent(v) for v in solved)
-        groups.setdefault(key, []).append((Monomial.from_pairs(rest), c))
-    tables = []
-    for v, (rf, E) in solved.items():
-        if ("pullback", v, E) not in m._cache:
-            npow, dpow = _powers(rf.num, E), _powers(rf.den, E)
-            m._cache["pullback", v, E] = [npow[e] * dpow[E - e] for e in range(E + 1)]
-        tables.append(m._cache["pullback", v, E])
-    num = []
-    for key, pairs in groups.items():
-        g = Polynomial(pairs)
-        for t, e in zip(tables, key):
-            g = g * t[e]
-        num.extend(g.terms())
-    return Polynomial(num), math.prod((t[0] for t in tables), start=Polynomial.const(1))
+    """(num, den) with P(Phi) = num/den exactly, from ``poly._compose`` with its
+    tables kept per map; parameters may stay symbolic."""
+    return _compose(P, dict(zip(m.state_vars, m.forward)), m._cache.setdefault("pullback", {}))
 
 
 def _certify(P: Polynomial, m: BirationalMap, J: RationalFunction) -> DarbouxCertificate:

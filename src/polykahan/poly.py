@@ -21,6 +21,7 @@ polynomial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -398,40 +399,12 @@ class Polynomial:
         """Exact composition: replace variables by rational functions.
 
         Values of ``sigma`` may be RationalFunction, Polynomial, Var or
-        scalars; unmapped variables stay fixed.  The result is computed over
-        one common denominator so no intermediate blowup occurs.
+        scalars; unmapped variables stay fixed.  The result is num/den from
+        :func:`_compose`, over the common denominator prod_v d_v^E_v.
         """
-        subs: dict[Var, RationalFunction] = {}
         relevant = self.vars()
-        for v, val in sigma.items():
-            if v in relevant:
-                subs[v] = _coerce_rational(val)
-        if not subs:
-            return RationalFunction(self)
-        for v, rf in subs.items():
-            if rf.den.is_zero():
-                raise DenominatorVanished(f"substitution for {v} has zero denominator")
-        # Per-variable exponent ceiling fixes the common denominator.
-        emax = {v: 0 for v in subs}
-        for m, _ in self._terms.items():
-            for v in subs:
-                emax[v] = max(emax[v], m.exponent(v))
-        num_pows = {v: _powers(subs[v].num, emax[v]) for v in subs}
-        den_pows = {v: _powers(subs[v].den, emax[v]) for v in subs}
-        num_terms: list[tuple[Monomial, Fraction]] = []
-        for m, c in self._terms.items():
-            piece = Polynomial.monomial(
-                Monomial.from_pairs([(v, e) for v, e in m.factors if v not in subs]), c
-            )
-            for v in subs:
-                e = m.exponent(v)
-                piece = piece * num_pows[v][e] * den_pows[v][emax[v] - e]
-            num_terms.extend(piece.terms())
-        num = Polynomial(num_terms)
-        den = Polynomial.const(1)
-        for v in subs:
-            den = den * den_pows[v][emax[v]]
-        return RationalFunction(num, den)
+        subs = {v: _coerce_rational(val) for v, val in sigma.items() if v in relevant}
+        return RationalFunction(*_compose(self, subs, {}))
 
     def subs_poly(self, sigma: Mapping[Var, object]) -> "Polynomial":
         """Substitution whose result must be polynomial (constant denominator)."""
@@ -535,6 +508,40 @@ def _coerce_rational(v) -> "RationalFunction":
     return RationalFunction(p)
 
 
+def _compose(p: Polynomial, subs: Mapping[Var, "RationalFunction"], tables: dict):
+    """(num, den) with p(subs) = num/den exactly; the one composition routine.
+
+    A value that is a bare variable renames it, all renames at once.  The
+    other terms are grouped by their exponents e_v in the variables
+    v -> n_v/d_v left, and each group is multiplied by prod_v n_v^e_v
+    d_v^(E_v - e_v), E_v = deg_v p, read from ``tables[v, E_v]`` and filled
+    there on first use; den = prod_v d_v^E_v."""
+    renames, solved = {}, {}
+    for v, rf in subs.items():
+        if rf.den == 1 and rf.num == Polynomial.var(w := next(iter(rf.num.vars()), v)):
+            renames[v] = w
+        elif E := p.degree_in({v}):
+            solved[v] = rf, E
+    groups: dict[tuple[int, ...], list] = {}
+    for mono, c in p.terms():
+        rest = [(renames.get(v, v), e) for v, e in mono.factors if v not in solved]
+        key = tuple(mono.exponent(v) for v in solved)
+        groups.setdefault(key, []).append((Monomial.from_pairs(rest), c))
+    rows = []
+    for v, (rf, E) in solved.items():
+        if (v, E) not in tables:
+            npow, dpow = _powers(rf.num, E), _powers(rf.den, E)
+            tables[v, E] = [npow[e] * dpow[E - e] for e in range(E + 1)]
+        rows.append(tables[v, E])
+    num = []
+    for key, pairs in groups.items():
+        g = Polynomial(pairs)
+        for row, e in zip(rows, key):
+            g = g * row[e]
+        num.extend(g.terms())
+    return Polynomial(num), math.prod((row[0] for row in rows), start=Polynomial.const(1))
+
+
 def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     """Exact polynomial quotient p/q, or None when q does not divide p."""
     if q.is_zero():
@@ -544,12 +551,12 @@ def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     if p.is_zero():
         return Polynomial()
     universe = tuple(sorted(p.vars() | q.vars(), key=lambda v: v.sort_key()))
-    q_sorted = sorted(q.terms(), key=lambda it: _grlex_key(it[0], universe), reverse=True)
-    qm, qc = q_sorted[0]
+    grlex = functools.cache(lambda m: _grlex_key(m, universe))  # once per monomial
+    qm, qc = max(q.terms(), key=lambda it: grlex(it[0]))
     quotient: list[tuple[Monomial, Fraction]] = []
     rem = p
     while not rem.is_zero():
-        rm, rc = max(rem.terms(), key=lambda it: _grlex_key(it[0], universe))
+        rm, rc = max(rem.terms(), key=lambda it: grlex(it[0]))
         # Leading-term division: fail fast if the monomial does not divide.
         if any(rm.exponent(v) < e for v, e in qm.factors):
             return None

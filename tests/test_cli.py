@@ -452,6 +452,17 @@ def test_a_preset_accepts_the_keys_it_reads():
     assert parse_config("preset = weierstrass\nb = 2\nd = -3\n").params == {"b": 2, "d": -3}
 
 
+def test_init_ode_seeds_the_weierstrass_window_with_positions(tmp_path):
+    # the map steps x on the window (x, x'); its system is first order in (x, p)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = weierstrass\ninit_ode = 1.05, 0.2\nsteps = 3\n")
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    initial = next(ln for ln in lines if ln.startswith("initial = "))
+    values = [float(v) for v in initial.removeprefix("initial = ")[1:-1].split(",")]
+    assert values == pytest.approx([1.05, 1.0694181476771458], abs=1e-9)
+
+
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings must not reach stderr
 def test_a_non_finite_reference_oracle_is_a_numeric_failure(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polykahan import cases, darboux, linalg, maps
-from polykahan.poly import DenominatorVanished, Monomial, Polynomial, RationalFunction, param, try_divide, x
+from polykahan.poly import DenominatorVanished, Monomial, Polynomial, RationalFunction, Var, param, try_divide, x
 from polykahan.scheme import H, PolyOdeSystem, discretize
 
 X0 = Polynomial.var(x(1, 0))
@@ -603,6 +603,25 @@ def test_pullback_equals_substitution(name, data):
     num, den = darboux.pullback(m, P)
     s = P.substitute(dict(zip(m.state_vars, m.forward)))
     assert _same_quotient(num, den, s.num, s.den)
+
+
+@pytest.mark.parametrize("name", [*sorted(RELATION_MAPS), "quartic_symbolic"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pullback_agrees_with_evaluation_at_rational_points(name, data):
+    # independent of Polynomial.substitute: num/den at a point is P at the
+    # point's image, wherever Phi is defined there
+    m = _pullback_map(name)
+    P = data.draw(_polynomials([*m.state_vars, H, param("a"), param("alpha")]))
+    num, den = darboux.pullback(m, P)
+    free = P.vars().union(m.state_vars, *(rf.vars() for rf in m.forward))
+    values = st.fractions(-9, 9, max_denominator=7)
+    point = {v: data.draw(values) for v in sorted(free, key=Var.sort_key)}
+    try:
+        image = {v: rf.eval(point) for v, rf in zip(m.state_vars, m.forward)}
+    except DenominatorVanished:
+        assume(False)
+    assert num.eval(point) / den.eval(point) == P.eval({**point, **image})
 
 
 def _branch(m, J, P) -> str:

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polykahan import linalg
@@ -155,6 +155,32 @@ def test_substitute_then_eval_commutes():
         except DenominatorVanished:
             continue
         assert composed.eval(pt) == p.eval(inner)
+
+
+_A, _H = param("a"), param("h")
+SUBSTITUTIONS = {
+    "swap": {x(1): x(2), x(2): x(1)},
+    "chain": {x(1): x(2), x(2): RationalFunction(X * Y - Polynomial.var(_A), 1 + X**2)},
+    "bind": {_A: Polynomial.const(Fraction(3, 2)), _H: Polynomial.const(Fraction(1, 10))},
+    "negate_h": {_H: Polynomial.var(_H) * -1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSTITUTIONS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_substitute_agrees_with_evaluation_at_rational_points(name, data):
+    # all values at once: a swap or a chain read the original variables
+    sigma = SUBSTITUTIONS[name]
+    variables = [x(1), x(2), _A, _H]
+    monomials = st.lists(st.sampled_from(variables), max_size=3).map(
+        lambda vs: Monomial.from_pairs([(v, 1) for v in vs])
+    )
+    terms = st.lists(st.tuples(monomials, st.fractions(-6, 6, max_denominator=5)), max_size=6)
+    p = Polynomial(data.draw(terms))
+    point = {v: data.draw(st.fractions(-9, 9, max_denominator=7)) for v in variables}
+    image = {v: point[f] if isinstance(f, Var) else f.eval(point) for v, f in sigma.items()}
+    assert p.substitute(sigma).eval(point) == p.eval({**point, **image})
 
 
 def test_rational_equality_cross_multiplied():
