@@ -7,6 +7,8 @@ tests can compare the generic machinery against the known answers by exact
 polynomial identity.  The beam gets two discretizations: the shift-averaged
 one (measure-preserving) and a variational one derived from a discrete
 Lagrangian (symplectic); both are analyzed around their fixed points.
+The float checks take numpy from ``maps._numpy``, the one loader, and
+evaluate their quotients through ``maps._eval_rational_batch``.
 """
 
 from __future__ import annotations
@@ -326,45 +328,6 @@ def beam_symmetric(p: BeamParams) -> BeamSymmetricCase:
     )
 
 
-_NUMPY_NAMES = ("np", "_OMEGA")
-
-
-def _numpy():
-    """Bind ``_NUMPY_NAMES`` in this module on the first call, through
-    ``maps._numpy``; the float checks call it first."""
-    global np, _OMEGA
-    if "_OMEGA" in globals():  # bound last
-        return
-    np = maps._numpy()
-    _OMEGA = np.array(
-        [
-            [0.0, 0.0, -1.0, 0.0],
-            [0.0, 0.0, 0.0, -1.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-        ]
-    )
-
-
-def __getattr__(name: str):
-    # PEP 562: reading a name of _NUMPY_NAMES from outside loads numpy first.
-    if name in _NUMPY_NAMES:
-        _numpy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _eval_rational_batch(rfs, variables, states) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each rational function at each state, num over den as
-    RationalFunction.eval divides them, and a mask of the states at which
-    no denominator vanishes (where eval would raise)."""
-    values = maps.eval_batch([q for rf in rfs for q in (rf.num, rf.den)], variables, states)
-    nums, dens = values[0::2], values[1::2]
-    with np.errstate(all="ignore"):
-        quotients = [n / d for n, d in zip(nums, dens)]
-    return quotients, np.logical_and.reduce([d != 0 for d in dens])
-
-
 @dataclass
 class MeasureReport:
     symmetry_holds: bool  # dF/d(lowest) equals dF/d(highest) as functions
@@ -383,21 +346,19 @@ def beam_measure_check(
     density 1/(1 - h^4 H) is invariant.  The exponent is the scheme's order:
     clearing Delta^4 w = F of its h^(-4) prefactor puts h^4 on the load.
     """
-    _numpy()
     F = case.rhs_full
     G = F.derivative(x(1, 0))
     Hi = F.derivative(x(1, 4))
     _, det = maps.jacobian(case.map)
     h = float(case.params.h)
     window = [x(1, k) for k in range(5)]
+    pairs = [(rf.num, rf.den) for rf in (case.map.forward[-1], det)]
     rng = random.Random(seed)
     worst = 0.0
     done = 0
     while done < n_points:
         states = [[rng.uniform(-1.0, 1.0) for _ in range(4)] for _ in range(n_points - done)]
-        (w4, det_val), ok = _eval_rational_batch(
-            [case.map.forward[-1], det], [*window[:4], H], [s + [h] for s in states]
-        )
+        (w4, det_val), ok = maps._eval_rational_batch(pairs, [*window[:4], H], [s + [h] for s in states])
         # G reads w^(1..4), H reads w^(0..3): one window binds both
         g_val, h_val = maps.eval_batch([G, Hi], window, [s + [w] for s, w in zip(states, w4)])
         for good, d, g, hv in zip(ok, det_val.tolist(), g_val.tolist(), h_val.tolist()):
@@ -612,7 +573,9 @@ def symplecticity_check(
     satisfy M^T Omega M = Omega; the defect is the worst infinity-norm gap
     over random window states.
     """
-    _numpy()
+    np = maps._numpy()
+    omega = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0],  # the two-form on (q, p)
+                      [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     h = float(case.params.h)
     # Canonical coordinates as polynomials on the map's own 0..3 window
     c_polys = [Polynomial.var(x(1, 2)), Polynomial.var(x(1, 3)), *case.lagrangian.momenta()]
@@ -620,6 +583,7 @@ def symplecticity_check(
     variables = [*case.map.state_vars, H]
     dC = [q.derivative(v) for q in c_polys for v in case.map.state_vars]
     Jm, _ = maps.jacobian(case.map)
+    pairs = [(rf.num, rf.den) for row in Jm for rf in row]
     rng = random.Random(seed)
     worst = 0.0
     done = 0
@@ -634,7 +598,7 @@ def symplecticity_check(
                 resampled += 1
                 continue
             states.append(s + [h])
-        dphi, ok = _eval_rational_batch([rf for row in Jm for rf in row], variables, states)
+        dphi, ok = maps._eval_rational_batch(pairs, variables, states)
         dphi = np.array(dphi).T.reshape(-1, 4, 4)
         C_here, C_image = (
             np.array(maps.eval_batch(dC, variables, pts)).T.reshape(-1, 4, 4) / c_scale
@@ -648,7 +612,7 @@ def symplecticity_check(
             if M is None:
                 resampled += 1
                 continue
-            worst = max(worst, float(np.max(np.abs(M.T @ _OMEGA @ M - _OMEGA))))
+            worst = max(worst, float(np.max(np.abs(M.T @ omega @ M - omega))))
             done += 1
     return SymplecticityReport(defect=worst, samples=n_states, resampled=resampled)
 

@@ -81,6 +81,8 @@ def parse_poly(text: str, line: int | None = None) -> Polynomial:
                 # bare digits can only follow apostrophes; otherwise the
                 # greedy component match has already absorbed them
                 exp = int(exp_caret or exp_bare or 1)
+                if int(comp) == 0:  # x0 is the library's constant 1, not a state
+                    raise ParseError("state components start at 1", line)
                 factors.append((x(int(comp), len(ticks) - len(unders)), exp))
                 continue
             m = _PARAM_RE.match(factor)
@@ -389,18 +391,18 @@ def write_svg(path: Path, xs: list[float], ys: list[float]):
 
 
 def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path) -> list[str]:
-    init = cfg.init or bundle.default_init
-    if init is None:
-        raise ValidationError("this run needs 'init' (window values)")
-    if cfg.init_ode is not None:
-        sysv = bundle.system
-        if sysv is None:
+    if cfg.init_ode is not None:  # init_ode fixes the window; it wins over init
+        if bundle.system is None:
             raise ValidationError("init_ode needs a polynomial system")
         # One sample per window level; the map's N components lead each
         # sample (the weierstrass map steps x alone, its system is in (x, p)).
         times = [k * float(cfg.h) for k in range(bundle.map.n)]
-        samples = maps.reference_solution(sysv, cfg.init_ode, times, float(cfg.h) / 100.0)
+        samples = maps.reference_solution(bundle.system, cfg.init_ode, times, float(cfg.h) / 100.0)
         init = [float(s[j]) for s in samples for j in range(bundle.map.N)]
+    else:
+        init = cfg.init or bundle.default_init
+        if init is None:
+            raise ValidationError("this run needs 'init' (window values)")
     if len(init) != bundle.map.dim:
         raise ValidationError(
             f"init needs {bundle.map.dim} values, got {len(init)}"
@@ -426,9 +428,10 @@ def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path) -> list[str]:
         lines.append(f"max scheme residual = {worst!r}")
     if bundle.invariant_pair is not None and orbit.points:
         states = [pt + [float(cfg.h)] for pt in orbit.points]
+        variables = [*bundle.map.state_vars, H]
         try:
-            den, num = maps.eval_batch(bundle.invariant_pair, [*bundle.map.state_vars, H], states)
-            vals = (num[den != 0] / den[den != 0]).tolist()
+            (ratio,), ok = maps._eval_rational_batch([bundle.invariant_pair[::-1]], variables, states)
+            vals = ratio[ok].tolist()
         except ValueError:  # a variable the orbit does not bind: no ratio
             vals = []
         if vals:

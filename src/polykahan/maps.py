@@ -23,10 +23,12 @@ once per orbit, and ``step``/``step_back`` call it for one step.  Residuals
 and ``eval_batch`` evaluate each polynomial once over a whole batch, where
 the loop ``_ceval`` costs less than generating code would.
 
-numpy is imported by the first float call, not with the module: each float
-entry point first calls ``_numpy``, which binds ``np``, ``_umath_linalg``,
-``_solve_errstate`` and ``_Batch`` here once.  The exact layer (solving,
-``jacobian``, ``eval_exact`` and all of ``darboux``) never loads numpy.
+numpy is imported by the first float call: ``_numpy``, the package's one
+loader, binds ``_NUMPY_NAMES`` here once, and every float entry point
+reaches it before its first use of numpy.  ``_eval_rational_batch`` is the
+one batch evaluator of quotients (with a mask where a denominator
+vanishes).  The exact layer (solving, ``jacobian``, ``eval_exact`` and all
+of ``darboux``) never loads numpy.
 """
 
 from __future__ import annotations
@@ -213,8 +215,8 @@ _NUMPY_NAMES = ("np", "_umath_linalg", "_solve_errstate", "_Batch")
 
 def _numpy():
     """Bind ``_NUMPY_NAMES`` in this module on the first call, and return
-    numpy.  Every float entry point calls it first; the exact layer never
-    does, so importing polykahan does not import numpy."""
+    numpy.  Every float entry point reaches it before it uses numpy; the
+    exact layer never does, so importing polykahan does not import numpy."""
     global np, _umath_linalg, _solve_errstate, _Batch
     if "_Batch" in globals():  # bound last
         return np
@@ -239,14 +241,6 @@ def _numpy():
             return plain if e == 1 else np.float_power(plain, e)
 
     return np
-
-
-def __getattr__(name: str):
-    # PEP 562: reading a name of _NUMPY_NAMES from outside loads numpy first.
-    if name in _NUMPY_NAMES:
-        _numpy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _condition(A: np.ndarray) -> float | None:
@@ -387,6 +381,17 @@ def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) ->
         return [np.broadcast_to(_ceval(_compile(p, slots, {}), batch), len(states)) for p in polys]
 
 
+def _eval_rational_batch(pairs, variables, states) -> tuple[list[np.ndarray], np.ndarray]:
+    """num/den for each (num, den) pair at each state, as RationalFunction.eval
+    divides (a RationalFunction would rescale the pair), and a mask of the
+    states at which no denominator vanishes (where eval raises)."""
+    values = eval_batch([q for pair in pairs for q in pair], variables, states)
+    nums, dens = values[0::2], values[1::2]
+    with np.errstate(all="ignore"):
+        quotients = [n / d for n, d in zip(nums, dens)]
+    return quotients, np.logical_and.reduce([d != 0 for d in dens])
+
+
 def _steps(m: BirationalMap, points: list, h: float, direction: str, steps: int) -> list:
     """Append ``steps`` windows to ``points``; N >= 2 solves under ``_solve_errstate()``."""
     _numpy()
@@ -482,7 +487,6 @@ def jacobian(
 def linearize_at(m: BirationalMap, p: Sequence[float], h: float) -> np.ndarray:
     """Numeric Jacobian at an (approximate) fixed point of the map; raises
     NotFixedPoint when one step moves a coordinate of p by more than 1e-9."""
-    _numpy()
     image = step(m, p, h)
     err = max(abs(a - b) for a, b in zip(image, p))
     if err > 1e-9:
@@ -686,9 +690,11 @@ def convergence_order(
     position and derivatives), the map is iterated to time T, and the slope
     of log(error) against log(h) is fit by least squares.  The oracle steps
     at a hundredth of the smallest h.  Steps where the map hits a
-    singularity are excluded and reported.
-    """
-    _numpy()
+    singularity are excluded and reported; an h that does not divide T
+    (to 1e-9 T) raises ValueError."""
+    for h in hs:
+        if abs(round(T / h) * h - T) > 1e-9 * T:
+            raise ValueError(f"h = {h!r} does not divide T = {T!r}")
     n, N = sys.order, sys.dim
     m = solve_forward(discretize(sys))
     oracle_step = min(hs) / 100.0

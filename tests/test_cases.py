@@ -345,6 +345,9 @@ def _measure_gap_loop(case, n_points, seed):
     return worst
 
 
+OMEGA = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
 def _symplectic_loop(case, n_states, seed):
     L = case.lagrangian
     h = float(case.params.h)
@@ -383,7 +386,7 @@ def _symplectic_loop(case, n_states, seed):
         except (ZeroDivisionError, DenominatorVanished, np.linalg.LinAlgError):
             resampled += 1
             continue
-        worst = max(worst, float(np.max(np.abs(M.T @ cases._OMEGA @ M - cases._OMEGA))))
+        worst = max(worst, float(np.max(np.abs(M.T @ OMEGA @ M - OMEGA))))
         done += 1
     return worst, resampled
 
@@ -445,7 +448,7 @@ def test_symplecticity_check_resamples_like_the_loop(seed, monkeypatch):
 def test_eval_rational_batch_masks_vanishing_denominators():
     a = x(1)
     rf = RationalFunction(Polynomial.const(1), Polynomial.var(a) - 1)
-    (vals,), ok = cases._eval_rational_batch([rf], [a], [[3.0], [1.0], [0.5]])
+    (vals,), ok = maps._eval_rational_batch([(rf.num, rf.den)], [a], [[3.0], [1.0], [0.5]])
     assert ok.tolist() == [True, False, True]
     assert [vals[0], vals[2]] == [rf.eval({a: 3.0}), rf.eval({a: 0.5})]
     with pytest.raises(DenominatorVanished):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polykahan import cases, maps
+from polykahan import cases, darboux, maps
 from polykahan.cli import (
     ParseError,
     RunConfig,
@@ -56,6 +56,21 @@ def test_parse_poly_errors():
         parse_poly("3$x")
     with pytest.raises(ParseError):
         parse_poly("x1'^")  # caret without digits
+
+
+@pytest.mark.parametrize("text", ["x0", "x00", "x0^2*x1 + x0", "_x0", "x0'"])
+def test_parse_poly_rejects_component_zero(text):
+    # x0 is the library's dummy variable, identically 1: read as a state it vanishes
+    with pytest.raises(ParseError, match="state components start at 1") as err:
+        parse_poly(text, line=3)
+    assert err.value.line == 3
+
+
+def test_an_inline_rhs_with_component_zero_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rhs = x0*x1\norder = 1\ninit = 1\n")
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: state components start at 1\n"
 
 
 def test_parse_config_quartic():
@@ -461,6 +476,45 @@ def test_init_ode_seeds_the_weierstrass_window_with_positions(tmp_path):
     initial = next(ln for ln in lines if ln.startswith("initial = "))
     values = [float(v) for v in initial.removeprefix("initial = ")[1:-1].split(",")]
     assert values == pytest.approx([1.05, 1.0694181476771458], abs=1e-9)
+
+
+def test_an_inline_system_starts_from_init_ode_alone(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rhs = -x1^3\norder = 2\ninit_ode = 0.5, 0.1\n")
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    # the value the same config gives with a dummy init = 0, 0, which init_ode overrides
+    assert "initial = [0.5, 0.5093627791014232]" in (tmp_path / "o" / "report.txt").read_text()
+    cfg.write_text("rhs = -x1^3\norder = 2\n")
+    capsys.readouterr()
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "n")]) == 2
+    assert capsys.readouterr().err == "config error: this run needs 'init' (window values)\n"
+
+
+N4_CONFIG = "rhs = x2; x3; x4; -x1\norder = 1\ninit = 1, 0, 0, 0\nsteps = 20\n"
+
+
+def test_a_system_above_the_symbolic_limit_reports_without_a_map_section(tmp_path):
+    # N = 4 > SYMBOLIC_DIM_LIMIT: the map steps through the numeric solve alone
+    cfg = tmp_path / "n4.cfg"
+    cfg.write_text(N4_CONFIG)
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    lines = (tmp_path / "r" / "report.txt").read_text().splitlines()
+    assert "[scheme]" in lines and "[map]" not in lines
+    assert "status = complete" in lines and "points = 21" in lines
+    residual = next(ln for ln in lines if ln.startswith("max scheme residual = "))
+    assert float(residual.removeprefix("max scheme residual = ")) < 1e-12
+
+
+def test_a_map_above_the_symbolic_limit_has_no_exact_layer():
+    m = build_case(parse_config(N4_CONFIG)).map
+    assert m.N > maps.SYMBOLIC_DIM_LIMIT and m.forward is None
+    bound = m.bind({"h": Fraction(1, 10)})
+    with pytest.raises(ValueError, match="no symbolic forward map"):
+        maps.jacobian(bound)
+    with pytest.raises(ValueError, match="no symbolic forward map"):
+        maps.eval_exact(bound, [1, 0, 0, 0], Fraction(1, 10))
+    with pytest.raises(ValueError, match="Darboux search needs the symbolic map"):
+        darboux.find_darboux(bound, 1)
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings must not reach stderr

@@ -343,6 +343,14 @@ def test_convergence_order_two_for_newton_case():
     assert rep.slope == pytest.approx(2.0, abs=0.3)
 
 
+@pytest.mark.parametrize("hs", [[0.3], [0.1, 0.07]])
+def test_convergence_order_rejects_an_h_that_does_not_divide_t(hs):
+    # round(1/0.3) = 3 steps end at 0.9, where the error against the oracle at T means nothing
+    case = quartic_numeric(1, 0, 1, 0)
+    with pytest.raises(ValueError, match=rf"h = {hs[-1]} does not divide T = 1\.0"):
+        maps.convergence_order(case.system, [0.3, 0.0], 1.0, hs)
+
+
 def test_convergence_beam_at_least_order_one():
     p = cases.BeamParams(1, -2, Fraction(3, 4), Fraction(1, 10))
     case = cases.beam_symmetric(p)
@@ -570,6 +578,7 @@ def test_first_order_field_equals_the_ceval_loop_on_an_rk4_sample(name):
 
 # -- the N >= 2 solve: numpy's gufunc under np.linalg.solve's error state --------
 
+maps._numpy()
 _GUFUNC = maps._umath_linalg
 
 

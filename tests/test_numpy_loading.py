@@ -65,10 +65,8 @@ FLOAT_ENTRY_POINTS = {
 def test_each_float_entry_point_loads_numpy_when_it_is_the_first_float_call(
     monkeypatch, lv, beam, entry
 ):
-    # Under pytest numpy may be loaded already: unbind what the loaders bind,
-    # cases first, since reading its names loads maps' names again.
-    for module in (cases, maps):
-        for name in module._NUMPY_NAMES:
-            monkeypatch.delattr(module, name)
+    # Under pytest numpy may be loaded already: unbind what the loader binds.
+    for name in maps._NUMPY_NAMES:
+        monkeypatch.delattr(maps, name, raising=False)
     FLOAT_ENTRY_POINTS[entry](lv, beam)
     assert all(name in vars(maps) for name in maps._NUMPY_NAMES)
