@@ -294,7 +294,6 @@ class BeamSymmetricCase:
     params: BeamParams
     system: PolyOdeSystem
     scheme: ImplicitScheme  # window 0..4
-    recentred: ImplicitScheme  # window -2..2 for display/comparison
     map: BirationalMap
     rhs_full: Polynomial  # shift-averaged load on the 0..4 window
     expected_quartic: Polynomial  # on the -2..2 window
@@ -320,7 +319,6 @@ def beam_symmetric(p: BeamParams) -> BeamSymmetricCase:
         params=p,
         system=sys,
         scheme=sch,
-        recentred=sch.recentered(-2),
         map=solve_forward(sch),
         rhs_full=symmetrize(rhs, 4),
         expected_quartic=subsets(4, p.a / 5),
@@ -600,10 +598,8 @@ def symplecticity_check(
             states.append(s + [h])
         dphi, ok = maps._eval_rational_batch(pairs, variables, states)
         dphi = np.array(dphi).T.reshape(-1, 4, 4)
-        C_here, C_image = (
-            np.array(maps.eval_batch(dC, variables, pts)).T.reshape(-1, 4, 4) / c_scale
-            for pts in (states, images)
-        )
+        C = np.array(maps.eval_batch(dC, variables, states + images)).T.reshape(-1, 4, 4) / c_scale
+        C_here, C_image = C[: len(states)], C[len(states) :]  # dC compiled once per batch
         for good, C_im, D, C_at in zip(ok, C_image, dphi, C_here):
             try:  # not good: a Jacobian denominator vanished
                 M = C_im @ D @ np.linalg.inv(C_at) if good else None

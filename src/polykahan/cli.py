@@ -216,6 +216,8 @@ def parse_config(text: str) -> RunConfig:
             cfg.preset = value
         elif key == "rhs":
             cfg.rhs_text = [part.strip() for part in value.split(";") if part.strip()]
+            for part in cfg.rhs_text:  # fail here, with the line, before any output
+                parse_poly(part, lineno)
         elif key == "order":
             cfg.order = _integer(value, lineno)
         elif key == "dim":
@@ -257,7 +259,6 @@ def parse_config(text: str) -> RunConfig:
 
 @dataclass
 class CaseBundle:
-    name: str
     system: PolyOdeSystem | None
     scheme: ImplicitScheme
     map: maps.BirationalMap  # h symbolic
@@ -285,10 +286,10 @@ def build_case(cfg: RunConfig) -> CaseBundle:
         m = maps.solve_forward(sch)
         if cfg.params:
             m = m.bind(cfg.params)
-        return CaseBundle("inline", sys_, sch, m)
+        return CaseBundle(sys_, sch, m)
     if cfg.preset == "lv":
         case = cases.lotka_volterra(cfg.params.get("alpha", Fraction(1)))
-        return CaseBundle("lv", case.system, case.scheme, case.map, default_init=[1.2, 0.9])
+        return CaseBundle(case.system, case.scheme, case.map, default_init=[1.2, 0.9])
     if cfg.preset == "quartic":
         qp = cases.QuarticParams(
             cfg.params.get("a", 1),
@@ -299,7 +300,6 @@ def build_case(cfg: RunConfig) -> CaseBundle:
         )
         case = cases.quartic_oscillator(qp)
         return CaseBundle(
-            "quartic",
             case.system,
             case.scheme,
             case.map,
@@ -313,7 +313,6 @@ def build_case(cfg: RunConfig) -> CaseBundle:
             cfg.params.get("b", 1), cfg.params.get("d", -1), cfg.h
         )
         return CaseBundle(
-            "weierstrass",
             case.system,
             case.additive_scheme,
             case.additive_map,
@@ -325,12 +324,12 @@ def build_case(cfg: RunConfig) -> CaseBundle:
     if cfg.preset == "beam-sym":
         case = cases.beam_symmetric(p)
         return CaseBundle(
-            "beam-sym", case.system, case.scheme, case.map,
+            case.system, case.scheme, case.map,
             default_init=[w0] * 4, beam_sym=case,
         )
     case = cases.beam_lagrangian(p)
     return CaseBundle(
-        "beam-lag", None, case.scheme, case.map, default_init=[w0] * 4, beam_lag=case,
+        None, case.scheme, case.map, default_init=[w0] * 4, beam_lag=case,
     )
 
 
@@ -352,30 +351,27 @@ def write_csv(path: Path, orbit: maps.Orbit, names: list[str]):
 
 def write_svg(path: Path, xs: list[float], ys: list[float]):
     width, height, margin = 640.0, 480.0, 40.0
-    if not xs:
-        body = ""
-    else:
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        xspan = (xmax - xmin) or 1.0
-        yspan = (ymax - ymin) or 1.0
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(ys), max(ys)
+    xspan = (xmax - xmin) or 1.0
+    yspan = (ymax - ymin) or 1.0
 
-        def sx(v):
-            return margin + (v - xmin) / xspan * (width - 2 * margin)
+    def sx(v):
+        return margin + (v - xmin) / xspan * (width - 2 * margin)
 
-        def sy(v):
-            return height - margin - (v - ymin) / yspan * (height - 2 * margin)
+    def sy(v):
+        return height - margin - (v - ymin) / yspan * (height - 2 * margin)
 
-        pts = " ".join(f"{sx(a):.3f},{sy(b):.3f}" for a, b in zip(xs, ys))
-        body = (
-            f'  <polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="0.8"/>\n'
+    pts = " ".join(f"{sx(a):.3f},{sy(b):.3f}" for a, b in zip(xs, ys))
+    body = (
+        f'  <polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="0.8"/>\n'
+    )
+    if len(xs) <= 200:
+        dots = "".join(
+            f'  <circle cx="{sx(a):.3f}" cy="{sy(b):.3f}" r="1.6" fill="#a83232"/>\n'
+            for a, b in zip(xs, ys)
         )
-        if len(xs) <= 200:
-            dots = "".join(
-                f'  <circle cx="{sx(a):.3f}" cy="{sy(b):.3f}" r="1.6" fill="#a83232"/>\n'
-                for a, b in zip(xs, ys)
-            )
-            body += dots
+        body += dots
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">\n'
@@ -426,14 +422,11 @@ def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path) -> list[str]:
         res = maps.orbit_residuals(bundle.map, orbit)
         worst = max(res) if all(map(math.isfinite, res)) else math.nan
         lines.append(f"max scheme residual = {worst!r}")
-    if bundle.invariant_pair is not None and orbit.points:
+    if bundle.invariant_pair is not None:
         states = [pt + [float(cfg.h)] for pt in orbit.points]
         variables = [*bundle.map.state_vars, H]
-        try:
-            (ratio,), ok = maps._eval_rational_batch([bundle.invariant_pair[::-1]], variables, states)
-            vals = ratio[ok].tolist()
-        except ValueError:  # a variable the orbit does not bind: no ratio
-            vals = []
+        (ratio,), ok = maps._eval_rational_batch([bundle.invariant_pair[::-1]], variables, states)
+        vals = ratio[ok].tolist()
         if vals:
             k0 = vals[0]
             drift = max(abs(v - k0) for v in vals) / max(abs(k0), 1e-300)
@@ -443,7 +436,7 @@ def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path) -> list[str]:
 
 
 def darboux_section(bundle: CaseBundle, cfg: RunConfig) -> list[str]:
-    m = bundle.map.bind({"h": cfg.h, **bundle_params_for_bind(bundle, cfg)})
+    m = bundle.map.bind({"h": cfg.h})
     certs = darboux.find_darboux(m, cfg.darboux_maxdeg)
     lines = [
         "[darboux]",
@@ -462,13 +455,6 @@ def darboux_section(bundle: CaseBundle, cfg: RunConfig) -> list[str]:
         measure = darboux.invariant_measure(certs[0])
         lines.append(f"invariant measure = {measure}")
     return lines
-
-
-def bundle_params_for_bind(bundle: CaseBundle, cfg: RunConfig) -> dict:
-    # Preset systems fold their numeric parameters into the ring already;
-    # inline systems may still carry named parameters.
-    free = {v.name for v in bundle.map.free_parameters()}
-    return {k: v for k, v in cfg.params.items() if k in free}
 
 
 def beam_section(bundle: CaseBundle, cfg: RunConfig) -> list[str]:

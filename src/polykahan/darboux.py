@@ -103,11 +103,7 @@ def _monomial_basis(vars_: Sequence[Var], maxdeg: int) -> list[Monomial]:
 
 
 def _require_bound(m: BirationalMap):
-    free = m.free_parameters()
-    for e in m.scheme.equations:
-        if m.scheme.step in e.vars():
-            free = free | {m.scheme.step}
-            break
+    free = {v for e in m.scheme.equations for v in e.vars() if v.is_param}
     if free:
         raise ValueError(
             f"Darboux search needs bound parameters, free: {sorted(map(str, free))}"
@@ -196,9 +192,13 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
 
 
 def pullback(m: BirationalMap, P: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """(num, den) with P(Phi) = num/den exactly, from ``poly._compose`` with its
-    tables kept per map; parameters may stay symbolic."""
-    return _compose(P, dict(zip(m.state_vars, m.forward)), m._cache.setdefault("pullback", {}))
+    """(num, den) with P(Phi) = num/den exactly, for P a polynomial in the
+    window's state variables and parameters.  The first (n-1)N components of
+    Phi are shifts, so P is shifted up one level and ``poly._compose``
+    substitutes the solved block for the top level, with its tables kept per
+    map; parameters may stay symbolic."""
+    solved = {x(j, m.n): rf for j, rf in enumerate(m.forward[-m.N:], start=1)}
+    return _compose(P.shift_states(1), solved, m._cache.setdefault("pullback", {}))
 
 
 def _certify(P: Polynomial, m: BirationalMap, J: RationalFunction) -> DarbouxCertificate:

@@ -509,22 +509,17 @@ def _coerce_rational(v) -> "RationalFunction":
 
 
 def _compose(p: Polynomial, subs: Mapping[Var, "RationalFunction"], tables: dict):
-    """(num, den) with p(subs) = num/den exactly; the one composition routine.
+    """(num, den) with p(subs) = num/den exactly, every variable of ``subs``
+    replaced at once by its RationalFunction; the one composition routine.
 
-    A value that is a bare variable renames it, all renames at once.  The
-    other terms are grouped by their exponents e_v in the variables
-    v -> n_v/d_v left, and each group is multiplied by prod_v n_v^e_v
+    The terms are grouped by their exponents e_v in the variables
+    v -> n_v/d_v, and each group is multiplied by prod_v n_v^e_v
     d_v^(E_v - e_v), E_v = deg_v p, read from ``tables[v, E_v]`` and filled
     there on first use; den = prod_v d_v^E_v."""
-    renames, solved = {}, {}
-    for v, rf in subs.items():
-        if rf.den == 1 and rf.num == Polynomial.var(w := next(iter(rf.num.vars()), v)):
-            renames[v] = w
-        elif E := p.degree_in({v}):
-            solved[v] = rf, E
+    solved = {v: (rf, E) for v, rf in subs.items() if (E := p.degree_in({v}))}
     groups: dict[tuple[int, ...], list] = {}
     for mono, c in p.terms():
-        rest = [(renames.get(v, v), e) for v, e in mono.factors if v not in solved]
+        rest = [(v, e) for v, e in mono.factors if v not in solved]
         key = tuple(mono.exponent(v) for v in solved)
         groups.setdefault(key, []).append((Monomial.from_pairs(rest), c))
     rows = []

@@ -445,6 +445,28 @@ def test_symplecticity_check_resamples_like_the_loop(seed, monkeypatch):
     assert (rep.defect, rep.resampled) == (defect, resampled)
 
 
+def test_symplecticity_check_evaluates_dC_once_per_batch(monkeypatch):
+    # reject some states so that the check draws a second batch
+    step, eval_batch = maps.step, maps.eval_batch
+    calls = []
+
+    def rejecting(m, s, h):
+        if s[0] > 0.3:
+            raise maps.SingularStep("rejected by the test")
+        return step(m, s, h)
+
+    def counting(polys, variables, states):
+        calls.append((len(polys), len(states)))
+        return eval_batch(polys, variables, states)
+
+    monkeypatch.setattr(maps, "step", rejecting)
+    monkeypatch.setattr(maps, "eval_batch", counting)
+    cases.symplecticity_check(cases.beam_lagrangian(beam_params()), seed=7)
+    jacobian = [n for k, n in calls if k == 32]  # the 16 (num, den) pairs of DPhi
+    assert len(jacobian) >= 2
+    assert [(k, n) for k, n in calls if k == 16] == [(16, 2 * n) for n in jacobian]
+
+
 def test_eval_rational_batch_masks_vanishing_denominators():
     a = x(1)
     rf = RationalFunction(Polynomial.const(1), Polynomial.var(a) - 1)

@@ -70,7 +70,15 @@ def test_an_inline_rhs_with_component_zero_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rhs = x0*x1\norder = 1\ninit = 1\n")
     assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "config error: state components start at 1\n"
+    assert capsys.readouterr().err == "config error: line 1: state components start at 1\n"
+
+
+def test_an_inline_rhs_parse_error_names_its_line_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("order = 1\nrhs = x1**2\ninit = 1\n")
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: line 2: empty factor in term 'x1**2'\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_config_quartic():

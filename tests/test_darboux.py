@@ -261,6 +261,16 @@ def test_certificate_serialization_is_canonical():
     assert text == "3*x1*x1' + 2*x1 + 2*x1' + 303"
 
 
+@pytest.mark.parametrize("make, free", [
+    (lambda: cases.lotka_volterra().map, "['alpha', 'h']"),
+    (lambda: cases.lotka_volterra(1).map, "['h']"),
+])
+def test_search_refuses_a_map_with_free_parameters(make, free):
+    with pytest.raises(ValueError) as err:
+        darboux.find_darboux(make(), 2)
+    assert str(err.value) == f"Darboux search needs bound parameters, free: {free}"
+
+
 def test_experimental_dim4_search_runs():
     p = cases.BeamParams(1, -2, Fraction(3, 4), Fraction(1, 10))
     m = cases.beam_symmetric(p).map.bind({"h": Fraction(1, 10)})
