@@ -12,6 +12,8 @@ evaluated N x N system, so larger systems iterate fine without closed forms.
 That solve is ``np.linalg.solve``'s LAPACK gufunc call,
 ``_umath_linalg.solve1`` (``dgesv``) under its error state
 ``_solve_errstate``, minus the wrapper, which costs more than the solve.
+Each orbit call stores A and -r into float64 buffers of its own; on those
+the gufunc can only pick its ``dd->d`` loop, so it is given no signature.
 Float Cramer would round differently.  Every float evaluation reads one term
 list, ``_compile``'s, in one operation order, through one of two consumers
 chosen by how the call site uses it.  The stepper and ``first_order_field``
@@ -323,7 +325,10 @@ def _stepping_function(compiled: Sequence[list], N: int, dim: int, forward: bool
     each new window appended to ``points``.  ``compiled`` holds A's entries
     row by row, then r, in the window's slots; a step solves A b = -r, by a
     division at N = 1, else by ``_umath_linalg.solve1`` under the caller's
-    ``_solve_errstate()``, and shifts the window in local variables."""
+    ``_solve_errstate()``, and shifts the window in local variables.  At
+    N >= 2 each step stores A and -r into float64 buffers made once per call
+    and local to it; on those, ``solve1`` can only run the ``dd->d`` loop
+    that ``np.linalg.solve`` names by ``signature``, so none is passed."""
     lines, coeffs = _value_lines(compiled)
     slots, block = [f"s{i}" for i in range(dim)], [f"b{j}" for j in range(N)]
     s, b = ", ".join(slots), ", ".join(block)
@@ -335,19 +340,20 @@ def _stepping_function(compiled: Sequence[list], N: int, dim: int, forward: bool
             f'    raise SingularStep(f"vanishing denominator {at}")',
         ]
     else:
-        A = ", ".join(f"v{k}" for k in range(N * N))
-        rhs = ", ".join(f"-v{k}" for k in range(N * N, N * N + N))
         solve = [
-            f"A = np.array(({A})).reshape({N}, {N})",
+            *(f"a[{k}] = v{k}" for k in range(N * N)),
+            *(f"r[{j}] = -v{N * N + j}" for j in range(N)),
             "try:",
-            f'    {b} = _umath_linalg.solve1(A, np.array(({rhs})), signature="dd->d").tolist()',
+            f"    {b} = _umath_linalg.solve1(A, r).tolist()",
             "except np.linalg.LinAlgError:",
             f'    raise SingularStep(f"singular linear system {at}", _condition(A)) from None',
             f"if not ({' and '.join(f'math.isfinite(b{j})' for j in range(N))}):",
             f'    raise SingularStep(f"non-finite solve {at}", _condition(A))',
         ]
     window = slots[N:] + block if forward else block + slots[:-N]
+    buffers = [f"a, r = np.empty({N * N}), np.empty({N})", f"A = a.reshape({N}, {N})"]
     body = [
+        *(buffers if N > 1 else []),
         f"{s}, = points[-1]",
         "for _ in range(steps):",
         "    try:",
@@ -394,6 +400,10 @@ def _eval_rational_batch(pairs, variables, states) -> tuple[list[np.ndarray], np
 
 def _steps(m: BirationalMap, points: list, h: float, direction: str, steps: int) -> list:
     """Append ``steps`` windows to ``points``; N >= 2 solves under ``_solve_errstate()``."""
+    if len(points[-1]) != m.dim:
+        raise ValueError(f"state has {len(points[-1])} values, the map's window {m.dim}")
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, not {steps}")
     _numpy()
     with _solve_errstate() if m.N > 1 else contextlib.nullcontext():
         m._stepper(h, direction)(points, steps)

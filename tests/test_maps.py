@@ -665,6 +665,72 @@ def test_an_exactly_singular_system_ends_the_orbit():
     assert (np.geterr(), np.geterrcall()) == numpy_errors
 
 
+def test_one_call_reports_the_step_it_fails_at_not_an_earlier_one():
+    # The same diag(1, x1 - 6) system, run by one call of the generated
+    # function: its reused buffers must hold the seventh step's A.
+    x1, x2, x2_next = (Polynomial.var(v) for v in (x(1), x(2), x(2, 1)))
+    eqs = (Polynomial.var(x(1, 1)) - x1 - 1, (x1 - 6) * x2_next - x2)
+    m = maps.solve_forward(ImplicitScheme(1, 2, H, eqs))
+    points = [[0.0, 1.0]]
+
+    def run(points, steps):
+        with maps._solve_errstate():
+            m._stepper(0.1, "forward")(points, steps)
+
+    got = outcome(run, points, 20)
+    assert len(points) == 7 and points[-1][0] == 6.0
+    want = outcome(ceval_step, m, points[-1], 0.1, "forward")
+    assert want[:2] == (maps.SingularStep, f"singular linear system at state {points[-1]}")
+    assert got == want
+
+
+class CountingNumpy:
+    """Stands in for ``maps.np``; counts the arrays built through it."""
+
+    BUILDERS = {"array", "asarray", "copy", "empty", "empty_like", "zeros", "ones", "full"}
+
+    def __init__(self):
+        self.built = 0
+
+    def __getattr__(self, name):
+        real = getattr(np, name)
+        if name not in self.BUILDERS:
+            return real
+
+        def counted(*args, **kwargs):
+            self.built += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("name,start", [("lv", [1.2, 0.9]), ("euler_top", [1.0, 0.5, 0.3])])
+def test_an_orbit_builds_as_many_arrays_for_1000_steps_as_for_10(monkeypatch, name, start):
+    m = benchmark_map(name)
+    built = []
+    for steps in (10, 1000):
+        counting = CountingNumpy()
+        monkeypatch.setattr(maps, "np", counting)
+        assert maps.iterate(m, start, 0.1, steps).status == "complete"
+        built.append(counting.built)
+    assert built[0] == built[1]
+
+
+@pytest.mark.parametrize("fn", [maps.iterate, maps.step, maps.step_back])
+@pytest.mark.parametrize("state", [[1.2], [1.2, 0.9, 0.3]])
+def test_a_state_of_the_wrong_length_is_a_value_error_naming_both(fn, state):
+    m = benchmark_map("lv")
+    args = (m, state, 0.1, 5) if fn is maps.iterate else (m, state, 0.1)
+    with pytest.raises(ValueError, match=f"state has {len(state)} values, the map's window 2"):
+        fn(*args)
+
+
+def test_a_negative_step_count_is_a_value_error():
+    with pytest.raises(ValueError, match="steps must be at least 0, not -1"):
+        maps.iterate(benchmark_map("lv"), [1.2, 0.9], 0.1, -1)
+    assert len(maps.iterate(benchmark_map("lv"), [1.2, 0.9], 0.1, 0).points) == 1
+
+
 def test_the_solve_error_state_is_entered_once_per_orbit_and_never_at_n_1(monkeypatch):
     entered = []
 
