@@ -73,7 +73,7 @@ def parse_poly(text: str, line: int | None = None) -> Polynomial:
                 raise ParseError(f"empty factor in term {chunk!r}", line)
             m = _NUMBER_RE.match(factor)
             if m:
-                coeff *= Fraction(factor)
+                coeff *= _fraction(factor, line)
                 continue
             m = _STATE_RE.match(factor)
             if m:
@@ -99,14 +99,15 @@ def parse_poly(text: str, line: int | None = None) -> Polynomial:
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_BEAM_LOAD = {"a", "b", "c"}  # the beam's general load; the normal form uses delta
-# The parameter sets each preset reads; a beam preset reads one of its two.
+# Each preset's parameter groups, each a dict of the keys it reads with their
+# defaults.  A beam preset reads its general load a, b, c or its normal form
+# (with epsilon) delta; the normal form is used when neither is given.
 _PRESET_PARAMS = {
-    "lv": [{"alpha"}],
-    "quartic": [{"a", "b", "c", "d"}],
-    "weierstrass": [{"b", "d"}],
-    "beam-sym": [_BEAM_LOAD, {"delta"}],
-    "beam-lag": [_BEAM_LOAD, {"delta"}],
+    "lv": ({"alpha": 1},),
+    "quartic": ({"a": 1, "b": 2, "c": 3, "d": 5},),
+    "weierstrass": ({"b": 1, "d": -1},),  # d < 0: the default orbit circles x = sqrt(-d/b)
+    "beam-sym": ({"a": 1, "b": -2, "c": Fraction(3, 4)}, {"delta": Fraction(1, 4)}),
+    "beam-lag": ({"a": 1, "b": -2, "c": Fraction(3, 4)}, {"delta": Fraction(1, 4)}),
 }
 PRESETS = tuple(_PRESET_PARAMS)
 _BEAM_KEYS = ("alpha", "beta", "epsilon")  # the weight vectors and the normal-form sign
@@ -162,14 +163,14 @@ class RunConfig:
             raise ValidationError(
                 f"inline systems do not read {', '.join(beam_keys)}; only the beam presets do"
             )
-        mixed = sorted(_BEAM_LOAD & self.params.keys())
-        normal = sorted({"delta"} & self.params.keys())
-        if self.epsilon is not None:
-            normal.insert(0, "epsilon")
-        if beam and normal and mixed:
-            raise ValidationError(
-                f"the beam load is a, b, c or epsilon, delta: not {', '.join(normal)} with {mixed}"
-            )
+        if beam:
+            mixed, normal = (sorted(g.keys() & self.params.keys()) for g in groups)
+            if self.epsilon is not None:
+                normal.insert(0, "epsilon")
+            if normal and mixed:
+                raise ValidationError(
+                    f"the beam load is a, b, c or epsilon, delta: not {', '.join(normal)} with {mixed}"
+                )
         for name, vec, size in (("alpha", self.alpha, 6), ("beta", self.beta, 4)):
             if vec is not None:
                 if len(vec) != size:
@@ -178,7 +179,7 @@ class RunConfig:
                     raise ValidationError(f"{name} entries must sum to 1")
 
 
-def _fraction(value: str, line: int) -> Fraction:
+def _fraction(value: str, line: int | None) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -268,15 +269,6 @@ class CaseBundle:
     beam_lag: cases.BeamLagrangianCase | None = None
 
 
-def _beam_params(cfg: RunConfig) -> cases.BeamParams:
-    weights = (cfg.alpha or cases.ONSITE_ALPHA, cfg.beta or cases.ONSITE_BETA)
-    if _BEAM_LOAD & cfg.params.keys():
-        get = cfg.params.get
-        return cases.BeamParams(get("a", 1), get("b", -2), get("c", Fraction(3, 4)), cfg.h, *weights)
-    delta = cfg.params.get("delta", Fraction(1, 4))
-    return cases.BeamParams.normal_form(cfg.epsilon or 1, delta, cfg.h, *weights)
-
-
 def build_case(cfg: RunConfig) -> CaseBundle:
     if cfg.rhs_text:
         rhs = tuple(parse_poly(t) for t in cfg.rhs_text)
@@ -287,50 +279,32 @@ def build_case(cfg: RunConfig) -> CaseBundle:
         if cfg.params:
             m = m.bind(cfg.params)
         return CaseBundle(sys_, sch, m)
+    groups = _PRESET_PARAMS[cfg.preset]  # validate() admits the keys of one group only
+    group = next((g for g in groups if g.keys() & cfg.params.keys()), groups[-1])
+    p = {**group, **cfg.params}
     if cfg.preset == "lv":
-        case = cases.lotka_volterra(cfg.params.get("alpha", Fraction(1)))
+        case = cases.lotka_volterra(**p)
         return CaseBundle(case.system, case.scheme, case.map, default_init=[1.2, 0.9])
     if cfg.preset == "quartic":
-        qp = cases.QuarticParams(
-            cfg.params.get("a", 1),
-            cfg.params.get("b", 2),
-            cfg.params.get("c", 3),
-            cfg.params.get("d", 5),
-            cfg.h,
-        )
-        case = cases.quartic_oscillator(qp)
-        return CaseBundle(
-            case.system,
-            case.scheme,
-            case.map,
-            invariant_pair=(case.density_poly, case.invariant_poly),
-            default_init=[0.31, 0.30],
-        )
+        case = cases.quartic_oscillator(cases.QuarticParams(**p, h=cfg.h))
+        pair = (case.density_poly, case.invariant_poly)
+        return CaseBundle(case.system, case.scheme, case.map, pair, default_init=[0.31, 0.30])
     if cfg.preset == "weierstrass":
-        # d < 0 gives a stable equilibrium at x = sqrt(-d/b); the default
-        # orbit circles it, so the conserved-ratio drift is meaningful.
-        case = cases.kahan_weierstrass(
-            cfg.params.get("b", 1), cfg.params.get("d", -1), cfg.h
-        )
+        case = cases.kahan_weierstrass(**p, h=cfg.h)
+        pair = (case.pencil.P1, case.pencil.P2)
         return CaseBundle(
-            case.system,
-            case.additive_scheme,
-            case.additive_map,
-            invariant_pair=(case.pencil.P1, case.pencil.P2),
-            default_init=[1.05, 1.1],
+            case.system, case.additive_scheme, case.additive_map, pair, default_init=[1.05, 1.1]
         )
-    p = _beam_params(cfg)
-    w0 = 1.1
+    weights = {"alpha": cfg.alpha or cases.ONSITE_ALPHA, "beta": cfg.beta or cases.ONSITE_BETA}
+    if "delta" in p:
+        bp = cases.BeamParams.normal_form(cfg.epsilon or 1, h=cfg.h, **weights, **p)
+    else:
+        bp = cases.BeamParams(h=cfg.h, **weights, **p)
     if cfg.preset == "beam-sym":
-        case = cases.beam_symmetric(p)
-        return CaseBundle(
-            case.system, case.scheme, case.map,
-            default_init=[w0] * 4, beam_sym=case,
-        )
-    case = cases.beam_lagrangian(p)
-    return CaseBundle(
-        None, case.scheme, case.map, default_init=[w0] * 4, beam_lag=case,
-    )
+        case = cases.beam_symmetric(bp)
+        return CaseBundle(case.system, case.scheme, case.map, default_init=[1.1] * 4, beam_sym=case)
+    case = cases.beam_lagrangian(bp)
+    return CaseBundle(None, case.scheme, case.map, default_init=[1.1] * 4, beam_lag=case)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +526,7 @@ def _run(command: str, cfg: RunConfig) -> int:
             raise ValidationError("h is above the float range") from None
         if h == 0.0:
             raise ValidationError("h is below the float range: it rounds to 0.0")
+    bundle = build_case(cfg)  # before --out is made, so that an invalid system writes nothing
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     sections: list[str] = ["[config]"]
@@ -560,7 +535,6 @@ def _run(command: str, cfg: RunConfig) -> int:
         sections.append(f"param {k} = {cfg.params[k]}")
     sections.append(f"h = {cfg.h}")
     needs_beam = cfg.preset in ("beam-sym", "beam-lag")
-    bundle = build_case(cfg)
     if command == "discretize":
         sections += scheme_section(bundle)
     elif command == "orbit":

@@ -525,6 +525,8 @@ def char_poly_and_roots(M: np.ndarray) -> SpectrumReport:
     ``UNIT_TOL`` = 1e-7 of 1 is classified "unit"."""
     _numpy()
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"spectrum helper needs a square matrix, got shape {M.shape}")
     d = M.shape[0]
     if d > 8:
         raise ValueError("spectrum helper is intended for dimension <= 8")

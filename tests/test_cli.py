@@ -81,6 +81,20 @@ def test_an_inline_rhs_parse_error_names_its_line_and_writes_nothing(tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("rhs = x1^3\norder = 1\n", "rhs[0] has state degree 3 > 2"),
+    ("rhs = x1; x2\norder = 1\ndim = 3\n", "need one right-hand side per component"),
+    ("rhs = x1*x1'\norder = 1\n", "rhs[0] contains shifted variable x1'"),
+    ("rhs = 1/0*x1\norder = 1\n", "line 1: expected a number, got '1/0'"),
+], ids=["degree", "count", "shifted", "zero-denominator"])
+def test_an_invalid_inline_system_exits_2_and_writes_nothing(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_config_quartic():
     cfg = parse_config(
         """
@@ -367,8 +381,9 @@ def test_beam_report_builds_each_map_once(tmp_path, monkeypatch, preset):
     assert dets.count(4) == 2
 
 
-# SHA-256 of the default report files at seed 1.  A change that moves a byte
-# of them changes reported results, and updates these with its reason.
+# SHA-256 of the default report files at seed 1, and of the beam presets' at
+# seed 7 too.  A change that moves a byte of them changes reported results,
+# and updates these with its reason.
 DEFAULT_REPORT_SHA256 = {
     "lv/orbit.csv": "2be482fc71002b73f7ad1cabd9840290592f38fabacaa7cdf3d11ee301703e30",
     "lv/phase.svg": "2dbcb6ce7a45fe8236bc05fafb4475d6f0b46377f96dfcbee3c5d93c1b07b0a1",
@@ -385,17 +400,29 @@ DEFAULT_REPORT_SHA256 = {
     "beam-lag/orbit.csv": "9048909a52558326f016c875a42af601d380288ce4766e1a2ada7d620114ebe0",
     "beam-lag/phase.svg": "c95743a14e42691800f2ade9a5afd9c7f6ab43a5223084b648e41786d70ea446",
     "beam-lag/report.txt": "9c27025aa5e942c6359429b36f1d868d52dd542cc2a65aca962c02b6becece9a",
+    # seed 7, the default seed; only report.txt reads it
+    "beam-sym-seed7/orbit.csv": "9a969a88d395c09608feee6372ecfd78c89a0f0482a435e522844fef21dae348",
+    "beam-sym-seed7/phase.svg": "8bfe6ea6a1f3095651d8a1062d277790862ab6835661df3c369617f1d42da57c",
+    "beam-sym-seed7/report.txt": "764adba4f73ef72dbe7aa12a78934ad5ec31d36b5438fbeca0b4a60914071f95",
+    "beam-lag-seed7/orbit.csv": "9048909a52558326f016c875a42af601d380288ce4766e1a2ada7d620114ebe0",
+    "beam-lag-seed7/phase.svg": "c95743a14e42691800f2ade9a5afd9c7f6ab43a5223084b648e41786d70ea446",
+    "beam-lag-seed7/report.txt": "291ecd6e82380ad260b8b7f66fcbd4ebf8b8d85c523ebeefa0ba4cf4e88518fd",
 }
 
 
-@pytest.mark.parametrize("preset", ["lv", "quartic", "weierstrass", "beam-sym", "beam-lag"])
-def test_default_report_files_are_pinned(tmp_path, preset):
+@pytest.mark.parametrize("preset, seed", [
+    *(pytest.param(p, 1, id=p) for p in ["lv", "quartic", "weierstrass", "beam-sym", "beam-lag"]),
+    # the beam checks draw their sample states from the seed
+    *(pytest.param(p, 7, id=f"{p}-seed7") for p in ["beam-sym", "beam-lag"]),
+])
+def test_default_report_files_are_pinned(tmp_path, preset, seed):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"preset = {preset}\nseed = 1\n")
+    cfg.write_text(f"preset = {preset}\nseed = {seed}\n")
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    run = preset if seed == 1 else f"{preset}-seed{seed}"
     for name in ("orbit.csv", "phase.svg", "report.txt"):
         digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-        assert digest == DEFAULT_REPORT_SHA256[f"{preset}/{name}"], name
+        assert digest == DEFAULT_REPORT_SHA256[f"{run}/{name}"], name
 
 
 @pytest.mark.parametrize("key", ["init", "init_ode"])
@@ -563,3 +590,29 @@ def test_a_beam_preset_reads_epsilon_with_delta_and_defaults_it_to_one():
     built = build_case(parse_config("preset = beam-sym\nepsilon = -1\ndelta = 1/2\n"))
     assert (built.beam_sym.params.b, built.beam_sym.params.c) == (2, Fraction(1, 2))
     assert build_case(parse_config("preset = beam-sym\n")).beam_sym.params.b == -2
+    # a load given in part takes the rest from the defaults of its own group
+    for text, load in [
+        ("delta = 1/2", (1, -2, Fraction(1, 2))),
+        ("epsilon = -1", (1, 2, Fraction(3, 4))),
+        ("a = 2", (2, -2, Fraction(3, 4))),
+        ("c = 1", (1, -2, 1)),
+    ]:
+        for preset in ("beam-sym", "beam-lag"):
+            bundle = build_case(parse_config(f"preset = {preset}\n{text}\n"))
+            p = (bundle.beam_sym or bundle.beam_lag).params
+            assert (p.a, p.b, p.c) == load, (preset, text)
+
+
+@pytest.mark.parametrize("preset, spelled_out", [
+    ("lv", "alpha = 1"),
+    ("quartic", "a = 1\nb = 2\nc = 3\nd = 5"),
+    ("weierstrass", "b = 1\nd = -1"),
+    ("beam-sym", "a = 1\nb = -2\nc = 3/4"),
+    ("beam-lag", "a = 1\nb = -2\nc = 3/4"),
+])
+def test_a_preset_without_parameters_builds_with_its_defaults(preset, spelled_out):
+    default = build_case(RunConfig(preset=preset))
+    given = build_case(parse_config(f"preset = {preset}\n{spelled_out}\n"))
+    assert default.scheme.equations == given.scheme.equations
+    assert default.map.forward == given.map.forward
+    assert default.system == given.system

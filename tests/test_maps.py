@@ -283,6 +283,14 @@ def test_lv_linearization_unit_circle():
     assert rep.classification == ["unit", "unit"]
 
 
+@pytest.mark.parametrize("M", [[[1.0, 2.0, 3.0]], [1.0, 2.0], [[[1.0]]]], ids=["1x3", "vector", "3-D"])
+def test_char_poly_rejects_a_matrix_that_is_not_square(M):
+    with pytest.raises(ValueError, match="needs a square matrix"):
+        maps.char_poly_and_roots(M)
+    with pytest.raises(ValueError, match="dimension <= 8"):
+        maps.char_poly_and_roots(np.eye(9))
+
+
 def test_char_poly_rotation():
     rep = maps.char_poly_and_roots(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert rep.char_coeffs == pytest.approx([1.0, 0.0, 1.0])
