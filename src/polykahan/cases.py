@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import darboux, maps
 from .maps import BirationalMap, SingularStep, solve_forward
-from .poly import Monomial, Polynomial, RationalFunction, Var, collect_linear, param, x
+from .poly import Monomial, Polynomial, RationalFunction, collect_linear, param, x
 from .scheme import H, ImplicitScheme, PolyOdeSystem, discretize, symmetrize
 
 
@@ -386,7 +386,6 @@ class DiscreteLagrangian:
     """
 
     scaled: Polynomial  # h^4 * (T - V) in w^(0), w^(1), w^(2)
-    step: Var
     _momenta: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def partial(self, j: int) -> Polynomial:
@@ -445,7 +444,7 @@ def discrete_lagrangian(a, b, c, alpha: Sequence, beta: Sequence) -> DiscreteLag
     ) * b / 3
     linear = c / 3 * (w0 + w1 + w2)
     h4 = Polynomial.var(H) ** 4
-    return DiscreteLagrangian(scaled=kinetic - h4 * (v5 + v3 + linear), step=H)
+    return DiscreteLagrangian(scaled=kinetic - h4 * (v5 + v3 + linear))
 
 
 def expected_lagrangian_rhs(a, b, c, alpha: Sequence, beta: Sequence) -> Polynomial:
@@ -527,10 +526,8 @@ def ostrogradsky_transform(
     the window and h are rational.
     """
     _, _, q1, q2 = window
-    exact = not any(isinstance(v, float) for v in (*window, h))
-    hv = Fraction(h) if exact else float(h)
-    point = {**{x(1, k): v for k, v in enumerate(window)}, H: hv}
-    p1, p2 = (p.eval(point) / hv**4 for p in L.momenta())
+    point = {**{x(1, k): v for k, v in enumerate(window)}, H: h}
+    p1, p2 = (p.eval(point) / h**4 for p in L.momenta())
     return OstrogradskyState(q1=q1, q2=q2, p1=p1, p2=p2)
 
 
@@ -539,17 +536,14 @@ def ostrogradsky_inverse(
 ) -> list:
     """Recover the window from canonical variables: p2 is linear in w^(-1),
     then p1 in w^(-2), since the slot-2 partial is linear in its first slot."""
-    exact = not any(isinstance(v, float) for v in (*state.as_list(), h))
-    hv = Fraction(h) if exact else float(h)
-    point = {x(1, 2): state.q1, x(1, 3): state.q2, H: hv}
+    point = {x(1, 2): state.q1, x(1, 3): state.q2, H: h}
     p1, p2 = L.momenta()
     for k, p, target in ((1, p2, state.p2), (0, p1, state.p1)):
         coeffs, rest = collect_linear(p, {x(1, k)})
         lin = coeffs.get(x(1, k), Polynomial()).eval(point)
         if lin == 0:
             raise ZeroDivisionError("degenerate window solve")
-        val = (target * hv**4 - rest.eval(point)) / lin
-        point[x(1, k)] = val if exact else float(val)
+        point[x(1, k)] = (target * h**4 - rest.eval(point)) / lin
     return [point[x(1, k)] for k in range(4)]
 
 

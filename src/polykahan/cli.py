@@ -8,11 +8,15 @@ Polynomial text syntax: a term is a product of factors joined by ``*``;
 backward (``_x1`` is shift -1), and any other identifier (``a``, ``h``) is
 a parameter.  Exponents use a caret (``x1^3``) or, after apostrophes, bare
 digits (``x1'2``).  Coefficients are integers, fractions (``3/2``) or
-decimals (``0.1``, read exactly).
+decimals (``0.1``, read exactly).  Terms are joined by runs of signs, and the
+signs of a run multiply (``x1--x2`` is x1 + x2); a sign with no term after
+it is an error.
 
 Config files are plain ``key = value`` lines; ``#`` starts a comment.
 Values with commas are vectors (beam weight vectors, initial windows);
-unrecognized numeric keys become system parameters.
+unrecognized numeric keys become system parameters.  Every config error,
+those of ``init``, ``plot`` and the command's own checks included, exits 2
+before any file is written.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .scheme import H, ImplicitScheme, PolyOdeSystem, discretize
 class ParseError(ValueError):
     def __init__(self, reason: str, line: int | None = None):
         self.line = line
-        self.reason = reason
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{reason}")
 
@@ -57,16 +60,12 @@ def parse_poly(text: str, line: int | None = None) -> Polynomial:
     if not compact:
         raise ParseError("empty polynomial", line)
     terms: list[tuple[Monomial, Fraction]] = []
-    for chunk in re.findall(r"[+-]?[^+-]+", compact):
-        sign = 1
-        body = chunk
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:]
+    # each term is a run of signs and a body; the last match is the empty one at the end
+    for signs, body in re.findall(r"([+-]*)([^+-]*)", compact)[:-1]:
+        chunk = signs + body
         if not body:
             raise ParseError(f"dangling sign in {chunk!r}", line)
-        coeff = Fraction(sign)
+        coeff = Fraction((-1) ** signs.count("-"))
         factors: list[tuple[Var, int]] = []
         for factor in body.split("*"):
             if not factor:
@@ -272,7 +271,7 @@ class CaseBundle:
 def build_case(cfg: RunConfig) -> CaseBundle:
     if cfg.rhs_text:
         rhs = tuple(parse_poly(t) for t in cfg.rhs_text)
-        dim = cfg.dim or len(rhs)
+        dim = len(rhs) if cfg.dim is None else cfg.dim
         sys_ = PolyOdeSystem(cfg.order, dim, rhs)
         sch = discretize(sys_)
         m = maps.solve_forward(sch)
@@ -360,7 +359,8 @@ def write_svg(path: Path, xs: list[float], ys: list[float]):
 # ---------------------------------------------------------------------------
 
 
-def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path) -> list[str]:
+def _orbit_start(bundle: CaseBundle, cfg: RunConfig) -> list[float]:
+    """The orbit's initial window, after the checks of init, init_ode and plot."""
     if cfg.init_ode is not None:  # init_ode fixes the window; it wins over init
         if bundle.system is None:
             raise ValidationError("init_ode needs a polynomial system")
@@ -374,11 +374,13 @@ def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path) -> list[str]:
         if init is None:
             raise ValidationError("this run needs 'init' (window values)")
     if len(init) != bundle.map.dim:
-        raise ValidationError(
-            f"init needs {bundle.map.dim} values, got {len(init)}"
-        )
+        raise ValidationError(f"init needs {bundle.map.dim} values, got {len(init)}")
     if not all(0 <= k < bundle.map.dim for k in cfg.plot):
         raise ValidationError(f"plot indices must lie in 0..{bundle.map.dim - 1}, got {cfg.plot}")
+    return init
+
+
+def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path, init: list[float]) -> list[str]:
     orbit = maps.iterate(bundle.map, init, float(cfg.h), cfg.steps)
     names = state_names(bundle.map)
     write_csv(out / "orbit.csv", orbit, names)
@@ -526,7 +528,14 @@ def _run(command: str, cfg: RunConfig) -> int:
             raise ValidationError("h is above the float range") from None
         if h == 0.0:
             raise ValidationError("h is below the float range: it rounds to 0.0")
-    bundle = build_case(cfg)  # before --out is made, so that an invalid system writes nothing
+    # Every check runs before --out is made, so that a config error writes nothing.
+    bundle = build_case(cfg)
+    needs_beam = cfg.preset in ("beam-sym", "beam-lag")
+    if command == "darboux" and bundle.map.dim != 2:
+        raise ValidationError("darboux search needs a two-dimensional map")
+    if command == "analyze-beam" and not needs_beam:
+        raise ValidationError("analyze-beam needs a beam preset")
+    init = _orbit_start(bundle, cfg) if command in ("orbit", "report") else None
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     sections: list[str] = ["[config]"]
@@ -534,22 +543,17 @@ def _run(command: str, cfg: RunConfig) -> int:
     for k in sorted(cfg.params):
         sections.append(f"param {k} = {cfg.params[k]}")
     sections.append(f"h = {cfg.h}")
-    needs_beam = cfg.preset in ("beam-sym", "beam-lag")
     if command == "discretize":
         sections += scheme_section(bundle)
     elif command == "orbit":
-        sections += orbit_section(bundle, cfg, out)
+        sections += orbit_section(bundle, cfg, out, init)
     elif command == "darboux":
-        if bundle.map.dim != 2:
-            raise ValidationError("darboux search needs a two-dimensional map")
         sections += darboux_section(bundle, cfg)
     elif command == "analyze-beam":
-        if not needs_beam:
-            raise ValidationError("analyze-beam needs a beam preset")
         sections += beam_section(bundle, cfg)
     else:  # report
         sections += scheme_section(bundle)
-        sections += orbit_section(bundle, cfg, out)
+        sections += orbit_section(bundle, cfg, out, init)
         if bundle.map.dim == 2:
             sections += darboux_section(bundle, cfg)
         if needs_beam:

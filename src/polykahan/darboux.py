@@ -329,14 +329,10 @@ def pencil_compare(p: Pencil, q: Pencil) -> PencilComparison:
     negative answer the witness is a member of one pencil that is not in the
     span of the other.
     """
-    span_p = [p.P1, p.P2]
-    span_q = [q.P1, q.P2]
-    for member in span_q:
-        if not in_span(span_p, member):
-            return PencilComparison(equal=False, witness=member)
-    for member in span_p:
-        if not in_span(span_q, member):
-            return PencilComparison(equal=False, witness=member)
+    for base, other in ((p, q), (q, p)):
+        for member in (other.P1, other.P2):
+            if not in_span([base.P1, base.P2], member):
+                return PencilComparison(equal=False, witness=member)
     return PencilComparison(equal=True)
 
 

@@ -157,12 +157,8 @@ def solve_forward(scheme: ImplicitScheme) -> BirationalMap:
     identically (N <= 3 only; larger N skips the closed form).
     """
     n, N = scheme.order, scheme.dim
-    top_vars = scheme.shift_vars(n)
-    bottom_vars = scheme.shift_vars(0)
-    top = _linear_system(scheme.equations, top_vars, [x(j, n) for j in range(1, N + 1)])
-    bottom = _linear_system(
-        scheme.equations, bottom_vars, [x(j, 0) for j in range(1, N + 1)]
-    )
+    top = _linear_system(scheme.equations, [x(j, n) for j in range(1, N + 1)])
+    bottom = _linear_system(scheme.equations, [x(j, 0) for j in range(1, N + 1)])
     forward = backward = None
     if N <= SYMBOLIC_DIM_LIMIT:
         solved_top = _cramer(*top)
@@ -187,11 +183,11 @@ def solve_forward(scheme: ImplicitScheme) -> BirationalMap:
     return BirationalMap(scheme, forward, backward, top, bottom)
 
 
-def _linear_system(equations, vars_set, var_order):
+def _linear_system(equations, var_order):
     A: list[list[Polynomial]] = []
     r: list[Polynomial] = []
     for e in equations:
-        coeffs, rem = collect_linear(e, vars_set)
+        coeffs, rem = collect_linear(e, var_order)
         A.append([coeffs.get(v, Polynomial()) for v in var_order])
         r.append(rem)
     return A, r
@@ -600,10 +596,11 @@ def _durand_kerner(coeffs: Sequence[float]) -> tuple[list[complex], float]:
         roots = new_roots
         residual = max(abs(_polyval(coeffs, z)) for z in roots) / scale
         if residual <= 1e-12 or moved < 1e-16:
-            return sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))), residual
-    if residual <= 1e-8:
-        return sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))), residual
-    raise NoConvergence(f"root iteration stalled at residual {residual:.3e}")
+            break
+    else:
+        if residual > 1e-8:
+            raise NoConvergence(f"root iteration stalled at residual {residual:.3e}")
+    return sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))), residual
 
 
 # -- continuum-limit validation ---------------------------------------------------

@@ -727,9 +727,7 @@ def _cancel(n: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
     return n, d
 
 
-def collect_linear(
-    p: Polynomial, vars: set[Var] | frozenset[Var]
-) -> tuple[dict[Var, Polynomial], Polynomial]:
+def collect_linear(p: Polynomial, vars: Iterable[Var]) -> tuple[dict[Var, Polynomial], Polynomial]:
     """Split ``p = sum_v coeff[v]*v + remainder`` for jointly linear ``vars``.
 
     Raises NotLinear if any monomial of ``p`` has joint degree >= 2 in

@@ -227,7 +227,9 @@ def test_ostrogradsky_round_trip_exact():
     L = cases.discrete_lagrangian(p.a, p.b, p.c, p.alpha, p.beta)
     window = [Fraction(1, 3), Fraction(-1, 7), Fraction(2, 5), Fraction(1, 2)]
     state = cases.ostrogradsky_transform(L, window, p.h)
-    assert cases.ostrogradsky_inverse(L, state, p.h) == window
+    assert all(type(v) is Fraction for v in state.as_list())
+    back = cases.ostrogradsky_inverse(L, state, p.h)
+    assert back == window and all(type(v) is Fraction for v in back)
 
 
 @given(
@@ -261,6 +263,17 @@ def test_ostrogradsky_round_trip_float():
     window = [0.3, -0.7, 1.1, 0.45]
     state = cases.ostrogradsky_transform(L, window, 0.1)
     back = cases.ostrogradsky_inverse(L, state, 0.1)
+    assert all(isinstance(v, float) for v in back)
+    assert back == pytest.approx(window, rel=0, abs=1e-12)
+
+
+def test_ostrogradsky_float_window_with_an_exact_h_gives_floats():
+    p = beam_params()
+    L = cases.discrete_lagrangian(p.a, p.b, p.c, p.alpha, p.beta)
+    window = [0.3, -0.7, 1.1, 0.45]
+    state = cases.ostrogradsky_transform(L, window, Fraction(1, 10))
+    assert all(isinstance(v, float) for v in (state.p1, state.p2))
+    back = cases.ostrogradsky_inverse(L, state, Fraction(1, 10))
     assert all(isinstance(v, float) for v in back)
     assert back == pytest.approx(window, rel=0, abs=1e-12)
 

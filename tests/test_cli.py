@@ -39,6 +39,22 @@ def test_parse_poly_parameters_and_signs():
     assert p == -a * X**3 - X + 2
 
 
+def test_parse_poly_repeated_signs_multiply():
+    X1, X2 = Polynomial.var(x(1)), Polynomial.var(x(2))
+    assert parse_poly("x1--x2") == X1 + X2
+    assert parse_poly("x1 - - x2") == X1 + X2
+    assert parse_poly("--x1") == X1
+    assert parse_poly("x1 + -x2") == X1 - X2
+    system = build_case(parse_config("rhs = x1--x1\norder = 1\n")).system
+    assert system.rhs == (2 * X1,)
+
+
+@pytest.mark.parametrize("text", ["x1-", "-", "+", "x1 + "])
+def test_parse_poly_rejects_a_dangling_sign(text):
+    with pytest.raises(ParseError, match="dangling sign"):
+        parse_poly(text)
+
+
 def test_parse_poly_decimal_coefficients_exact():
     assert parse_poly("0.1*h") == Fraction(1, 10) * Polynomial.var(param("h"))
 
@@ -86,7 +102,10 @@ def test_an_inline_rhs_parse_error_names_its_line_and_writes_nothing(tmp_path, c
     ("rhs = x1; x2\norder = 1\ndim = 3\n", "need one right-hand side per component"),
     ("rhs = x1*x1'\norder = 1\n", "rhs[0] contains shifted variable x1'"),
     ("rhs = 1/0*x1\norder = 1\n", "line 1: expected a number, got '1/0'"),
-], ids=["degree", "count", "shifted", "zero-denominator"])
+    ("rhs = x1\norder = 1\ndim = 0\n", "order and dim must be >= 1"),
+    ("rhs = x1\n", "inline systems need 'order'"),
+    ("rhs = x1 +\norder = 1\n", "line 1: dangling sign in '+'"),
+], ids=["degree", "count", "shifted", "zero-denominator", "dim-zero", "no-order", "dangling-sign"])
 def test_an_invalid_inline_system_exits_2_and_writes_nothing(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -193,7 +212,7 @@ def test_plot_indices_outside_the_map_are_config_errors(tmp_path, capsys, plot):
     cfg.write_text(f"preset = quartic\nplot = {plot}\n")
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
     assert capsys.readouterr().err.startswith("config error: plot indices")
-    assert not (tmp_path / "p" / "orbit.csv").exists()
+    assert not (tmp_path / "p").exists()
 
 
 def _no_convergence(command, cfg):
@@ -217,6 +236,38 @@ def test_failures_exit_with_one_stderr_line(tmp_path, capsys, monkeypatch, case,
         monkeypatch.setattr("polykahan.cli._run", _no_convergence)
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == code
     assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, text, message", [
+    # found after the case is built: at the orbit's start or by the command
+    ("report", "rhs = x1\norder = 1\n", "this run needs 'init' (window values)"),
+    ("report", "rhs = x1\norder = 1\ninit = 1, 2\n", "init needs 1 values, got 2"),
+    ("report", "preset = lv\nplot = 0,5\n", "plot indices must lie in 0..1, got (0, 5)"),
+    ("report", "preset = beam-lag\ninit_ode = 1, 0\n", "init_ode needs a polynomial system"),
+    ("analyze-beam", "preset = lv\n", "analyze-beam needs a beam preset"),
+    ("darboux", "preset = beam-sym\n", "darboux search needs a two-dimensional map"),
+    # found while the config is read
+    ("report", "preset = beam-sym\nepsilon = 2\n", "epsilon must be +1 or -1"),
+    ("report", "preset = beam-sym\nalpha = 1,0\n", "alpha needs 6 entries"),
+    ("report", "preset = lv\nsteps 5\n", "line 2: expected 'key = value', got 'steps 5'"),
+    ("report", "preset = lv\nh =\n", "line 2: missing value for 'h'"),
+    ("report", "preset = lv\nplot = 1\n", "line 2: plot needs two coordinate indices"),
+    ("report", "preset = lv\n1x = 2\n", "line 2: unrecognized key '1x'"),
+    ("report", None, "need --config or --preset"),
+], ids=[
+    "no-init", "init-length", "plot", "init_ode-without-system", "analyze-beam-not-beam",
+    "darboux-not-planar", "epsilon", "alpha-length", "no-equals", "no-value", "plot-one-index",
+    "bad-key", "no-source",
+])
+def test_a_config_error_exits_2_before_any_file_is_written(tmp_path, capsys, command, text, message):
+    args = [command, "--out", str(tmp_path / "o")]
+    if text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_inline_report(tmp_path):
@@ -359,6 +410,14 @@ def test_analyze_beam_uses_the_configured_load(tmp_path):
         assert f"{which}: exact residual at w* = True" in lines
 
 
+def test_analyze_beam_reports_a_constant_load_without_fixed_points(tmp_path):
+    cfg = tmp_path / "load.cfg"
+    cfg.write_text("preset = beam-sym\na = 0\nb = 0\nc = 1\n")
+    assert main(["analyze-beam", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert "fixed points: none (the load is the constant 1: no isolated fixed point)" in lines
+
+
 @pytest.mark.parametrize("preset", ["beam-sym", "beam-lag"])
 def test_beam_report_builds_each_map_once(tmp_path, monkeypatch, preset):
     solved, dets = [], []
@@ -381,9 +440,9 @@ def test_beam_report_builds_each_map_once(tmp_path, monkeypatch, preset):
     assert dets.count(4) == 2
 
 
-# SHA-256 of the default report files at seed 1, and of the beam presets' at
-# seed 7 too.  A change that moves a byte of them changes reported results,
-# and updates these with its reason.
+# SHA-256 of the default report files at seed 1, of the beam presets' at
+# seed 7 too, and of one inline system's.  A change that moves a byte of them
+# changes reported results, and updates these with its reason.
 DEFAULT_REPORT_SHA256 = {
     "lv/orbit.csv": "2be482fc71002b73f7ad1cabd9840290592f38fabacaa7cdf3d11ee301703e30",
     "lv/phase.svg": "2dbcb6ce7a45fe8236bc05fafb4475d6f0b46377f96dfcbee3c5d93c1b07b0a1",
@@ -407,19 +466,30 @@ DEFAULT_REPORT_SHA256 = {
     "beam-lag-seed7/orbit.csv": "9048909a52558326f016c875a42af601d380288ce4766e1a2ada7d620114ebe0",
     "beam-lag-seed7/phase.svg": "c95743a14e42691800f2ade9a5afd9c7f6ab43a5223084b648e41786d70ea446",
     "beam-lag-seed7/report.txt": "291ecd6e82380ad260b8b7f66fcbd4ebf8b8d85c523ebeefa0ba4cf4e88518fd",
+    "inline/orbit.csv": "522ef066de6580cfab4b59c6dafc8ca0f5f42259ad8cbabd056490e4c8e7cd0e",
+    "inline/phase.svg": "56d3e03662e7c7cf41942a8c86f3503df7a40ea6623166755208454644facd0e",
+    "inline/report.txt": "169bb2bb349d7e57e916e0b50e20d1db61dff13566624ce4fd8f0f68323c624f",
 }
+# Signs, a fraction, a decimal, caret exponents and a parameter bound by a key:
+# the one pinned run that goes through parse_poly.
+INLINE_PINNED = (
+    "rhs = -a*x1^3 + 3/2*x1^2 - 0.25*x1 - 1/8\norder = 2\na = 2\nh = 0.05\n"
+    "steps = 200\ninit = 0.2, 0.21\n"
+)
 
 
-@pytest.mark.parametrize("preset, seed", [
-    *(pytest.param(p, 1, id=p) for p in ["lv", "quartic", "weierstrass", "beam-sym", "beam-lag"]),
+@pytest.mark.parametrize("run, text", [
+    *(pytest.param(p, f"preset = {p}\nseed = 1\n", id=p)
+      for p in ["lv", "quartic", "weierstrass", "beam-sym", "beam-lag"]),
     # the beam checks draw their sample states from the seed
-    *(pytest.param(p, 7, id=f"{p}-seed7") for p in ["beam-sym", "beam-lag"]),
+    *(pytest.param(f"{p}-seed7", f"preset = {p}\nseed = 7\n", id=f"{p}-seed7")
+      for p in ["beam-sym", "beam-lag"]),
+    pytest.param("inline", INLINE_PINNED, id="inline"),
 ])
-def test_default_report_files_are_pinned(tmp_path, preset, seed):
+def test_default_report_files_are_pinned(tmp_path, run, text):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"preset = {preset}\nseed = {seed}\n")
+    cfg.write_text(text)
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    run = preset if seed == 1 else f"{preset}-seed{seed}"
     for name in ("orbit.csv", "phase.svg", "report.txt"):
         digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
         assert digest == DEFAULT_REPORT_SHA256[f"{run}/{name}"], name
@@ -558,7 +628,7 @@ def test_a_non_finite_reference_oracle_is_a_numeric_failure(tmp_path, capsys):
     cfg.write_text("preset = quartic\ninit_ode = 1e200, 0\nsteps = 3\n")
     assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "numeric failure: reference oracle is not finite\n"
-    assert not (tmp_path / "o" / "orbit.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text, message", [

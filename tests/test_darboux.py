@@ -221,6 +221,15 @@ def test_pencil_compare_self_and_rescaled():
     assert darboux.pencil_compare(wc.pencil, rescaled).equal
 
 
+def test_pencil_compare_finds_a_witness_in_either_direction():
+    X, Y = Polynomial.var(x(1, 0)), Polynomial.var(x(1, 1))
+    p, q = darboux.Pencil(X, Y), darboux.Pencil(X, 3 * X)
+    # q lies in span(p) but p does not lie in span(q): p's member Y is the witness
+    for first, second in ((p, q), (q, p)):
+        result = darboux.pencil_compare(first, second)
+        assert not result.equal and result.witness == Y
+
+
 def test_pencil_level_conserved_along_orbit():
     case = quartic_bound()
     pencil = darboux.Pencil(case.density_poly, case.invariant_poly)

@@ -329,6 +329,18 @@ def test_root_iteration_needs_at_least_one_iteration(monkeypatch):
         maps._durand_kerner([1.0, -3.0, 2.0])
 
 
+def test_root_iteration_accepts_a_looser_residual_at_the_sweep_cap(monkeypatch):
+    # a double root converges slowly: after 15 sweeps the residual is above
+    # 1e-12 but within the 1e-8 accepted at the cap, after 14 it is not
+    monkeypatch.setattr(maps, "_ROOT_MAX_ITER", 15)
+    roots, residual = maps._durand_kerner([1.0, -2.0, 1.0])
+    assert residual == 3.593833042480683e-09
+    assert [abs(z - 1.0) < 1e-4 for z in roots] == [True, True]
+    monkeypatch.setattr(maps, "_ROOT_MAX_ITER", 14)
+    with pytest.raises(maps.NoConvergence, match="residual 1.438e-08"):
+        maps._durand_kerner([1.0, -2.0, 1.0])
+
+
 def test_reference_oracle_self_checks():
     case = quartic_numeric(1, 0, 1, 0)
     [sample] = maps.reference_solution(case.system, [0.3, 0.0], [1.0], 1e-3)
