@@ -129,7 +129,7 @@ class RunConfig:
     alpha: tuple | None = None
     beta: tuple | None = None
     seed: int = 7
-    plot: tuple[int, int] = (0, 1)
+    plot: tuple[int, int] | None = None  # None: (0, 1), or (0, 0) on a one-dimensional map
 
     def validate(self):
         if bool(self.preset) == bool(self.rhs_text):
@@ -375,7 +375,7 @@ def _orbit_start(bundle: CaseBundle, cfg: RunConfig) -> list[float]:
             raise ValidationError("this run needs 'init' (window values)")
     if len(init) != bundle.map.dim:
         raise ValidationError(f"init needs {bundle.map.dim} values, got {len(init)}")
-    if not all(0 <= k < bundle.map.dim for k in cfg.plot):
+    if cfg.plot and not all(0 <= k < bundle.map.dim for k in cfg.plot):
         raise ValidationError(f"plot indices must lie in 0..{bundle.map.dim - 1}, got {cfg.plot}")
     return init
 
@@ -384,7 +384,7 @@ def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path, init: list[floa
     orbit = maps.iterate(bundle.map, init, float(cfg.h), cfg.steps)
     names = state_names(bundle.map)
     write_csv(out / "orbit.csv", orbit, names)
-    i, j = cfg.plot
+    i, j = cfg.plot or (0, min(1, bundle.map.dim - 1))
     write_svg(out / "phase.svg", orbit.column(i), orbit.column(j))
     lines = [
         "[orbit]",

@@ -22,8 +22,7 @@ straight-line Python generated once from the terms (``_value_lines``).  Per
 map, direction and h, one generated function runs a whole orbit, with the
 window in local variables: ``iterate`` enters the error state and calls it
 once per orbit, and ``step``/``step_back`` call it for one step.  Residuals
-and ``eval_batch`` evaluate each polynomial once over a whole batch, where
-the loop ``_ceval`` costs less than generating code would.
+and ``eval_batch`` share one batch kernel, ``_gathered``.
 
 numpy is imported by the first float call: ``_numpy``, the package's one
 loader, binds ``_NUMPY_NAMES`` here once, and every float entry point
@@ -208,15 +207,16 @@ def _singular(err: str, flag: int):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-_NUMPY_NAMES = ("np", "_umath_linalg", "_solve_errstate", "_Batch")
+_NUMPY_NAMES = ("np", "_umath_linalg", "_solve_errstate")
+_BLOCK = 256  # states per block of ``_gathered``; at 1024 the report's peak RSS rose
 
 
 def _numpy():
     """Bind ``_NUMPY_NAMES`` in this module on the first call, and return
     numpy.  Every float entry point reaches it before it uses numpy; the
     exact layer never does, so importing polykahan does not import numpy."""
-    global np, _umath_linalg, _solve_errstate, _Batch
-    if "_Batch" in globals():  # bound last
+    global np, _umath_linalg, _solve_errstate
+    if "_solve_errstate" in globals():  # bound last
         return np
     import numpy as np
     from numpy.linalg import _umath_linalg
@@ -225,19 +225,6 @@ def _numpy():
     _solve_errstate = functools.partial(
         np.errstate, call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
     )
-
-    class _Batch(np.ndarray):
-        """States stored one row per slot, so ``batch[i]`` is slot i over all
-        states.  ``**`` is C ``pow`` per element, as for a float: numpy's own
-        power can differ in the last bit."""
-
-        def __new__(cls, states):
-            return np.array(states, dtype=float).T.copy().view(cls)
-
-        def __pow__(self, e):
-            plain = self.view(np.ndarray)
-            return plain if e == 1 else np.float_power(plain, e)
-
     return np
 
 
@@ -363,7 +350,8 @@ def _stepping_function(compiled: Sequence[list], N: int, dim: int, forward: bool
 
 
 def _ceval(terms, state):
-    """Sum compiled terms at one state (floats) or at each state of a ``_Batch``."""
+    """Sum compiled terms at one float state, in the order of every float
+    evaluation: ``_value_lines`` writes it out, ``_gathered`` batches it."""
     total = 0.0
     for coeff, idx in terms:
         t = coeff
@@ -373,14 +361,52 @@ def _ceval(terms, state):
     return total
 
 
+def _batch_plan(compiled: Sequence[list]) -> tuple:
+    """``_gathered``'s plan for the term lists ``compiled``: the distinct
+    (slot, exponent) powers, a coefficient column, per factor position each
+    term's power row (row 0 is ones, which pads exactly) and each list's
+    term bounds; each list starts with a 0.0 term, where ``_ceval`` starts."""
+    terms = [t for ts in compiled for t in [(0.0, ()), *ts]]
+    row = {f: r for r, f in enumerate(dict.fromkeys(f for _, idx in terms for f in idx), 1)}
+    width = max((len(idx) for _, idx in terms), default=0)
+    index = np.array([[row[f] for f in idx] + [0] * (width - len(idx)) for _, idx in terms])
+    ends = [0, *itertools.accumulate(len(ts) + 1 for ts in compiled)]
+    coeffs = np.array([c for c, _ in terms]).reshape(-1, 1)
+    return list(row), coeffs, index.T, list(itertools.pairwise(ends))
+
+
+def _gathered(plan: tuple, columns: Sequence[np.ndarray], count: int):
+    """Per block of at most ``_BLOCK`` of the ``count`` states (slot i over
+    them all is ``columns[i]``), yield the block's slice, its terms x states
+    matrix and each list's sums, bit for bit as ``_ceval`` gives them: C
+    ``pow`` per element (numpy's power can differ in the last bit), and rows
+    summed in order, which add.reduce keeps on two columns or more."""
+    powers, coeffs, index, bounds = plan
+    for start in range(0, count, _BLOCK):
+        cut = slice(start, min(start + _BLOCK, count))
+        width = cut.stop - start
+        P = np.ones((len(powers) + 1, max(width, 2)))
+        for r, (i, e) in enumerate(powers, 1):
+            P[r, :width] = columns[i][cut] if e == 1 else np.float_power(columns[i][cut], e)
+        terms = np.repeat(coeffs, P.shape[1], axis=1)
+        for rows in index:
+            terms *= P[rows]
+        sums = np.array([np.add.reduce(terms[a:b]) for a, b in bounds]).reshape(-1, P.shape[1])
+        yield cut, terms[:, :width], sums[:, :width]
+
+
 def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) -> list[np.ndarray]:
     """Each polynomial at each state, as ``Polynomial.eval`` gives it; column
     k of ``states`` binds ``variables[k]``, and other variables raise ValueError."""
     _numpy()
     slots = {v: k for k, v in enumerate(variables)}
-    batch = _Batch(np.reshape(states, (len(states), len(variables))))
+    plan = _batch_plan([_compile(p, slots, {}) for p in polys])
+    states = np.reshape(np.asarray(states, dtype=float), (len(states), len(variables)))
+    out = np.empty((len(polys), len(states)))
     with np.errstate(all="ignore"):
-        return [np.broadcast_to(_ceval(_compile(p, slots, {}), batch), len(states)) for p in polys]
+        for cut, _, sums in _gathered(plan, states.T, len(states)):
+            out[:, cut] = sums
+    return list(out)
 
 
 def _eval_rational_batch(pairs, variables, states) -> tuple[list[np.ndarray], np.ndarray]:
@@ -456,21 +482,20 @@ def iterate(m: BirationalMap, state: Sequence[float], h: float, steps: int) -> O
 def orbit_residuals(m: BirationalMap, orbit: Orbit) -> list[float]:
     """Scheme residuals on the windows (point k, last level of point k+1),
     each normalized by its largest term; a non-finite window gives nan/inf."""
+    if set(map(len, orbit.points)) != {m.dim}:
+        raise ValueError(f"orbit points need the map's {m.dim} values each")
     _numpy()
-    n, N = m.n, m.N
-    points = np.array(orbit.points, dtype=float).reshape(-1, m.dim)
-    windows = _Batch(np.hstack([points[:-1], points[1:, -N:]]))
+    points = np.fromiter(itertools.chain.from_iterable(orbit.points), float).reshape(-1, m.dim)
     key = ("residuals", float(orbit.h))
     if key not in m._cache:
-        slots = _level_slots(N, range(n + 1))
-        m._cache[key] = [_compile(e, slots, {m.scheme.step: key[1]}) for e in m.scheme.equations]
-    worst = np.zeros(windows.shape[1])
+        slots, consts = _level_slots(m.N, range(m.n + 1)), {m.scheme.step: key[1]}
+        m._cache[key] = _batch_plan([_compile(e, slots, consts) for e in m.scheme.equations])
+    plan, worst = m._cache[key], np.empty(len(points) - 1)
     with np.errstate(all="ignore"):
-        for compiled in m._cache[key]:
-            # Term by term for the scale; sum() adds in _ceval's order, from 0.0.
-            terms = [_ceval([t], windows) for t in compiled]
-            scale = functools.reduce(np.maximum, map(abs, terms), 0.0)
-            worst = np.maximum(worst, abs(sum(terms, 0.0)) / np.maximum(scale, 1.0))
+        # The window of point k is its slots, then the last level of point k + 1.
+        for cut, terms, sums in _gathered(plan, [*points[:-1].T, *points[1:, -m.N :].T], len(worst)):
+            scale = np.array([np.maximum.reduce(abs(terms[a:b])) for a, b in plan[-1]])
+            worst[cut] = np.max(abs(sums) / np.maximum(scale, 1.0), axis=0)
     return worst.tolist()
 
 

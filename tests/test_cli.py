@@ -215,6 +215,20 @@ def test_plot_indices_outside_the_map_are_config_errors(tmp_path, capsys, plot):
     assert not (tmp_path / "p").exists()
 
 
+def test_a_one_dimensional_map_plots_its_coordinate_against_itself(tmp_path, capsys):
+    cfg = tmp_path / "scalar.cfg"
+    cfg.write_text("rhs = x1\norder = 1\ninit = 1\nsteps = 3\n")
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    cfg.write_text("rhs = x1\norder = 1\ninit = 1\nsteps = 3\nplot = 0, 0\n")
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "explicit")]) == 0
+    svg = (tmp_path / "s" / "phase.svg").read_bytes()
+    assert svg == (tmp_path / "explicit" / "phase.svg").read_bytes() and b"<polyline" in svg
+    cfg.write_text("rhs = x1\norder = 1\ninit = 1\nplot = 0, 1\n")
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+    assert "plot indices must lie in 0..0, got (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def _no_convergence(command, cfg):
     raise maps.NoConvergence("stalled")
 

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,13 @@ def test_batched_residuals_equal_per_window_formula(name):
 def test_one_point_orbit_has_no_residuals():
     m = quartic_numeric().map
     assert maps.orbit_residuals(m, maps.iterate(m, [0.3, 0.3], 0.1, 0)) == []
+
+
+def test_residuals_reject_points_of_another_length():
+    lv = cases.lotka_volterra(1).map
+    for points in ([[1.2, 0.9, 1.0], [1.1]], [[1.2, 0.9, 1.0, 1.1]] * 2, []):
+        with pytest.raises(ValueError, match="map's 2 values"):
+            maps.orbit_residuals(lv, maps.Orbit(0.1, points))
 
 
 def test_non_finite_window_gives_non_finite_residual():
@@ -837,3 +845,106 @@ def test_residuals_compile_each_equation_once_per_map_and_h(monkeypatch):
     assert maps.orbit_residuals(m, orbit) == first and len(compiled) == len(m.scheme.equations)
     maps.orbit_residuals(m, maps.Orbit(0.2, orbit.points))
     assert len(compiled) == 2 * len(m.scheme.equations)
+
+
+# -- the batch kernel against single-state evaluation ---------------------------
+
+# Batch sizes on both sides of the kernel's column blocks.
+BATCH_SIZES = [0, 1, maps._BLOCK - 1, maps._BLOCK, maps._BLOCK + 1]
+EVAL_VARS = [x(1), x(2), H]
+
+
+@st.composite
+def shared_factor_polynomials(draw):
+    """Terms built from a few (variable, exponent) factors, so that they share
+    powers; the zero and constant polynomials among them."""
+    factors = st.sampled_from([(v, e) for v in EVAL_VARS for e in (1, 2, 3, 6)])
+    p = Polynomial()
+    for c, fs in draw(st.lists(st.tuples(st.fractions(-9, 9, max_denominator=40),
+                                         st.lists(factors, max_size=3)), max_size=6)):
+        p = p + Polynomial.const(c) * functools.reduce(
+            lambda q, f: q * Polynomial.var(f[0]) ** f[1], fs, Polynomial.const(1))
+    return draw(st.sampled_from([p, Polynomial(), Polynomial.const(Fraction(-7, 3))]))
+
+
+# Signed zeros, infinities, nan, and magnitudes whose squares and cubes overflow.
+edge_values = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e120]),
+    st.floats(-3, 3),
+)
+
+
+def nan_as_nan(v):
+    return "nan" if math.isnan(v) else bits([v])
+
+
+def batch_of(data, pool):
+    """Indices into ``pool``, as many as one of ``BATCH_SIZES``, drawn reproducibly."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    return [rng.randrange(len(pool)) for _ in range(data.draw(st.sampled_from(BATCH_SIZES)))]
+
+
+@given(data=st.data())
+def test_eval_batch_equals_polynomial_eval_bit_for_bit(data):
+    polys = data.draw(st.lists(shared_factor_polynomials(), min_size=1, max_size=3))
+    pool = data.draw(st.lists(st.lists(edge_values, min_size=3, max_size=3), min_size=1, max_size=5))
+    picks = batch_of(data, pool)
+    got = maps.eval_batch(polys, EVAL_VARS, [pool[k] for k in picks])
+    for p, values in zip(polys, got):
+        assert values.shape == (len(picks),)
+        want = {}
+        for k, s in enumerate(pool):
+            try:
+                want[k] = nan_as_nan(p.eval(dict(zip(EVAL_VARS, s))))
+            except OverflowError:  # Python's ** raises where C pow gives inf
+                want[k] = "overflow"
+        for k, v in zip(picks, values.tolist()):
+            assert nan_as_nan(v) == want[k] or (want[k] == "overflow" and not math.isfinite(v))
+
+
+def test_batch_sums_start_from_positive_zero():
+    # -0.0 + -0.0 is -0.0, but _ceval's sum starts from 0.0, as Polynomial.eval's does
+    X1, X2 = Polynomial.var(x(1)), Polynomial.var(x(2))
+    for count in (1, 3):
+        (got,) = maps.eval_batch([X1 + 2 * X2], [x(1), x(2)], [[-0.0, -0.0]] * count)
+        assert bits(got.tolist()) == bits([0.0] * count)
+
+
+@pytest.mark.parametrize("name", ["quartic", "lv", "beam_sym", "euler_top"])
+@given(data=st.data())
+def test_batched_residuals_follow_the_window_formula_across_blocks(name, data):
+    # per_window_residual keeps a finite maximum past a nan; a window with a
+    # nan or inf entry must give a non-finite residual instead.
+    m = benchmark_map(name)
+    values = st.one_of(st.floats(-3, 3), st.sampled_from([math.nan, math.inf, -math.inf]))
+    pool = data.draw(st.lists(st.lists(values, min_size=m.dim, max_size=m.dim), min_size=1, max_size=4))
+    picks = batch_of(data, pool)
+    picks.append(picks[0] if picks else 0)  # one point more than windows
+    got = maps.orbit_residuals(m, maps.Orbit(0.1, [pool[k] for k in picks]))
+    assert len(got) == len(picks) - 1
+    for a, b, r in zip(picks, picks[1:], got):
+        window = pool[a] + pool[b][-m.N :]
+        if all(map(math.isfinite, window)):
+            assert bits([r]) == bits([per_window_residual(m, window, 0.1)])
+        else:
+            assert not math.isfinite(r)
+
+
+def test_batch_kernel_peak_memory_stays_bounded():
+    # Column blocks keep the terms x states matrices small: whole-batch
+    # matrices for these calls would take several megabytes on their own.
+    m = benchmark_map("beam_sym")
+    orbit = maps.iterate(m, [1.1] * 4, 0.1, 20_000)
+    assert orbit.status == "complete"
+    dense = (1 + sum(Polynomial.var(v) for v in EVAL_VARS)) ** 4  # 35 terms
+    rng = random.Random(5)
+    states = [[rng.uniform(-1, 1) for _ in EVAL_VARS] for _ in range(20_000)]
+    maps.orbit_residuals(m, maps.Orbit(0.1, orbit.points[:2]))  # compiled and cached first
+    for call in (lambda: maps.orbit_residuals(m, orbit), lambda: maps.eval_batch([dense], EVAL_VARS, states)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
