@@ -7,26 +7,24 @@ and fills the last block with the solved highest shifts.  Linearity in the
 lowest shifts gives the inverse the same way, so the map is birational.
 
 Symbolic solutions (Cramer on the polynomial coefficient matrix) are built
-for N <= 3; numeric stepping always goes through an LU solve of the
-evaluated N x N system, so larger systems iterate fine without closed forms.
-That solve is ``np.linalg.solve``'s LAPACK gufunc call,
-``_umath_linalg.solve1`` (``dgesv``) under its error state
-``_solve_errstate``, minus the wrapper, which costs more than the solve.
-Each orbit call stores A and -r into float64 buffers of its own; on those
-the gufunc can only pick its ``dd->d`` loop, so it is given no signature.
+for N <= 3; numeric stepping always solves the evaluated N x N system by
+Gaussian elimination with partial pivoting, so larger systems iterate fine
+without closed forms.  The elimination is generated straight-line code on
+local floats, not a LAPACK call: that is faster than the call at these
+sizes, and its bits do not follow the BLAS kernel a host picks at run time.
 Float Cramer would round differently.  Every float evaluation reads one term
 list, ``_compile``'s, in one operation order, through one of two consumers
 chosen by how the call site uses it.  The stepper and ``first_order_field``
 evaluate the same polynomials at one state after another, so they run
 straight-line Python generated once from the terms (``_value_lines``).  Per
 map, direction and h, one generated function runs a whole orbit, with the
-window in local variables: ``iterate`` enters the error state and calls it
-once per orbit, and ``step``/``step_back`` call it for one step.  Residuals
-and ``eval_batch`` share one batch kernel, ``_gathered``.
+window in local variables: ``iterate`` calls it once per orbit, and
+``step``/``step_back`` call it for one step.  Residuals and ``eval_batch``
+share one batch kernel, ``_gathered``.
 
 numpy is imported by the first float call: ``_numpy``, the package's one
-loader, binds ``_NUMPY_NAMES`` here once, and every float entry point
-reaches it before its first use of numpy.  ``_eval_rational_batch`` is the
+loader, binds ``np`` here once, and every float entry point reaches it
+before its first use of numpy.  ``_eval_rational_batch`` is the
 one batch evaluator of quotients (with a mask where a denominator
 vanishes).  The exact layer (solving, ``jacobian``, ``eval_exact`` and all
 of ``darboux``) never loads numpy.
@@ -34,8 +32,6 @@ of ``darboux``) never loads numpy.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -203,11 +199,7 @@ def _cramer(A: list[list[Polynomial]], r: list[Polynomial]) -> list[RationalFunc
     return out
 
 
-def _singular(err: str, flag: int):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-_NUMPY_NAMES = ("np", "_umath_linalg", "_solve_errstate")
+_NUMPY_NAMES = ("np",)
 _BLOCK = 256  # states per block of ``_gathered``; at 1024 the report's peak RSS rose
 
 
@@ -215,20 +207,13 @@ def _numpy():
     """Bind ``_NUMPY_NAMES`` in this module on the first call, and return
     numpy.  Every float entry point reaches it before it uses numpy; the
     exact layer never does, so importing polykahan does not import numpy."""
-    global np, _umath_linalg, _solve_errstate
-    if "_solve_errstate" in globals():  # bound last
-        return np
-    import numpy as np
-    from numpy.linalg import _umath_linalg
-
-    # np.linalg.solve's error state: a singular matrix raises, over/underflow pass.
-    _solve_errstate = functools.partial(
-        np.errstate, call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
-    )
+    global np
+    if "np" not in globals():
+        import numpy as np
     return np
 
 
-def _condition(A: np.ndarray) -> float | None:
+def _condition(A: list[list[float]]) -> float | None:
     try:
         return float(np.linalg.cond(A))
     except np.linalg.LinAlgError:  # the SVD does not converge on a non-finite A
@@ -307,14 +292,17 @@ def _stepping_function(compiled: Sequence[list], N: int, dim: int, forward: bool
     """``run(points, steps)``: ``steps`` steps from the window ``points[-1]``,
     each new window appended to ``points``.  ``compiled`` holds A's entries
     row by row, then r, in the window's slots; a step solves A b = -r, by a
-    division at N = 1, else by ``_umath_linalg.solve1`` under the caller's
-    ``_solve_errstate()``, and shifts the window in local variables.  At
-    N >= 2 each step stores A and -r into float64 buffers made once per call
-    and local to it; on those, ``solve1`` can only run the ``dd->d`` loop
-    that ``np.linalg.solve`` names by ``signature``, so none is passed."""
+    division at N = 1, and shifts the window in local variables.  At N >= 2
+    it runs Gaussian elimination on [A | -r] copied into locals ``a{i}_{j}``
+    (the ``v``s stay for ``_condition``): each column swaps in, row by row,
+    any later row whose entry has a strictly larger ``abs`` than the pivot
+    so far (so the first largest wins), stops at a pivot that is exactly 0
+    and eliminates below it; back-substitution subtracts left to right.  No
+    LAPACK call: at these sizes the call costs more than the solve, and its
+    bits follow the BLAS kernel the host picks at run time."""
     lines, coeffs = _value_lines(compiled)
     slots, block = [f"s{i}" for i in range(dim)], [f"b{j}" for j in range(N)]
-    s, b = ", ".join(slots), ", ".join(block)
+    s = ", ".join(slots)
     at = "at state {[" + s + "]}"  # the window as list(state) shows it
     if N == 1:
         solve = [
@@ -323,20 +311,30 @@ def _stepping_function(compiled: Sequence[list], N: int, dim: int, forward: bool
             f'    raise SingularStep(f"vanishing denominator {at}")',
         ]
     else:
-        solve = [
-            *(f"a[{k}] = v{k}" for k in range(N * N)),
-            *(f"r[{j}] = -v{N * N + j}" for j in range(N)),
-            "try:",
-            f"    {b} = _umath_linalg.solve1(A, r).tolist()",
-            "except np.linalg.LinAlgError:",
-            f'    raise SingularStep(f"singular linear system {at}", _condition(A)) from None',
+        a = [[f"a{i}_{j}" for j in range(N + 1)] for i in range(N)]
+        v = [[f"v{i * N + j}" for j in range(N)] for i in range(N)]
+        cond = "_condition([" + ", ".join(f"[{', '.join(row)}]" for row in v) + "])"
+        start = (f"{', '.join(row)}, -v{N * N + i}" for i, row in enumerate(v))
+        solve = [f"{', '.join(sum(a, []))} = {', '.join(start)}"]
+        for k in range(N):
+            for i in range(k + 1, N):
+                pivot, other = ", ".join(a[k][k:]), ", ".join(a[i][k:])
+                solve += [f"if abs({a[i][k]}) > abs({a[k][k]}):",
+                          f"    {pivot}, {other} = {other}, {pivot}"]
+            solve += [f"if not {a[k][k]}:",
+                      f'    raise SingularStep(f"singular linear system {at}", {cond})']
+            for i in range(k + 1, N):
+                solve.append(f"f = {a[i][k]} / {a[k][k]}")
+                solve += [f"{a[i][j]} = {a[i][j]} - f * {a[k][j]}" for j in range(k + 1, N + 1)]
+        for i in reversed(range(N)):
+            known = "".join(f" - {a[i][j]} * b{j}" for j in range(i + 1, N))
+            solve.append(f"b{i} = ({a[i][N]}{known}) / {a[i][i]}")
+        solve += [
             f"if not ({' and '.join(f'math.isfinite(b{j})' for j in range(N))}):",
-            f'    raise SingularStep(f"non-finite solve {at}", _condition(A))',
+            f'    raise SingularStep(f"non-finite solve {at}", {cond})',
         ]
     window = slots[N:] + block if forward else block + slots[:-N]
-    buffers = [f"a, r = np.empty({N * N}), np.empty({N})", f"A = a.reshape({N}, {N})"]
     body = [
-        *(buffers if N > 1 else []),
         f"{s}, = points[-1]",
         "for _ in range(steps):",
         "    try:",
@@ -421,14 +419,13 @@ def _eval_rational_batch(pairs, variables, states) -> tuple[list[np.ndarray], np
 
 
 def _steps(m: BirationalMap, points: list, h: float, direction: str, steps: int) -> list:
-    """Append ``steps`` windows to ``points``; N >= 2 solves under ``_solve_errstate()``."""
+    """Append ``steps`` windows to ``points`` by the map's generated stepper."""
     if len(points[-1]) != m.dim:
         raise ValueError(f"state has {len(points[-1])} values, the map's window {m.dim}")
     if steps < 0:
         raise ValueError(f"steps must be at least 0, not {steps}")
     _numpy()
-    with _solve_errstate() if m.N > 1 else contextlib.nullcontext():
-        m._stepper(h, direction)(points, steps)
+    m._stepper(h, direction)(points, steps)
     return points
 
 

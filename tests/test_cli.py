@@ -1,8 +1,13 @@
 import hashlib
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polykahan import cases, darboux, maps
@@ -458,9 +463,9 @@ def test_beam_report_builds_each_map_once(tmp_path, monkeypatch, preset):
 # seed 7 too, and of one inline system's.  A change that moves a byte of them
 # changes reported results, and updates these with its reason.
 DEFAULT_REPORT_SHA256 = {
-    "lv/orbit.csv": "2be482fc71002b73f7ad1cabd9840290592f38fabacaa7cdf3d11ee301703e30",
+    "lv/orbit.csv": "0ac7f54687737409bf123f1371d5c5cc609a4fa740ceb4e696ed39032d04db85",
     "lv/phase.svg": "2dbcb6ce7a45fe8236bc05fafb4475d6f0b46377f96dfcbee3c5d93c1b07b0a1",
-    "lv/report.txt": "a2ef5facf480fa4f6a32fbb4474e8045dedbf5cb8ec5eed7da1fd8d7393e9924",
+    "lv/report.txt": "f08c01893ccdde1a00d76232ec39dced1b30f18a7b9371c1526368368b972c06",
     "quartic/orbit.csv": "cfc3653dd10c0a97bc369101596240b71b4b36c2a6ded481efbaa310d78a2e0e",
     "quartic/phase.svg": "2f819ba858ee2838abc16efb0c3f54d38e16b9b2b5daf4906662815d06eb4104",
     "quartic/report.txt": "955367f263c24c7c1e40b0b5754766f7bb870d544e80db6df44de38317fb8429",
@@ -507,6 +512,31 @@ def test_default_report_files_are_pinned(tmp_path, run, text):
     for name in ("orbit.csv", "phase.svg", "report.txt"):
         digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
         assert digest == DEFAULT_REPORT_SHA256[f"{run}/{name}"], name
+
+
+def openblas_on_avx2():
+    """numpy's BLAS is OpenBLAS on an x86-64 host that can run its AVX2 kernels."""
+    if platform.machine() != "x86_64" or not os.path.exists("/proc/cpuinfo"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        return False
+    with open("/proc/cpuinfo") as f:
+        return "openblas" in blas and "avx2" in f.read().split()
+
+
+@pytest.mark.skipif(not openblas_on_avx2(), reason="needs numpy on OpenBLAS and an AVX2 host")
+def test_the_lv_orbit_is_the_same_under_every_openblas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks the kernel when OpenBLAS loads, so each run is
+    # its own process; the N = 2 step must not follow the kernel's rounding.
+    for core in ("Prescott", "Haswell"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = tmp_path / core
+        subprocess.run([sys.executable, "-m", "polykahan.cli", "report", "--preset", "lv",
+                        "--out", str(out)], check=True, env=env, capture_output=True)
+        digest = hashlib.sha256((out / "orbit.csv").read_bytes()).hexdigest()
+        assert digest == DEFAULT_REPORT_SHA256["lv/orbit.csv"], core
 
 
 @pytest.mark.parametrize("key", ["init", "init_ode"])

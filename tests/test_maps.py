@@ -422,6 +422,41 @@ def test_non_finite_two_by_two_solve_reports_its_condition_number():
 # -- the generated stepper against the _ceval loop it replaced ------------------
 
 
+def condition(A):
+    try:
+        return float(np.linalg.cond(np.array(A)))
+    except np.linalg.LinAlgError:  # the SVD does not converge on a non-finite A
+        return None
+
+
+def pivoted_solve(A, y, state):
+    """A b = y by Gaussian elimination with partial pivoting, as loops in
+    the order of the stepper's generated lines: each column swaps in, row by
+    row, any later row whose entry has a strictly larger abs, and stops at a
+    pivot that is exactly 0; back-substitution subtracts left to right."""
+    N = len(A)
+    rows = [[*row, yi] for row, yi in zip(A, y)]
+    for k in range(N):
+        for i in range(k + 1, N):
+            if abs(rows[i][k]) > abs(rows[k][k]):
+                rows[k], rows[i] = rows[i], rows[k]
+        if rows[k][k] == 0.0:
+            raise maps.SingularStep(f"singular linear system at state {list(state)}", condition(A))
+        for i in range(k + 1, N):
+            f = rows[i][k] / rows[k][k]
+            for j in range(k + 1, N + 1):
+                rows[i][j] = rows[i][j] - f * rows[k][j]
+    b = [0.0] * N
+    for i in reversed(range(N)):
+        t = rows[i][N]
+        for j in range(i + 1, N):
+            t = t - rows[i][j] * b[j]
+        b[i] = t / rows[i][i]
+    if not all(map(math.isfinite, b)):
+        raise maps.SingularStep(f"non-finite solve at state {list(state)}", condition(A))
+    return b
+
+
 def ceval_step(m, state, h, direction):
     """One step as the stepper took it with one ``_ceval`` call per entry."""
     n, N = m.n, m.N
@@ -442,20 +477,8 @@ def ceval_step(m, state, h, direction):
                 raise maps.SingularStep(f"vanishing denominator at state {list(state)}")
             block = [num / den]
         else:
-            Af = np.array([[maps._ceval(c, state) for c in row] for row in A], dtype=float)
-            rhs = np.array([-maps._ceval(c, state) for c in r], dtype=float)
-            try:
-                block = np.linalg.solve(Af, rhs).tolist()
-            except np.linalg.LinAlgError:
-                raise maps.SingularStep(
-                    f"singular linear system at state {list(state)}",
-                    condition=float(np.linalg.cond(Af)),
-                ) from None
-            if not all(map(math.isfinite, block)):
-                raise maps.SingularStep(
-                    f"non-finite solve at state {list(state)}",
-                    condition=float(np.linalg.cond(Af)),
-                )
+            Af = [[maps._ceval(c, state) for c in row] for row in A]
+            block = pivoted_solve(Af, [-maps._ceval(c, state) for c in r], state)
     except OverflowError:
         raise maps.SingularStep(f"float overflow at state {list(state)}") from None
     if direction == "forward":
@@ -604,27 +627,7 @@ def test_first_order_field_equals_the_ceval_loop_on_an_rk4_sample(name):
     assert got.tobytes() == want.tobytes()
 
 
-# -- the N >= 2 solve: numpy's gufunc under np.linalg.solve's error state --------
-
-maps._numpy()
-_GUFUNC = maps._umath_linalg
-
-
-class RecordingGufunc:
-    """Stands in for ``maps._umath_linalg``; keeps what ``solve1`` gave the stepper."""
-
-    def __init__(self):
-        self.result = None
-
-    def solve1(self, *args, **kwargs):
-        try:
-            out = _GUFUNC.solve1(*args, **kwargs)
-        except np.linalg.LinAlgError:
-            self.result = "LinAlgError"
-            raise
-        self.result = bits(out.tolist())
-        return out
-
+# -- the N >= 2 solve: pivoted elimination in generated lines ------------------
 
 small = st.integers(-2, 2).map(float)  # many such systems are exactly singular
 entry_pools = [
@@ -634,33 +637,45 @@ entry_pools = [
 ]
 
 
-@given(data=st.data())
-def test_the_stepper_solve_is_np_linalg_solve_bit_for_bit(data):
-    # Guards the private gufunc: verified against numpy 2.4.6.
+def constant_system(data):
+    """N, and A row by row and b drawn from one of the entry pools."""
     N = data.draw(st.sampled_from([2, 3]))
     entries = data.draw(st.sampled_from(entry_pools))
-    A = np.array(data.draw(st.lists(entries, min_size=N * N, max_size=N * N))).reshape(N, N)
-    b = np.array(data.draw(st.lists(entries, min_size=N, max_size=N)))
-    # Constant term lists: the step evaluates A and r = -b, each as 0.0 + c.
-    constant = [[(c, ())] for c in [*A.flat, *(-b).tolist()]]
-    b = np.where(b == 0.0, -0.0, b)  # the solve gets -(0.0 + -b): no +0.0
-    try:
-        sol = np.linalg.solve(A, b).tolist()
-        want = bits(sol)
-        step_outcome = want if all(map(math.isfinite, sol)) else "non-finite solve"
-    except np.linalg.LinAlgError:
-        want, step_outcome = "LinAlgError", "singular linear system"
-    m = benchmark_map("lv" if N == 2 else "euler_top")  # order 1: the step is the solve
-    recorder = RecordingGufunc()
+    return (N, *(data.draw(st.lists(entries, min_size=k, max_size=k)) for k in (N * N, N)))
+
+
+def step_constant_system(N, A, b):
+    """One step of an order-1 map whose A and r are constant term lists, so
+    the step is the solve of A x = b (r = -b)."""
+    constant = [[(c, ())] for c in [*A, *(-c for c in b)]]
+    m = benchmark_map("lv" if N == 2 else "euler_top")
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(m._cache, ("forward", 0.1), maps._stepping_function(constant, N, N, True))
-        mp.setattr(maps, "_umath_linalg", recorder)
-        try:
-            got = bits(maps.step(m, [0.0] * N, 0.1))
-        except maps.SingularStep as err:
-            got = str(err).split(" at state")[0]
-    assert recorder.result == want
-    assert got == step_outcome
+        return maps.step(m, [0.0] * N, 0.1)
+
+
+@given(data=st.data())
+def test_the_stepper_solve_is_the_pivoted_elimination_bit_for_bit(data):
+    N, A, b = constant_system(data)
+    # The step evaluates each entry as 0.0 + c, and the right-hand side as -(0.0 + -c).
+    Av = [[0.0 + c for c in A[i * N : (i + 1) * N]] for i in range(N)]
+    y = [-(0.0 + -c) for c in b]
+    want = outcome(pivoted_solve, Av, y, [0.0] * N)
+    assert outcome(step_constant_system, N, A, b) == want
+
+
+@given(data=st.data())
+def test_the_stepper_solve_agrees_with_np_linalg_solve_where_a_is_well_conditioned(data):
+    N, A, b = constant_system(data)
+    Af, bf = np.array(A).reshape(N, N), np.array(b)
+    cond = condition(Af)
+    if cond is None or not cond < 1e8:
+        return
+    want = np.linalg.solve(Af, bf)
+    if not np.all(np.isfinite(want)):
+        return
+    got = np.array(step_constant_system(N, A, b))
+    assert np.linalg.norm(got - want) <= cond * 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("name,start", [("lv", [1.2, 0.9]), ("euler_top", [1.0, 0.5, 0.3])])
@@ -695,17 +710,12 @@ def test_an_exactly_singular_system_ends_the_orbit():
 
 def test_one_call_reports_the_step_it_fails_at_not_an_earlier_one():
     # The same diag(1, x1 - 6) system, run by one call of the generated
-    # function: its reused buffers must hold the seventh step's A.
+    # function: its condition number must come from the seventh step's A.
     x1, x2, x2_next = (Polynomial.var(v) for v in (x(1), x(2), x(2, 1)))
     eqs = (Polynomial.var(x(1, 1)) - x1 - 1, (x1 - 6) * x2_next - x2)
     m = maps.solve_forward(ImplicitScheme(1, 2, H, eqs))
     points = [[0.0, 1.0]]
-
-    def run(points, steps):
-        with maps._solve_errstate():
-            m._stepper(0.1, "forward")(points, steps)
-
-    got = outcome(run, points, 20)
+    got = outcome(m._stepper(0.1, "forward"), points, 20)
     assert len(points) == 7 and points[-1][0] == 6.0
     want = outcome(ceval_step, m, points[-1], 0.1, "forward")
     assert want[:2] == (maps.SingularStep, f"singular linear system at state {points[-1]}")
@@ -741,7 +751,7 @@ def test_an_orbit_builds_as_many_arrays_for_1000_steps_as_for_10(monkeypatch, na
         monkeypatch.setattr(maps, "np", counting)
         assert maps.iterate(m, start, 0.1, steps).status == "complete"
         built.append(counting.built)
-    assert built[0] == built[1]
+    assert built == [0, 0]  # a regular step solves on floats, with no array
 
 
 @pytest.mark.parametrize("fn", [maps.iterate, maps.step, maps.step_back])
@@ -757,27 +767,6 @@ def test_a_negative_step_count_is_a_value_error():
     with pytest.raises(ValueError, match="steps must be at least 0, not -1"):
         maps.iterate(benchmark_map("lv"), [1.2, 0.9], 0.1, -1)
     assert len(maps.iterate(benchmark_map("lv"), [1.2, 0.9], 0.1, 0).points) == 1
-
-
-def test_the_solve_error_state_is_entered_once_per_orbit_and_never_at_n_1(monkeypatch):
-    entered = []
-
-    def counting():
-        entered.append(1)
-        return errstate()
-
-    errstate = maps._solve_errstate
-    monkeypatch.setattr(maps, "_solve_errstate", counting)
-    lv = benchmark_map("lv")
-    assert maps.iterate(lv, [1.2, 0.9], 0.1, 100).status == "complete"
-    assert len(entered) == 1
-    maps.step(lv, [1.2, 0.9], 0.1)
-    maps.step_back(lv, [1.2, 0.9], 0.1)
-    assert len(entered) == 3
-    quartic = benchmark_map("quartic")
-    maps.step(quartic, [0.31, 0.30], 0.1)
-    maps.iterate(quartic, [0.31, 0.30], 0.1, 100)
-    assert len(entered) == 3
 
 
 def test_a_non_finite_system_is_a_singular_step_without_a_condition_number():
