@@ -90,7 +90,10 @@ def parse_poly(text: str, line: int | None = None) -> Polynomial:
                 factors.append((param(name), int(exp or 1)))
                 continue
             raise ParseError(f"cannot parse factor {factor!r}", line)
-        terms.append((Monomial.from_pairs(factors), coeff))
+        try:
+            terms.append((Monomial.from_pairs(factors), coeff))
+        except ValueError as e:  # an exponent beyond poly.MAX_EXPONENT
+            raise ParseError(str(e), line) from None
     return Polynomial(terms)
 
 

@@ -19,8 +19,8 @@ evaluate the same polynomials at one state after another, so they run
 straight-line Python generated once from the terms (``_value_lines``).  Per
 map, direction and h, one generated function runs a whole orbit, with the
 window in local variables: ``iterate`` calls it once per orbit, and
-``step``/``step_back`` call it for one step.  Residuals and ``eval_batch``
-share one batch kernel, ``_gathered``.
+``step``/``step_back`` call it for one step.  Residuals, ``eval_batch``
+and ``linearize_at`` share one batch kernel, ``_gathered``.
 
 numpy is imported by the first float call: ``_numpy``, the package's one
 loader, binds ``np`` here once, and every float entry point reaches it
@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import linalg
-from .poly import Polynomial, RationalFunction, Var, collect_linear, x
+from .poly import DenominatorVanished, Polynomial, RationalFunction, Var, collect_linear, x
 from .scheme import ImplicitScheme, PolyOdeSystem, discretize
 
 SYMBOLIC_DIM_LIMIT = 3  # Cramer's rule is built only for N at most this
@@ -397,21 +397,34 @@ def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) ->
     """Each polynomial at each state, as ``Polynomial.eval`` gives it; column
     k of ``states`` binds ``variables[k]``, and other variables raise ValueError."""
     _numpy()
+    return list(_eval_plan(_plan(polys, variables), len(variables), states))
+
+
+def _plan(polys: Sequence[Polynomial], variables: Sequence[Var]) -> tuple:
     slots = {v: k for k, v in enumerate(variables)}
-    plan = _batch_plan([_compile(p, slots, {}) for p in polys])
-    states = np.reshape(np.asarray(states, dtype=float), (len(states), len(variables)))
-    out = np.empty((len(polys), len(states)))
+    return _batch_plan([_compile(p, slots, {}) for p in polys])
+
+
+def _eval_plan(plan: tuple, nvars: int, states) -> np.ndarray:
+    """The plan's polynomials at each state: a polynomials x states array."""
+    states = np.reshape(np.asarray(states, dtype=float), (len(states), nvars))
+    out = np.empty((len(plan[3]), len(states)))
     with np.errstate(all="ignore"):
         for cut, _, sums in _gathered(plan, states.T, len(states)):
             out[:, cut] = sums
-    return list(out)
+    return out
 
 
 def _eval_rational_batch(pairs, variables, states) -> tuple[list[np.ndarray], np.ndarray]:
     """num/den for each (num, den) pair at each state, as RationalFunction.eval
     divides (a RationalFunction would rescale the pair), and a mask of the
     states at which no denominator vanishes (where eval raises)."""
-    values = eval_batch([q for pair in pairs for q in pair], variables, states)
+    return _quotients(eval_batch([q for pair in pairs for q in pair], variables, states))
+
+
+def _quotients(values) -> tuple[list[np.ndarray], np.ndarray]:
+    """Rows 0, 2, ... of ``values`` over rows 1, 3, ..., and the mask of the
+    states where no denominator row is 0."""
     nums, dens = values[0::2], values[1::2]
     with np.errstate(all="ignore"):
         quotients = [n / d for n, d in zip(nums, dens)]
@@ -520,9 +533,14 @@ def linearize_at(m: BirationalMap, p: Sequence[float], h: float) -> np.ndarray:
     if err > 1e-9:
         raise NotFixedPoint(f"|m(p) - p| = {err:.3e} exceeds 1e-09")
     J, _ = jacobian(m)
-    point: dict[Var, float] = {v: float(s) for v, s in zip(m.state_vars, p)}
-    point[m.scheme.step] = float(h)
-    return np.array([[rf.eval(point) for rf in row] for row in J], dtype=float)
+    variables = [*m.state_vars, m.scheme.step]
+    if "jacobian_plan" not in m._cache:
+        pairs = [q for row in J for rf in row for q in (rf.num, rf.den)]
+        m._cache["jacobian_plan"] = _plan(pairs, variables)
+    values, ok = _quotients(_eval_plan(m._cache["jacobian_plan"], len(variables), [[*p, h]]))
+    if not ok[0]:
+        raise DenominatorVanished(f"denominator vanished at {dict(zip(variables, [*p, h]))}")
+    return np.array(values).reshape(len(J), -1)
 
 
 @dataclass

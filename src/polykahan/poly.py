@@ -11,8 +11,17 @@ is decidable and every algebraic check in this package is exact.  The zero
 polynomial stores no terms; nonzero polynomials never store a zero
 coefficient, so two equal polynomials have identical term dictionaries.
 
+Variables and monomials are interned: there is one ``Var`` per (component,
+shift, name) and one live ``Monomial`` per exponent vector, so equality is
+identity and both hash by identity.  Each variable owns a bit field of every
+monomial's packed key, sum_v e_v << v._at; a weakly held table maps keys to
+live monomials, so a product adds two keys and probes the table, and a
+monomial nothing refers to is collected with its entry.  An exponent must lie
+in 1..``MAX_EXPONENT``; one beyond it raises ValueError.
+
 All values are immutable after construction.  Arithmetic never mutates its
-operands, which makes every object here safe to share between threads.
+operands, and the intern tables change only under one lock, which makes
+every object here safe to share between threads.
 
 Component 0 is reserved for the dummy state variable that is identically 1;
 it is eliminated when a monomial is built and never appears in a stored
@@ -23,9 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import threading
+import weakref
+from collections.abc import Collection, Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 Number = Union[int, float, Fraction]
@@ -39,37 +50,63 @@ class NotLinear(ValueError):
     """Raised by :func:`collect_linear` when a monomial is jointly nonlinear."""
 
 
-@dataclass(frozen=True, slots=True)
+# A monomial's packed key is sum_v e_v << v._at: each variable owns a field
+# of _FIELD bits, fixed when the variable is created.  Stored exponents are
+# at most MAX_EXPONENT, so the top bit of every field is a guard that no
+# stored key sets and the sum of two keys never carries into the next field.
+_FIELD = 16
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+_MASK = (1 << _FIELD) - 1
+
+# One lock makes creating an interned object, and dropping the table entry
+# of a collected monomial, atomic; it is reentrant because a collection can
+# run that removal in the thread that holds it.
+_INTERN = threading.RLock()
+_VARS: dict[tuple[int, int, str], "Var"] = {}
+_MONOMIALS: dict[int, weakref.KeyedRef] = {}
+
+
+def _frozen(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _init_slots(obj, **values) -> None:
+    for slot, value in values.items():
+        object.__setattr__(obj, slot, value)
+
+
 class Var:
     """A single variable: a lattice state variable or a named parameter.
 
     State variables have ``name == ''`` and carry (component, shift);
-    parameters have a nonempty name and zero component/shift.
+    parameters have a nonempty name and zero component/shift.  There is one
+    object per (component, shift, name), so equality is identity.
     """
 
-    comp: int = 0
-    shift: int = 0
-    name: str = ""
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("comp", "shift", "name", "is_param", "_key", "_at")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        # States order before parameters, by (component, shift) resp. name;
-        # the key fixes canonical monomial order and is also the hash key.
-        key = (1, self.name, self.comp, self.shift) if self.name else (0, self.comp, self.shift)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, comp: int = 0, shift: int = 0, name: str = ""):
+        ident = (comp, shift, name)
+        v = _VARS.get(ident)
+        if v is None:
+            with _INTERN:
+                v = _VARS.get(ident)
+                if v is None:
+                    v = object.__new__(cls)
+                    # States order before parameters, by (component, shift)
+                    # resp. name; the key fixes canonical monomial order.
+                    key = (1, name, comp, shift) if name else (0, comp, shift)
+                    _init_slots(
+                        v, comp=comp, shift=shift, name=name, is_param=name != "",
+                        _key=key, _at=_FIELD * len(_VARS),
+                    )
+                    _VARS[ident] = v
+        return v
 
     def __reduce__(self):
-        # Pickle the fields only: the hash of a name differs between processes.
+        # Unpickling and copying go through __new__, which interns.
         return Var, (self.comp, self.shift, self.name)
-
-    @property
-    def is_param(self) -> bool:
-        return self.name != ""
 
     def sort_key(self):
         return self._key
@@ -101,22 +138,35 @@ def param(name: str) -> Var:
     return Var(name=name)
 
 
-@dataclass(frozen=True, slots=True)
 class Monomial:
     """A product of variables with positive integer exponents.
 
     Stored as a tuple of (Var, exponent) pairs sorted by the canonical
-    variable order.  The empty tuple is the constant monomial 1.
+    variable order.  The empty tuple is the constant monomial 1.  There is
+    one live object per exponent vector, found by its packed key in a weakly
+    held table, so equality is identity and a product adds two keys.
     """
 
-    factors: tuple[tuple[Var, int], ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("factors", "degree", "_key", "__weakref__")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.factors))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, factors: Collection[tuple[Var, int]] = ()):
+        """The monomial of (Var, exponent) pairs with distinct variables."""
+        key = 0
+        for v, e in factors:
+            if not 0 < e <= MAX_EXPONENT:
+                raise ValueError(f"exponent {e} of {v} is not in 1..{MAX_EXPONENT}")
+            key += e << v._at
+        m = _live(key)
+        if m is None:
+            with _INTERN:
+                m = _live(key)
+                if m is None:
+                    m = object.__new__(cls)
+                    factors = tuple(sorted(factors, key=lambda it: it[0]._key))
+                    _init_slots(m, factors=factors, degree=sum(e for _, e in factors), _key=key)
+                    _MONOMIALS[key] = weakref.KeyedRef(m, _forget, key)
+        return m
 
     def __reduce__(self):
         return Monomial, (self.factors,)
@@ -127,16 +177,9 @@ class Monomial:
         for v, e in pairs:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-            if e == 0:
-                continue
-            if not v.is_param and v.comp == 0:
-                continue  # dummy variable x0 == 1
-            acc[v] = acc.get(v, 0) + e
-        return Monomial(tuple(sorted(acc.items(), key=lambda it: it[0]._key)))
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.factors)
+            if e and (v.comp or v.is_param):  # the dummy variable x0 == 1 drops out
+                acc[v] = acc.get(v, 0) + e
+        return Monomial(acc.items())
 
     def degree_in(self, vars: frozenset[Var] | set[Var]) -> int:
         return sum(e for v, e in self.factors if v in vars)
@@ -145,42 +188,48 @@ class Monomial:
         return sum(e for v, e in self.factors if not v.is_param)
 
     def exponent(self, v: Var) -> int:
-        for w, e in self.factors:
-            if w == v:
-                return e
-        return 0
+        return self._key >> v._at & _MASK
 
     def vars(self) -> tuple[Var, ...]:
         return tuple(v for v, _ in self.factors)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        # Merge the two canonically sorted factor tuples in one pass.
-        a, b = self.factors, other.factors
-        if not b:
-            return self
-        if not a:
-            return other
-        out, i, j = [], 0, 0
-        while i < len(a) and j < len(b):
-            (v, e), (w, f) = a[i], b[j]
-            if v._key == w._key:
-                out.append((v, e + f))
-                i, j = i + 1, j + 1
-            elif v._key < w._key:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        return Monomial((*out, *a[i:], *b[j:]))
+        key = self._key + other._key
+        ref = _MONOMIALS.get(key)
+        if ref is not None and (m := ref()) is not None:
+            return m
+        # Missing, or a sum set a guard bit, which the constructor rejects.
+        return Monomial.from_pairs(self.factors + other.factors)
 
     def without(self, v: Var) -> "Monomial":
-        return Monomial(tuple((w, e) for w, e in self.factors if w != v))
+        return Monomial(tuple((w, e) for w, e in self.factors if w is not v))
 
     def __str__(self) -> str:
         return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in self.factors) or "1"
 
     __repr__ = __str__
+
+
+def _live(key: int) -> Monomial | None:
+    """The live monomial of packed key ``key``, if there is one."""
+    ref = _MONOMIALS.get(key)
+    return None if ref is None else ref()
+
+
+def _forget(ref: weakref.KeyedRef, table=_MONOMIALS, lock=_INTERN) -> None:
+    # Called when a monomial is collected; a monomial made since under the
+    # same key keeps its entry.  The table and lock are bound as defaults so
+    # that a collection at interpreter exit needs no module global.
+    with lock:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+
+def _quotient(m: Monomial, d: Monomial) -> Monomial:
+    """m / d for a monomial ``d`` that divides ``m``."""
+    return _live(m._key - d._key) or Monomial(
+        tuple((v, e - d.exponent(v)) for v, e in m.factors if e > d.exponent(v))
+    )
 
 
 _ONE = Monomial()
@@ -347,11 +396,9 @@ class Polynomial:
     # -- calculus and structure -----------------------------------------
 
     def derivative(self, v: Var) -> "Polynomial":
+        dv = Monomial.from_pairs([(v, 1)])
         return Polynomial(
-            (Monomial.from_pairs([(w, k - 1 if w == v else k) for w, k in m.factors]),
-             c * m.exponent(v))
-            for m, c in self._terms.items()
-            if m.exponent(v)
+            (_quotient(m, dv), c * m.exponent(v)) for m, c in self._terms.items() if m.exponent(v)
         )
 
     def map_vars(self, fn) -> "Polynomial":
@@ -521,7 +568,7 @@ def _compose(p: Polynomial, subs: Mapping[Var, "RationalFunction"], tables: dict
     for mono, c in p.terms():
         rest = [(v, e) for v, e in mono.factors if v not in solved]
         key = tuple(mono.exponent(v) for v in solved)
-        groups.setdefault(key, []).append((Monomial.from_pairs(rest), c))
+        groups.setdefault(key, []).append((Monomial(rest), c))
     rows = []
     for v, (rf, E) in solved.items():
         if (v, E) not in tables:
@@ -555,8 +602,7 @@ def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
         # Leading-term division: fail fast if the monomial does not divide.
         if any(rm.exponent(v) < e for v, e in qm.factors):
             return None
-        diff = tuple((v, e - qm.exponent(v)) for v, e in rm.factors if e > qm.exponent(v))
-        t = Polynomial.monomial(Monomial(diff), Fraction(rc, qc))
+        t = Polynomial.monomial(_quotient(rm, qm), Fraction(rc, qc))
         quotient.extend(t.terms())
         rem = rem - t * q
     return Polynomial(quotient)
@@ -706,15 +752,12 @@ def _common_monomial(*polys: Polynomial) -> Monomial:
             return _ONE
         exps = dict(m.factors)
         shared = {v: min(e, exps[v]) for v, e in shared.items() if v in exps}
-    return Monomial(tuple(shared.items()))
+    return Monomial(shared.items())
 
 
 def _strip_monomial(p: Polynomial, m: Monomial) -> Polynomial:
     q = Polynomial.__new__(Polynomial)
-    q._terms = {
-        Monomial.from_pairs([(v, e - m.exponent(v)) for v, e in mm.factors]): c
-        for mm, c in p.terms()
-    }
+    q._terms = {_quotient(mm, m): c for mm, c in p.terms()}
     return q
 
 

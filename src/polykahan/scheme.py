@@ -49,7 +49,7 @@ class PolyOdeSystem:
         if len(self.rhs) != self.dim:
             raise ValueError("need one right-hand side per component")
         for i, p in enumerate(self.rhs):
-            for v in p.vars():
+            for v in sorted(p.vars()):  # the first offending variable, in canonical order
                 if v.is_param:
                     continue
                 if v.shift != 0:

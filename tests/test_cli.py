@@ -20,7 +20,7 @@ from polykahan.cli import (
     parse_config,
     parse_poly,
 )
-from polykahan.poly import Monomial, Polynomial, param, x
+from polykahan.poly import MAX_EXPONENT, Monomial, Polynomial, param, x
 
 
 def mono(*pairs):
@@ -99,6 +99,20 @@ def test_an_inline_rhs_parse_error_names_its_line_and_writes_nothing(tmp_path, c
     cfg.write_text("order = 1\nrhs = x1**2\ninit = 1\n")
     assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "config error: line 2: empty factor in term 'x1**2'\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rhs", [
+    f"x1^{MAX_EXPONENT + 1}",
+    f"x1^{MAX_EXPONENT}*x1",  # the factors of a term add up beyond the limit
+], ids=["one-factor", "summed"])
+def test_an_exponent_the_packed_field_cannot_hold_is_a_parse_error(tmp_path, capsys, rhs):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"order = 1\nrhs = {rhs}\ninit = 1\n")
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: line 2: exponent {MAX_EXPONENT + 1} of x1 is not in 1..{MAX_EXPONENT}\n"
+    )
     assert not (tmp_path / "o").exists()
 
 
@@ -512,6 +526,26 @@ def test_default_report_files_are_pinned(tmp_path, run, text):
     for name in ("orbit.csv", "phase.svg", "report.txt"):
         digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
         assert digest == DEFAULT_REPORT_SHA256[f"{run}/{name}"], name
+
+
+_REPORT_EVERY_PRESET = """
+import sys
+from polykahan.cli import main
+for preset in ("lv", "quartic", "weierstrass", "beam-sym", "beam-lag"):
+    assert main(["report", "--preset", preset, "--out", f"{sys.argv[1]}/{preset}"]) == 0
+"""
+
+
+def test_report_files_do_not_depend_on_the_hash_seed(tmp_path):
+    # Var and Monomial hash by identity, so no output may follow the order of a set.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for seed in ("0", "12345"):
+        subprocess.run([sys.executable, "-c", _REPORT_EVERY_PRESET, str(tmp_path / seed)],
+                       check=True, env={**env, "PYTHONHASHSEED": seed}, capture_output=True)
+    for preset in ("lv", "quartic", "weierstrass", "beam-sym", "beam-lag"):
+        for name in ("report.txt", "orbit.csv", "phase.svg"):
+            first, second = (tmp_path / seed / preset / name for seed in ("0", "12345"))
+            assert first.read_bytes() == second.read_bytes(), f"{preset}/{name}"
 
 
 def openblas_on_avx2():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from polykahan import cases, maps
 from polykahan.cli import RunConfig, build_case
-from polykahan.poly import Polynomial, RationalFunction, param, x
+from polykahan.poly import DenominatorVanished, Polynomial, RationalFunction, param, x
 from polykahan.scheme import H, ImplicitScheme, PolyOdeSystem, discretize
 
 
@@ -280,6 +280,35 @@ def test_linearize_requires_fixed_point():
     case = quartic_numeric()
     with pytest.raises(maps.NotFixedPoint):
         maps.linearize_at(case.map, [0.5, 0.7], 0.1)
+
+
+def _linearize_per_entry(m, p, h):
+    """linearize_at as it was, kept as the oracle: RationalFunction.eval
+    once per Jacobian entry."""
+    J, _ = maps.jacobian(m)
+    point = {v: float(s) for v, s in zip(m.state_vars, p)}
+    point[m.scheme.step] = float(h)
+    return np.array([[rf.eval(point) for rf in row] for row in J], dtype=float)
+
+
+@pytest.mark.parametrize("build", [cases.beam_symmetric, cases.beam_lagrangian])
+def test_linearize_at_gives_the_per_entry_bits_at_every_beam_fixed_point(build):
+    case = build(cases.BeamParams(a=1, b=-2, c=Fraction(3, 4), h=Fraction(1, 10)))
+    ws = cases.beam_fixed_point_analysis(case).fixed_points
+    assert len(ws) == 4
+    for w in ws:
+        got = maps.linearize_at(case.map, [w] * 4, 0.1)
+        assert got.tobytes() == _linearize_per_entry(case.map, [w] * 4, 0.1).tobytes()
+
+
+def test_linearize_at_raises_where_a_jacobian_denominator_vanishes(monkeypatch):
+    case = quartic_numeric(0, 0, 0, 0)  # x'' = 0 fixes (0.4, 0.4)
+    v0, v1 = map(Polynomial.var, case.map.state_vars)
+    J = [[RationalFunction(1, v0 - Fraction(2, 5)), RationalFunction(v1)], [RationalFunction(0)] * 2]
+    monkeypatch.setattr(maps, "jacobian", lambda m: (J, None))
+    for linearize in (maps.linearize_at, _linearize_per_entry):
+        with pytest.raises(DenominatorVanished):
+            linearize(case.map, [0.4, 0.4], 0.1)
 
 
 def test_lv_linearization_unit_circle():

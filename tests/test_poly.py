@@ -1,16 +1,23 @@
+import copy
+import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
+import time
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polykahan import linalg
+from polykahan import linalg, poly
 from polykahan.maps import _compile
 from polykahan.poly import (
+    MAX_EXPONENT,
     DenominatorVanished,
     Monomial,
     NotLinear,
@@ -373,7 +380,7 @@ monomials = st.lists(
 
 
 def _same_key(m: Monomial, other: Monomial) -> None:
-    assert m == other and hash(m) == hash(other)
+    assert m is other and m == other and hash(m) == hash(other)
     assert {m: "hit"}[other] == "hit"
 
 
@@ -408,6 +415,133 @@ def test_var_equality_covers_component_shift_and_name():
     assert Var(0, 1, "a") != Var(0, 0, "a")
     assert len({Var(1, 0, "a"), Var(0, 0, "a"), param("a")}) == 2
     assert x(1, 2) == Var(comp=1, shift=2) and hash(x(1, 2)) == hash(Var(1, 2))
+
+
+# -- interned monomials ---------------------------------------------------------
+
+
+def _merged(a, b):
+    """Monomial.__mul__'s merge of two sorted factor tuples before monomials
+    were interned, kept as the reference for the product."""
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        (v, e), (w, f) = a[i], b[j]
+        if v._key == w._key:
+            out.append((v, e + f))
+            i, j = i + 1, j + 1
+        elif v._key < w._key:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
+
+
+@given(monomials, monomials, term_lists(), term_lists())
+def test_product_gives_the_terms_of_the_merge_in_order(a, b, p, q):
+    assert (a * b).factors == _merged(a.factors, b.factors)
+    p, q = Polynomial(p), Polynomial(q)
+    merged = Polynomial(
+        (Monomial(_merged(m1.factors, m2.factors)), c1 * c2)
+        for m1, c1 in p.terms()
+        for m2, c2 in q.terms()
+    )
+    assert list((p * q).terms()) == list(merged.terms())
+
+
+def test_every_construction_gives_the_one_live_monomial():
+    a, h = x(1), param("h")
+    m = Monomial.from_pairs([(a, 2), (h, 1)])
+    assert Monomial(((a, 2), (h, 1))) is m
+    assert Monomial.from_pairs([(h, 1), (a, 1), (x(0), 2), (a, 1)]) is m
+    assert Monomial.from_pairs([(a, 1)]) * Monomial.from_pairs([(a, 1), (h, 1)]) is m
+    A, Hp = Polynomial.var(a), Polynomial.var(h)
+    ((quotient, _),) = try_divide(A**3 * Hp**2, A * Hp).terms()
+    assert quotient is m
+    assert poly._common_monomial(A**2 * Hp * (A + 1), A**3 * Hp**2) is m
+    ((num, _),) = RationalFunction(A**3 * Hp, A).num.terms()  # strips the shared a
+    assert num is m
+    assert pickle.loads(pickle.dumps(m)) is m
+    assert copy.deepcopy(m) is m and copy.copy(m) is m
+    assert pickle.loads(pickle.dumps(h)) is h and copy.deepcopy(h) is h
+    assert Var(1, 0) is a and Var(name="h") is h
+    with pytest.raises(AttributeError):
+        m.factors = ()
+    with pytest.raises(AttributeError):
+        h.name = "g"
+
+
+def test_an_exponent_beyond_the_field_raises_and_never_yields_a_wrong_monomial():
+    # two fresh variables; w's field starts right above v's
+    v, w = param("guarded_v"), param("guarded_w")
+    top = Monomial.from_pairs([(v, MAX_EXPONENT)])
+    assert top.exponent(v) == MAX_EXPONENT and top.exponent(w) == 0
+    half = Monomial.from_pairs([(v, MAX_EXPONENT // 2 + 1)])
+    assert Monomial.from_pairs([(v, MAX_EXPONENT // 2)]) * half is top
+    makers = [
+        lambda: half * half,  # the sum sets v's guard bit
+        lambda: top * top,
+        lambda: Monomial.from_pairs([(v, MAX_EXPONENT), (v, 1)]),
+        lambda: Monomial.from_pairs([(v, MAX_EXPONENT + 1)]),
+        lambda: Monomial(((v, MAX_EXPONENT + 1),)),
+        lambda: Monomial.from_pairs([(v, 2 * MAX_EXPONENT + 2)]),  # would carry into w's field
+        lambda: Monomial(((v, 0),)),
+        lambda: Polynomial.var(v) ** (MAX_EXPONENT + 1),
+    ]
+    for make in makers:
+        with pytest.raises(ValueError):
+            make()
+    assert 2 * half._key not in poly._MONOMIALS
+
+
+def test_threads_building_the_same_monomials_get_one_object_each(monkeypatch):
+    # Each new object sleeps while it is being made, so the threads are all
+    # inside the creation of the same variable or monomial at once.
+    init_slots = poly._init_slots
+
+    def slow_init_slots(obj, **values):
+        time.sleep(0.001)
+        init_slots(obj, **values)
+
+    monkeypatch.setattr(poly, "_init_slots", slow_init_slots)
+    barrier = threading.Barrier(4, timeout=30)
+    built = [None] * 4
+
+    def build(k):
+        barrier.wait()
+        vs = [param(f"threaded_{i}") for i in range(3)]
+        ones = [Monomial.from_pairs([(v, 1)]) for v in vs]
+        built[k] = vs + ones + [a * b for a in ones for b in ones]
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(objs) == 15 for objs in built)
+    for objs in built[1:]:
+        assert all(a is b for a, b in zip(objs, built[0]))
+
+
+def test_a_table_entry_goes_with_its_monomial():
+    v = param("collected")
+    m = Monomial.from_pairs([(v, 3)])
+    key, alive = m._key, weakref.ref(m)
+    assert poly._MONOMIALS[key]() is m
+    del m
+    gc.collect()
+    assert alive() is None and key not in poly._MONOMIALS
+    again = Monomial.from_pairs([(v, 3)])
+    assert poly._MONOMIALS[key]() is again and again.exponent(v) == 3
+    poly._forget(weakref.KeyedRef(again, None, key))  # a late removal of an older entry
+    assert poly._MONOMIALS[key]() is again
 
 
 # -- exact coefficients -------------------------------------------------------
