@@ -7,8 +7,8 @@ tests can compare the generic machinery against the known answers by exact
 polynomial identity.  The beam gets two discretizations: the shift-averaged
 one (measure-preserving) and a variational one derived from a discrete
 Lagrangian (symplectic); both are analyzed around their fixed points.
-The float checks take numpy from ``maps._numpy``, the one loader, and
-evaluate their quotients through ``maps._eval_rational_batch``.
+The float checks take numpy from ``maps._numpy`` and evaluate quotients
+through ``maps._eval_rational_batch`` or ``maps._jacobian_values``.
 """
 
 from __future__ import annotations
@@ -574,8 +574,6 @@ def symplecticity_check(
     c_scale = np.array([[1.0], [1.0], [h**4], [h**4]])  # row i of C over c_scale[i]
     variables = [*case.map.state_vars, H]
     dC = [q.derivative(v) for q in c_polys for v in case.map.state_vars]
-    Jm, _ = maps.jacobian(case.map)
-    pairs = [(rf.num, rf.den) for row in Jm for rf in row]
     rng = random.Random(seed)
     worst = 0.0
     done = 0
@@ -590,8 +588,7 @@ def symplecticity_check(
                 resampled += 1
                 continue
             states.append(s + [h])
-        dphi, ok = maps._eval_rational_batch(pairs, variables, states)
-        dphi = np.array(dphi).T.reshape(-1, 4, 4)
+        dphi, ok = maps._jacobian_values(case.map, states)
         C = np.array(maps.eval_batch(dC, variables, states + images)).T.reshape(-1, 4, 4) / c_scale
         C_here, C_image = C[: len(states)], C[len(states) :]  # dC compiled once per batch
         for good, C_im, D, C_at in zip(ok, C_image, dphi, C_here):

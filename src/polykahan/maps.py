@@ -5,6 +5,8 @@ solve to rational update rules: the map on the nN-dimensional window state
 (x_1^(0)..x_N^(0), ..., x_1^(n-1)..x_N^(n-1)) copies the upper blocks down
 and fills the last block with the solved highest shifts.  Linearity in the
 lowest shifts gives the inverse the same way, so the map is birational.
+Its Jacobian is block companion, dim - N unit rows above the N solved ones,
+so det = (-1)^(N (dim - N)) times the det of the solved rows' level-0 block.
 
 Symbolic solutions (Cramer on the polynomial coefficient matrix) are built
 for N <= 3; numeric stepping always solves the evaluated N x N system by
@@ -20,7 +22,7 @@ straight-line Python generated once from the terms (``_value_lines``).  Per
 map, direction and h, one generated function runs a whole orbit, with the
 window in local variables: ``iterate`` calls it once per orbit, and
 ``step``/``step_back`` call it for one step.  Residuals, ``eval_batch``
-and ``linearize_at`` share one batch kernel, ``_gathered``.
+and ``_jacobian_values`` share one batch kernel, ``_gathered``.
 
 numpy is imported by the first float call: ``_numpy``, the package's one
 loader, binds ``np`` here once, and every float entry point reaches it
@@ -32,6 +34,7 @@ of ``darboux``) never loads numpy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -201,6 +204,8 @@ def _cramer(A: list[list[Polynomial]], r: list[Polynomial]) -> list[RationalFunc
 
 _NUMPY_NAMES = ("np",)
 _BLOCK = 256  # states per block of ``_gathered``; at 1024 the report's peak RSS rose
+# one compile per generated source: fresh maps repeat it, and compiling churns interned names
+_source_code = functools.lru_cache(maxsize=64)(compile)
 
 
 def _numpy():
@@ -273,7 +278,8 @@ def _define(params: str, body: Sequence[str], coeffs: Sequence[float]) -> Callab
     literals, because they may be inf or nan."""
     params += "".join(f", c{k}" for k in range(len(coeffs)))
     namespace: dict = {}
-    exec(f"def fn({params}):\n" + "".join(f"    {line}\n" for line in body), globals(), namespace)
+    source = f"def fn({params}):\n" + "".join(f"    {line}\n" for line in body)
+    exec(_source_code(source, "<string>", "exec"), globals(), namespace)
     fn = namespace["fn"]
     fn.__defaults__ = tuple(coeffs)
     return fn
@@ -419,12 +425,7 @@ def _eval_rational_batch(pairs, variables, states) -> tuple[list[np.ndarray], np
     """num/den for each (num, den) pair at each state, as RationalFunction.eval
     divides (a RationalFunction would rescale the pair), and a mask of the
     states at which no denominator vanishes (where eval raises)."""
-    return _quotients(eval_batch([q for pair in pairs for q in pair], variables, states))
-
-
-def _quotients(values) -> tuple[list[np.ndarray], np.ndarray]:
-    """Rows 0, 2, ... of ``values`` over rows 1, 3, ..., and the mask of the
-    states where no denominator row is 0."""
+    values = eval_batch([q for pair in pairs for q in pair], variables, states)
     nums, dens = values[0::2], values[1::2]
     with np.errstate(all="ignore"):
         quotients = [n / d for n, d in zip(nums, dens)]
@@ -516,31 +517,56 @@ def jacobian(
     m: BirationalMap,
 ) -> tuple[list[list[RationalFunction]], RationalFunction]:
     """Exact Jacobian matrix of the forward map and its determinant, built
-    once per map and cached: callers must not mutate the returned lists."""
+    once per map and cached: callers must not mutate the returned lists.
+    Row i < dim - N is the unit row (1 at column i + N); only the N solved
+    rows are differentiated, one d^2 per row.  Moving them up takes N (dim - N)
+    row swaps: det = (-1)^(N (dim - N)) det B, B their N x N level-0 block."""
     if m.forward is None:
         raise ValueError("no symbolic forward map available")
     if "jacobian" not in m._cache:
-        J = [[rf.derivative(v) for v in m.state_vars] for rf in m.forward]
-        m._cache["jacobian"] = (J, linalg.det_rational(J))
+        k = m.dim - m.N
+        J = [[RationalFunction(int(c == i + m.N)) for c in range(m.dim)] for i in range(k)]
+        for rf in m.forward[k:]:
+            n, d, d2 = rf.num, rf.den, rf.den * rf.den
+            J.append([RationalFunction(n.derivative(v) * d - n * d.derivative(v), d2) for v in m.state_vars])
+        det = linalg.det_rational([row[: m.N] for row in J[k:]])
+        m._cache["jacobian"] = (J, -det if m.N * k % 2 else det)
     return m._cache["jacobian"]
+
+
+def _jacobian_values(m: BirationalMap, states) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobian at each state (window values, then h), states x dim x dim,
+    and the mask of states where no denominator vanishes.  Only the solved rows'
+    numerators and distinct denominators are evaluated; unit rows are 1.0, 0.0."""
+    J, _ = jacobian(m)
+    k = m.dim - m.N
+    if "jacobian_plan" not in m._cache:
+        solved = [rf for row in J[k:] for rf in row]
+        dens: dict = {}  # keyed in term order too, which fixes the float sum
+        index = [dens.setdefault(tuple(rf.den.terms()), len(dens)) for rf in solved]
+        polys = [*(rf.num for rf in solved), *map(Polynomial, dens)]
+        m._cache["jacobian_plan"] = _plan(polys, [*m.state_vars, m.scheme.step]), index
+    plan, index = m._cache["jacobian_plan"]
+    nums, dens = np.split(_eval_plan(plan, m.dim + 1, states), [len(index)])
+    out = np.zeros((nums.shape[1], m.dim, m.dim))
+    out[:, range(k), range(m.N, m.dim)] = 1.0
+    with np.errstate(all="ignore"):
+        out[:, k:] = (nums / dens[index]).T.reshape(-1, m.N, m.dim)
+    return out, np.logical_and.reduce(dens != 0)
 
 
 def linearize_at(m: BirationalMap, p: Sequence[float], h: float) -> np.ndarray:
     """Numeric Jacobian at an (approximate) fixed point of the map; raises
-    NotFixedPoint when one step moves a coordinate of p by more than 1e-9."""
+    NotFixedPoint when one step moves a coordinate of p by more than 1e-9.
+    Only the solved rows' denominators are checked: the unit rows' are 1."""
     image = step(m, p, h)
     err = max(abs(a - b) for a, b in zip(image, p))
     if err > 1e-9:
         raise NotFixedPoint(f"|m(p) - p| = {err:.3e} exceeds 1e-09")
-    J, _ = jacobian(m)
-    variables = [*m.state_vars, m.scheme.step]
-    if "jacobian_plan" not in m._cache:
-        pairs = [q for row in J for rf in row for q in (rf.num, rf.den)]
-        m._cache["jacobian_plan"] = _plan(pairs, variables)
-    values, ok = _quotients(_eval_plan(m._cache["jacobian_plan"], len(variables), [[*p, h]]))
+    values, ok = _jacobian_values(m, [[*p, h]])
     if not ok[0]:
-        raise DenominatorVanished(f"denominator vanished at {dict(zip(variables, [*p, h]))}")
-    return np.array(values).reshape(len(J), -1)
+        raise DenominatorVanished(f"denominator vanished at {dict(zip([*m.state_vars, m.scheme.step], [*p, h]))}")
+    return values[0]
 
 
 @dataclass
@@ -558,7 +584,8 @@ def char_poly_and_roots(M: np.ndarray) -> SpectrumReport:
     Durand-Kerner with deterministic starting points on a scaled circle,
     stopped at relative residual 1e-12 (1e-8 is accepted after
     ``_ROOT_MAX_ITER`` sweeps).  A root group whose mean has modulus within
-    ``UNIT_TOL`` = 1e-7 of 1 is classified "unit"."""
+    ``UNIT_TOL`` = 1e-7 of 1 is classified "unit".  A non-finite coefficient
+    (from a non-finite M, or an overflow) raises NoConvergence."""
     _numpy()
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -568,11 +595,14 @@ def char_poly_and_roots(M: np.ndarray) -> SpectrumReport:
         raise ValueError("spectrum helper is intended for dimension <= 8")
     coeffs = [1.0]
     Mk = np.array(M)
-    for k in range(1, d + 1):
-        ck = -np.trace(Mk) / k
-        coeffs.append(float(ck))
-        if k < d:
-            Mk = M @ (Mk + ck * np.eye(d))
+    with np.errstate(all="ignore"):  # a non-finite coefficient raises below
+        for k in range(1, d + 1):
+            ck = -np.trace(Mk) / k
+            coeffs.append(float(ck))
+            if k < d:
+                Mk = M @ (Mk + ck * np.eye(d))
+    if bad := [f"c{k} = {c}" for k, c in enumerate(coeffs) if not math.isfinite(c)]:
+        raise NoConvergence(f"characteristic coefficients are not finite: {', '.join(bad)}")
     roots, residual = _durand_kerner(coeffs)
     scale = max(abs(c) for c in coeffs)
     defect = max(abs(coeffs[k] - coeffs[d - k]) for k in range(d + 1)) / scale
@@ -620,6 +650,7 @@ def _durand_kerner(coeffs: Sequence[float]) -> tuple[list[complex], float]:
         radius * complex(math.cos(2 * math.pi * k / d + 0.4), math.sin(2 * math.pi * k / d + 0.4))
         for k in range(d)
     ]
+    values = [_polyval(coeffs, z) for z in roots]  # p at the roots: each sweep's numerators
     for _ in range(_ROOT_MAX_ITER):
         new_roots = []
         moved = 0.0
@@ -630,11 +661,12 @@ def _durand_kerner(coeffs: Sequence[float]) -> tuple[list[complex], float]:
                     denom *= z - w
             if denom == 0:
                 denom = 1e-300
-            dz = _polyval(coeffs, z) / denom
+            dz = values[k] / denom
             new_roots.append(z - dz)
             moved = max(moved, abs(dz))
         roots = new_roots
-        residual = max(abs(_polyval(coeffs, z)) for z in roots) / scale
+        values = [_polyval(coeffs, z) for z in roots]
+        residual = max(map(abs, values)) / scale
         if residual <= 1e-12 or moved < 1e-16:
             break
     else:

@@ -460,8 +460,8 @@ def test_symplecticity_check_resamples_like_the_loop(seed, monkeypatch):
 
 def test_symplecticity_check_evaluates_dC_once_per_batch(monkeypatch):
     # reject some states so that the check draws a second batch
-    step, eval_batch = maps.step, maps.eval_batch
-    calls = []
+    step, eval_batch, jacobian_values = maps.step, maps.eval_batch, maps._jacobian_values
+    calls, jacobian = [], []
 
     def rejecting(m, s, h):
         if s[0] > 0.3:
@@ -472,12 +472,17 @@ def test_symplecticity_check_evaluates_dC_once_per_batch(monkeypatch):
         calls.append((len(polys), len(states)))
         return eval_batch(polys, variables, states)
 
+    def counting_jacobian(m, states):  # DPhi, once per batch
+        jacobian.append(len(states))
+        return jacobian_values(m, states)
+
     monkeypatch.setattr(maps, "step", rejecting)
     monkeypatch.setattr(maps, "eval_batch", counting)
+    monkeypatch.setattr(maps, "_jacobian_values", counting_jacobian)
     cases.symplecticity_check(cases.beam_lagrangian(beam_params()), seed=7)
-    jacobian = [n for k, n in calls if k == 32]  # the 16 (num, den) pairs of DPhi
     assert len(jacobian) >= 2
-    assert [(k, n) for k, n in calls if k == 16] == [(16, 2 * n) for n in jacobian]
+    # the only eval_batch calls are dC's: 16 entries at each state and its image
+    assert calls == [(16, 2 * n) for n in jacobian]
 
 
 def test_eval_rational_batch_masks_vanishing_denominators():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polykahan import cases, maps
+from polykahan import cases, linalg, maps
 from polykahan.cli import RunConfig, build_case
 from polykahan.poly import DenominatorVanished, Polynomial, RationalFunction, param, x
 from polykahan.scheme import H, ImplicitScheme, PolyOdeSystem, discretize
@@ -251,6 +251,51 @@ def test_jacobian_det_matches_finite_differences():
         assert det.eval(point) == pytest.approx(float(np.linalg.det(M)), rel=1e-6, abs=1e-6)
 
 
+def _jacobian_reference(m):
+    """jacobian as it was, kept as the oracle: the quotient rule on every
+    entry and a full Laplace expansion of the dim x dim determinant."""
+    J = [[rf.derivative(v) for v in m.state_vars] for rf in m.forward]
+    return J, linalg.det_poly(J)
+
+
+def _inline_map(order, rhs):
+    return maps.solve_forward(discretize(PolyOdeSystem(order, len(rhs), rhs)))
+
+
+@functools.cache
+def _jacobian_oracle_maps():
+    x1, x2, x3 = (Polynomial.var(x(j)) for j in (1, 2, 3))
+    beam = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
+    return {
+        "lv": cases.lotka_volterra(1).map,
+        "quartic": quartic_numeric().map,
+        "weierstrass": cases.kahan_weierstrass(1, 1).additive_map,
+        "beam-sym": cases.beam_symmetric(beam).map,
+        "beam-lag": cases.beam_lagrangian(beam).map,
+        "euler-top": _inline_map(1, (x2 * x3, -2 * x3 * x1, x1 * x2)),
+        # N = 2 with dim > N: the only maps here whose unit rows sit above a 2 x 2 block
+        "order-2": _inline_map(2, (x1 * x2, -(x1**2))),
+        "order-3": _inline_map(3, (x1 * x2, x2**2 - x1)),
+    }
+
+
+@pytest.mark.parametrize("bound", [False, True], ids=["h", "h=1/10"])
+@pytest.mark.parametrize("name", list(_jacobian_oracle_maps()))
+def test_jacobian_gives_the_reference_terms_in_their_order(name, bound):
+    m = _jacobian_oracle_maps()[name]
+    assert H in {v for rf in m.forward for v in rf.vars()}
+    if bound:
+        m = m.bind({"h": Fraction(1, 10)})
+    J, det = maps.jacobian(m)
+    J_ref, det_ref = _jacobian_reference(m)
+
+    def terms(rf):
+        return list(rf.num.terms()), list(rf.den.terms())
+
+    assert [[terms(rf) for rf in row] for row in J] == [[terms(rf) for rf in row] for row in J_ref]
+    assert terms(det) == terms(det_ref)
+
+
 def test_jacobian_is_built_once_per_map(monkeypatch):
     m = quartic_numeric().map
     assert maps.jacobian(m) is maps.jacobian(m)
@@ -266,8 +311,16 @@ def test_jacobian_is_built_once_per_map(monkeypatch):
     p = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
     rep = cases.beam_fixed_point_analysis(cases.beam_symmetric(p))
     assert len(rep.spectra) == 4
-    # one 4x4 determinant; the Laplace expansion recurses on smaller minors
-    assert [len(J) for J in builds].count(4) == 1
+    # one determinant, of the N x N solved block (N = 1 for the beam)
+    assert [len(J) for J in builds] == [1]
+
+
+def test_fresh_maps_share_the_code_of_their_generated_source():
+    # a second compile of the same source would intern and drop its names again
+    a, b = (quartic_numeric().map for _ in range(2))
+    run_a, run_b = a._stepper(0.1, "forward"), b._stepper(0.1, "forward")
+    assert run_a is not run_b and run_a.__code__ is run_b.__code__
+    assert run_a.__defaults__ == run_b.__defaults__
 
 
 def test_linearize_free_particle():
@@ -304,7 +357,8 @@ def test_linearize_at_gives_the_per_entry_bits_at_every_beam_fixed_point(build):
 def test_linearize_at_raises_where_a_jacobian_denominator_vanishes(monkeypatch):
     case = quartic_numeric(0, 0, 0, 0)  # x'' = 0 fixes (0.4, 0.4)
     v0, v1 = map(Polynomial.var, case.map.state_vars)
-    J = [[RationalFunction(1, v0 - Fraction(2, 5)), RationalFunction(v1)], [RationalFunction(0)] * 2]
+    # row 1 is the solved row: row 0 is the unit row, which linearize_at does not evaluate
+    J = [[RationalFunction(0), RationalFunction(1)], [RationalFunction(1, v0 - Fraction(2, 5)), RationalFunction(v1)]]
     monkeypatch.setattr(maps, "jacobian", lambda m: (J, None))
     for linearize in (maps.linearize_at, _linearize_per_entry):
         with pytest.raises(DenominatorVanished):
@@ -358,6 +412,93 @@ def test_char_poly_classifies_a_split_multiple_root_by_its_mean():
     rep = maps.char_poly_and_roots(np.diag([1.001, 0.999, 2.0, 0.5]))
     by_root = {round(z.real, 6): c for z, c in zip(rep.roots, rep.classification)}
     assert by_root == {0.5: "inside", 0.999: "inside", 1.001: "outside", 2.0: "outside"}
+
+
+@pytest.mark.parametrize(
+    "M, bad",
+    [
+        (np.full((2, 2), np.nan), "c1 = nan, c2 = nan"),
+        ([[math.inf, 0.0], [0.0, 1.0]], "c1 = -inf, c2 = nan"),
+        ([[1e200] * 2] * 2, "c2 = nan"),  # c2 overflows
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+def test_char_poly_raises_on_non_finite_coefficients(M, bad):
+    # warnings are errors here, so a numpy RuntimeWarning would fail this too
+    with pytest.raises(maps.NoConvergence, match=f"^characteristic coefficients are not finite: {bad}$"):
+        maps.char_poly_and_roots(M)
+
+
+def _durand_kerner_reference(coeffs):
+    """_durand_kerner as it was, kept as the oracle: p evaluated at every
+    root twice per sweep, for the step and again for the residual."""
+    d = len(coeffs) - 1
+    if d == 0:
+        return [], 0.0
+    scale = max(1.0, max(abs(c) for c in coeffs))
+    radius = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
+    roots = [
+        radius * complex(math.cos(2 * math.pi * k / d + 0.4), math.sin(2 * math.pi * k / d + 0.4))
+        for k in range(d)
+    ]
+    for _ in range(maps._ROOT_MAX_ITER):
+        new_roots = []
+        moved = 0.0
+        for k, z in enumerate(roots):
+            denom = complex(coeffs[0])
+            for j, w in enumerate(roots):
+                if j != k:
+                    denom *= z - w
+            if denom == 0:
+                denom = 1e-300
+            dz = maps._polyval(coeffs, z) / denom
+            new_roots.append(z - dz)
+            moved = max(moved, abs(dz))
+        roots = new_roots
+        residual = max(abs(maps._polyval(coeffs, z)) for z in roots) / scale
+        if residual <= 1e-12 or moved < 1e-16:
+            break
+    else:
+        if residual > 1e-8:
+            raise maps.NoConvergence(f"root iteration stalled at residual {residual:.3e}")
+    return sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))), residual
+
+
+def _root_bits(coeffs):
+    """Each root's and the residual's bits from both iterations, or their messages."""
+    out = []
+    for iterate in (maps._durand_kerner, _durand_kerner_reference):
+        try:
+            roots, residual = iterate(coeffs)
+        except maps.NoConvergence as e:
+            out.append(str(e))
+        else:
+            out.append([(z.real.hex(), z.imag.hex()) for z in roots] + [residual.hex()])
+    return out
+
+
+def test_root_iteration_gives_the_reference_bits_on_the_default_beam_spectra():
+    sym = build_case(RunConfig(preset="beam-sym")).beam_sym
+    spectra = [
+        sp
+        for case in (sym, cases.beam_lagrangian(sym.params))
+        for sp in cases.beam_fixed_point_analysis(case).spectra.values()
+    ]
+    assert len(spectra) == 8
+    for sp in spectra:
+        new, ref = _root_bits(sp.char_coeffs)
+        assert new == ref
+
+
+@pytest.mark.parametrize(
+    "sweeps, coeffs",
+    [(1, [1.0, -3.0, 2.0]), (14, [1.0, -2.0, 1.0]), (15, [1.0, -2.0, 1.0]), (maps._ROOT_MAX_ITER, [1.0, -2.0, 1.0])],
+    ids=["stall", "double-root-14", "double-root-15", "double-root"],
+)
+def test_root_iteration_gives_the_reference_bits_where_it_stalls_or_meets_a_double_root(monkeypatch, sweeps, coeffs):
+    monkeypatch.setattr(maps, "_ROOT_MAX_ITER", sweeps)
+    new, ref = _root_bits(coeffs)
+    assert new == ref
 
 
 def test_root_iteration_needs_at_least_one_iteration(monkeypatch):
