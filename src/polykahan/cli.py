@@ -22,11 +22,13 @@ before any file is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import cases, darboux, maps
@@ -119,6 +121,7 @@ _BEAM_KEYS = ("alpha", "beta", "epsilon")  # the weight vectors and the normal-f
 class RunConfig:
     preset: str | None = None
     rhs_text: list[str] = field(default_factory=list)
+    _rhs_line: int | None = field(default=None, init=False, compare=False)  # rhs's config line
     order: int | None = None
     dim: int | None = None
     params: dict[str, Fraction] = field(default_factory=dict)
@@ -219,8 +222,7 @@ def parse_config(text: str) -> RunConfig:
             cfg.preset = value
         elif key == "rhs":
             cfg.rhs_text = [part.strip() for part in value.split(";") if part.strip()]
-            for part in cfg.rhs_text:  # fail here, with the line, before any output
-                parse_poly(part, lineno)
+            cfg._rhs_line = lineno
         elif key == "order":
             cfg.order = _integer(value, lineno)
         elif key == "dim":
@@ -273,7 +275,7 @@ class CaseBundle:
 
 def build_case(cfg: RunConfig) -> CaseBundle:
     if cfg.rhs_text:
-        rhs = tuple(parse_poly(t) for t in cfg.rhs_text)
+        rhs = tuple(parse_poly(t, cfg._rhs_line) for t in cfg.rhs_text)
         dim = len(rhs) if cfg.dim is None else cfg.dim
         sys_ = PolyOdeSystem(cfg.order, dim, rhs)
         sch = discretize(sys_)
@@ -319,35 +321,31 @@ def state_names(m: maps.BirationalMap) -> list[str]:
 
 
 def write_csv(path: Path, orbit: maps.Orbit, names: list[str]):
-    lines = ["step," + ",".join(names)]
-    for k, pt in enumerate(orbit.points):
-        lines.append(str(k) + "," + ",".join(repr(v) for v in pt))
-    path.write_text("\n".join(lines) + "\n")
+    """Write ``orbit.csv``: a ``step,<state names>`` header, then per point its step and each
+    value's ``repr``, Python's shortest round-trip text, each row one ``%`` format."""
+    row = "%d," + ",".join(["%r"] * len(names)) + "\n"
+    lines = ["step," + ",".join(names) + "\n"]
+    lines += [row % (k, *pt) for k, pt in enumerate(orbit.points)]
+    path.write_text("".join(lines))
 
 
 def write_svg(path: Path, xs: list[float], ys: list[float]):
+    """Write ``phase.svg``: the points scaled into a 640 x 480 frame (a constant column by 1)
+    with coordinates to 3 decimals, one polyline through them and, when there are at most
+    200, a dot at each; the polyline and the dots are one ``%`` format each."""
     width, height, margin = 640.0, 480.0, 40.0
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    xspan = (xmax - xmin) or 1.0
-    yspan = (ymax - ymin) or 1.0
-
-    def sx(v):
-        return margin + (v - xmin) / xspan * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - (v - ymin) / yspan * (height - 2 * margin)
-
-    pts = " ".join(f"{sx(a):.3f},{sy(b):.3f}" for a, b in zip(xs, ys))
-    body = (
-        f'  <polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="0.8"/>\n'
-    )
+    xmin, ymin = min(xs), min(ys)
+    xspan = (max(xs) - xmin) or 1.0
+    yspan = (max(ys) - ymin) or 1.0
+    xsize, ysize, bottom = width - 2 * margin, height - 2 * margin, height - margin
+    coords = tuple(chain.from_iterable([
+        (margin + (a - xmin) / xspan * xsize, bottom - (b - ymin) / yspan * ysize)
+        for a, b in zip(xs, ys)
+    ]))
+    pts = " ".join(["%.3f,%.3f"] * len(xs)) % coords
+    body = f'  <polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="0.8"/>\n'
     if len(xs) <= 200:
-        dots = "".join(
-            f'  <circle cx="{sx(a):.3f}" cy="{sy(b):.3f}" r="1.6" fill="#a83232"/>\n'
-            for a, b in zip(xs, ys)
-        )
-        body += dots
+        body += '  <circle cx="%.3f" cy="%.3f" r="1.6" fill="#a83232"/>\n' * len(xs) % coords
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">\n'
@@ -493,7 +491,9 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use (not at import)."""
     parser = argparse.ArgumentParser(
         prog="polykahan",
         description="Discretize polynomial ODEs and analyze the resulting birational maps.",
@@ -510,7 +510,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", help="path to a key = value configuration file")
         p.add_argument("--preset", choices=PRESETS, help="named case with defaults")
         p.add_argument("--out", help="output directory (default: current)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _run(args.command, _load_config(args))
     # NotFixedPoint and NoRealFixedPoint are ValueErrors, so this comes first

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 import os
@@ -9,8 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polykahan import cases, darboux, maps
+from polykahan import cases, cli, darboux, maps
 from polykahan.cli import (
     ParseError,
     RunConfig,
@@ -19,6 +22,8 @@ from polykahan.cli import (
     main,
     parse_config,
     parse_poly,
+    write_csv,
+    write_svg,
 )
 from polykahan.poly import MAX_EXPONENT, Monomial, Polynomial, param, x
 
@@ -158,6 +163,28 @@ def test_parse_config_inline_system():
     assert cfg.rhs_text == ["-a*x1^3"]
 
 
+def test_an_inline_system_built_in_code_builds_the_same_case():
+    read = build_case(parse_config("order = 2\nrhs = -a*x1^3; x1\na = 1"))
+    made = build_case(RunConfig(rhs_text=["-a*x1^3", "x1"], order=2, params={"a": Fraction(1)}))
+    assert made.system.rhs == read.system.rhs == (-mono((param("a"), 1), (x(1), 3)), mono((x(1), 1)))
+    assert made.scheme.equations == read.scheme.equations
+    assert made.map.forward == read.map.forward
+
+
+def test_each_inline_rhs_part_is_parsed_once(tmp_path, monkeypatch):
+    parsed = []
+
+    def counting(text, line=None):
+        parsed.append((text, line))
+        return parse_poly(text, line)
+
+    monkeypatch.setattr(cli, "parse_poly", counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("order = 1\nrhs = x1*x2; -x1\ninit = 1, 1\nsteps = 3\n")
+    assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert parsed == [("x1*x2", 2), ("-x1", 2)]
+
+
 def test_parse_config_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_config("preset = quartic\nsteps == 4\n")
@@ -246,6 +273,123 @@ def test_a_one_dimensional_map_plots_its_coordinate_against_itself(tmp_path, cap
     assert main(["orbit", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
     assert "plot indices must lie in 0..0, got (0, 1)" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+def _write_csv_reference(path, orbit, names):
+    """write_csv with a generator, repr and join per row: the oracle of its row format."""
+    lines = ["step," + ",".join(names)]
+    for k, pt in enumerate(orbit.points):
+        lines.append(str(k) + "," + ",".join(repr(v) for v in pt))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_svg_reference(path, xs, ys):
+    """write_svg with a closure and an f-string per point: the oracle of its
+    two formats."""
+    width, height, margin = 640.0, 480.0, 40.0
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(ys), max(ys)
+    xspan = (xmax - xmin) or 1.0
+    yspan = (ymax - ymin) or 1.0
+
+    def sx(v):
+        return margin + (v - xmin) / xspan * (width - 2 * margin)
+
+    def sy(v):
+        return height - margin - (v - ymin) / yspan * (height - 2 * margin)
+
+    pts = " ".join(f"{sx(a):.3f},{sy(b):.3f}" for a, b in zip(xs, ys))
+    body = (
+        f'  <polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="0.8"/>\n'
+    )
+    if len(xs) <= 200:
+        dots = "".join(
+            f'  <circle cx="{sx(a):.3f}" cy="{sy(b):.3f}" r="1.6" fill="#a83232"/>\n'
+            for a, b in zip(xs, ys)
+        )
+        body += dots
+    svg = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">\n'
+        f'  <rect width="100%" height="100%" fill="white"/>\n'
+        f"{body}</svg>\n"
+    )
+    path.write_text(svg)
+
+
+class _Sink:
+    """Stands in for the Path a writer writes to, and keeps the text."""
+
+    def write_text(self, text):
+        self.text = text
+
+
+# -0.0, subnormals, and values that repr writes in exponent form
+_EDGE_FLOATS = [-0.0, 5e-324, -2.5e-310, 1e16, -3.0e17, 9.99e-5, -1e-300, 1.7e308, 0.1]
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+
+
+@st.composite
+def _orbits(draw):
+    """Orbits of 1-300 points in 1-4 coordinates, any of them constant."""
+    n = draw(st.integers(1, 200) | st.integers(201, 300))  # both sides of the dots threshold
+    dim = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(dim):
+        if draw(st.booleans()):
+            columns.append([draw(_finite)] * n)
+        else:
+            columns.append(draw(st.lists(_finite, min_size=n, max_size=n)))
+    return [list(pt) for pt in zip(*columns)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_orbits())
+@example([[v, 2.5] for v in _EDGE_FLOATS] * 22 + [[1.0, 2.5]] * 2)  # 200 points, y constant
+@example([[v, -v] for v in _EDGE_FLOATS] * 22 + [[1.0, 2.5]] * 3)  # 201 points
+@example([[0.3]])
+def test_the_writers_match_their_reference_construction(points):
+    orbit = maps.Orbit(0.1, points)
+    names = [f"x{k}_0" for k in range(len(points[0]))]
+    for writer, reference, args in (
+        (write_csv, _write_csv_reference, (orbit, names)),
+        (write_svg, _write_svg_reference, (orbit.column(0), orbit.column(len(names) - 1))),
+    ):
+        got, want = _Sink(), _Sink()
+        writer(got, *args)
+        reference(want, *args)
+        assert got.text == want.text
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    bad = (["nope"], ["report", "--preset", "nope"])
+
+    def failures():
+        seen = []
+        for argv in (*bad, ["--help"], ["report", "--help"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            seen.append((exit_.value.code, *capsys.readouterr()))
+        return seen
+
+    first = failures()
+    assert [code for code, _, _ in first] == [2, 2, 0, 0]
+    assert all(err.startswith("usage: polykahan") for _, _, err in first[:2])
+    assert "{discretize,orbit,darboux,analyze-beam,report}" in first[2][1]
+    assert main(["report", "--preset", "lv", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert failures() == first
+    commands = ("discretize", "orbit", "darboux", "analyze-beam", "report")
+    assert built == ["polykahan", *(f"polykahan {c}" for c in commands)]  # one tree
 
 
 def _no_convergence(command, cfg):
