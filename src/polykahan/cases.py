@@ -8,7 +8,8 @@ polynomial identity.  The beam gets two discretizations: the shift-averaged
 one (measure-preserving) and a variational one derived from a discrete
 Lagrangian (symplectic); both are analyzed around their fixed points.
 The float checks take numpy from ``maps._numpy`` and evaluate quotients
-through ``maps._eval_rational_batch`` or ``maps._jacobian_values``.
+through ``maps._eval_rational_batch`` or ``maps._jacobian_values``, on one
+quotient plan whose mask marks the states the checks skip or resample.
 """
 
 from __future__ import annotations

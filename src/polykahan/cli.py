@@ -299,7 +299,7 @@ def build_case(cfg: RunConfig) -> CaseBundle:
         return CaseBundle(
             case.system, case.additive_scheme, case.additive_map, pair, default_init=[1.05, 1.1]
         )
-    weights = {"alpha": cfg.alpha or cases.ONSITE_ALPHA, "beta": cfg.beta or cases.ONSITE_BETA}
+    weights = {k: v for k in ("alpha", "beta") if (v := getattr(cfg, k))}  # unset: cases' defaults
     if "delta" in p:
         bp = cases.BeamParams.normal_form(cfg.epsilon or 1, h=cfg.h, **weights, **p)
     else:
@@ -550,21 +550,15 @@ def _run(command: str, cfg: RunConfig) -> int:
     for k in sorted(cfg.params):
         sections.append(f"param {k} = {cfg.params[k]}")
     sections.append(f"h = {cfg.h}")
-    if command == "discretize":
+    # report runs, in this order, each single command's section that applies
+    if command in ("discretize", "report"):
         sections += scheme_section(bundle)
-    elif command == "orbit":
+    if command in ("orbit", "report"):
         sections += orbit_section(bundle, cfg, out, init)
-    elif command == "darboux":
+    if command in ("darboux", "report") and bundle.map.dim == 2:
         sections += darboux_section(bundle, cfg)
-    elif command == "analyze-beam":
+    if command in ("analyze-beam", "report") and needs_beam:
         sections += beam_section(bundle, cfg)
-    else:  # report
-        sections += scheme_section(bundle)
-        sections += orbit_section(bundle, cfg, out, init)
-        if bundle.map.dim == 2:
-            sections += darboux_section(bundle, cfg)
-        if needs_beam:
-            sections += beam_section(bundle, cfg)
     report = "\n".join(sections) + "\n"
     (out / "report.txt").write_text(report)
     sys.stdout.write(report)

@@ -21,15 +21,16 @@ evaluate the same polynomials at one state after another, so they run
 straight-line Python generated once from the terms (``_value_lines``).  Per
 map, direction and h, one generated function runs a whole orbit, with the
 window in local variables: ``iterate`` calls it once per orbit, and
-``step``/``step_back`` call it for one step.  Residuals, ``eval_batch``
-and ``_jacobian_values`` share one batch kernel, ``_gathered``.
+``step``/``step_back`` call it for one step.  Residuals and quotients
+share one batch kernel, ``_gathered``.  One quotient plan, ``_plan`` of
+(num, den) pairs with each distinct denominator once, and ``_quotients``,
+which divides and masks vanishing denominators, serve ``eval_batch``
+(denominator 1), ``_eval_rational_batch`` and ``_jacobian_values``.
 
 numpy is imported by the first float call: ``_numpy``, the package's one
 loader, binds ``np`` here once, and every float entry point reaches it
-before its first use of numpy.  ``_eval_rational_batch`` is the
-one batch evaluator of quotients (with a mask where a denominator
-vanishes).  The exact layer (solving, ``jacobian``, ``eval_exact`` and all
-of ``darboux``) never loads numpy.
+before its first use of numpy.  The exact layer (solving, ``jacobian``,
+``eval_exact`` and all of ``darboux``) never loads numpy.
 """
 
 from __future__ import annotations
@@ -399,37 +400,41 @@ def _gathered(plan: tuple, columns: Sequence[np.ndarray], count: int):
         yield cut, terms[:, :width], sums[:, :width]
 
 
-def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) -> list[np.ndarray]:
-    """Each polynomial at each state, as ``Polynomial.eval`` gives it; column
-    k of ``states`` binds ``variables[k]``, and other variables raise ValueError."""
+def _plan(pairs, variables: Sequence[Var]) -> tuple:
+    """The plan of (num, den) pairs, column k of a state binding
+    ``variables[k]``: the numerators, then each distinct denominator once,
+    keyed in term order (which fixes the float sum)."""
     _numpy()
-    return list(_eval_plan(_plan(polys, variables), len(variables), states))
-
-
-def _plan(polys: Sequence[Polynomial], variables: Sequence[Var]) -> tuple:
     slots = {v: k for k, v in enumerate(variables)}
-    return _batch_plan([_compile(p, slots, {}) for p in polys])
+    dens: dict = {}
+    index = [dens.setdefault(tuple(den.terms()), len(dens)) for _, den in pairs]
+    polys = [*(num for num, _ in pairs), *map(Polynomial, dens)]
+    return _batch_plan([_compile(p, slots, {}) for p in polys]), len(variables), index
 
 
-def _eval_plan(plan: tuple, nvars: int, states) -> np.ndarray:
-    """The plan's polynomials at each state: a polynomials x states array."""
+def _quotients(plan: tuple, states) -> tuple[np.ndarray, np.ndarray]:
+    """num/den per pair and state (pairs x states), as RationalFunction.eval
+    divides the pair unrescaled, and the mask of the states where no
+    denominator vanishes (where eval raises)."""
+    batch, nvars, index = plan
     states = np.reshape(np.asarray(states, dtype=float), (len(states), nvars))
-    out = np.empty((len(plan[3]), len(states)))
+    values = np.empty((len(batch[3]), len(states)))
     with np.errstate(all="ignore"):
-        for cut, _, sums in _gathered(plan, states.T, len(states)):
-            out[:, cut] = sums
-    return out
+        for cut, _, sums in _gathered(batch, states.T, len(states)):
+            values[:, cut] = sums
+        nums, dens = np.split(values, [len(index)])
+        return nums / dens[index], np.logical_and.reduce(dens != 0)
 
 
-def _eval_rational_batch(pairs, variables, states) -> tuple[list[np.ndarray], np.ndarray]:
-    """num/den for each (num, den) pair at each state, as RationalFunction.eval
-    divides (a RationalFunction would rescale the pair), and a mask of the
-    states at which no denominator vanishes (where eval raises)."""
-    values = eval_batch([q for pair in pairs for q in pair], variables, states)
-    nums, dens = values[0::2], values[1::2]
-    with np.errstate(all="ignore"):
-        quotients = [n / d for n, d in zip(nums, dens)]
-    return quotients, np.logical_and.reduce([d != 0 for d in dens])
+def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) -> np.ndarray:
+    """Each polynomial at each state (polynomials x states), as
+    ``Polynomial.eval`` gives it; other variables raise ValueError."""
+    return _quotients(_plan([(p, Polynomial.const(1)) for p in polys], variables), states)[0]
+
+
+def _eval_rational_batch(pairs, variables, states) -> tuple[np.ndarray, np.ndarray]:
+    """``_quotients`` of (num, den) pairs, planned for this one call."""
+    return _quotients(_plan(pairs, variables), states)
 
 
 def _steps(m: BirationalMap, points: list, h: float, direction: str, steps: int) -> list:
@@ -536,23 +541,18 @@ def jacobian(
 
 def _jacobian_values(m: BirationalMap, states) -> tuple[np.ndarray, np.ndarray]:
     """The Jacobian at each state (window values, then h), states x dim x dim,
-    and the mask of states where no denominator vanishes.  Only the solved rows'
-    numerators and distinct denominators are evaluated; unit rows are 1.0, 0.0."""
+    and the mask of states where no denominator vanishes.  Only the solved
+    rows are evaluated, through a plan cached per map; unit rows are 1.0, 0.0."""
     J, _ = jacobian(m)
     k = m.dim - m.N
     if "jacobian_plan" not in m._cache:
-        solved = [rf for row in J[k:] for rf in row]
-        dens: dict = {}  # keyed in term order too, which fixes the float sum
-        index = [dens.setdefault(tuple(rf.den.terms()), len(dens)) for rf in solved]
-        polys = [*(rf.num for rf in solved), *map(Polynomial, dens)]
-        m._cache["jacobian_plan"] = _plan(polys, [*m.state_vars, m.scheme.step]), index
-    plan, index = m._cache["jacobian_plan"]
-    nums, dens = np.split(_eval_plan(plan, m.dim + 1, states), [len(index)])
-    out = np.zeros((nums.shape[1], m.dim, m.dim))
+        pairs = [(rf.num, rf.den) for row in J[k:] for rf in row]
+        m._cache["jacobian_plan"] = _plan(pairs, [*m.state_vars, m.scheme.step])
+    values, ok = _quotients(m._cache["jacobian_plan"], states)
+    out = np.zeros((values.shape[1], m.dim, m.dim))
     out[:, range(k), range(m.N, m.dim)] = 1.0
-    with np.errstate(all="ignore"):
-        out[:, k:] = (nums / dens[index]).T.reshape(-1, m.N, m.dim)
-    return out, np.logical_and.reduce(dens != 0)
+    out[:, k:] = values.T.reshape(-1, m.N, m.dim)
+    return out, ok
 
 
 def linearize_at(m: BirationalMap, p: Sequence[float], h: float) -> np.ndarray:
@@ -576,7 +576,6 @@ class SpectrumReport:
     palindromic_defect: float
     classification: list[str]  # per root: "inside" | "unit" | "outside"
     residual: float
-    unit_tol: float = UNIT_TOL
 
 
 def char_poly_and_roots(M: np.ndarray) -> SpectrumReport:
@@ -702,21 +701,6 @@ def first_order_field(sys: PolyOdeSystem) -> Callable[[np.ndarray], np.ndarray]:
     return field
 
 
-def _rk4_to(field, y: np.ndarray, t0: float, t1: float, max_step: float) -> np.ndarray:
-    span = t1 - t0
-    if span <= 0:
-        return y
-    m = max(1, math.ceil(span / max_step))
-    dt = span / m
-    for _ in range(m):
-        k1 = field(y)
-        k2 = field(y + 0.5 * dt * k1)
-        k3 = field(y + 0.5 * dt * k2)
-        k4 = field(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
-
-
 def reference_solution(
     sys: PolyOdeSystem,
     init: Sequence[float],
@@ -731,11 +715,10 @@ def reference_solution(
     which guards against an untrustworthy oracle.  A sample that overflows
     or is nan is NoConvergence, without a numpy warning.
     """
-    _numpy()
-    init = np.asarray(init, dtype=float)
+    field = first_order_field(sys)
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _rk4_samples(sys, init, times, max_step)
-        finer = _rk4_samples(sys, init, times, max_step / 2.0) if check and times else []
+        samples = _rk4_samples(field, init, times, max_step)
+        finer = _rk4_samples(field, init, times, max_step / 2.0) if check and times else []
         if not all(np.isfinite(s).all() for s in samples + finer):
             raise NoConvergence("reference oracle is not finite")
         if finer:
@@ -747,13 +730,20 @@ def reference_solution(
     return samples
 
 
-def _rk4_samples(sys, init, times, max_step):
-    field = first_order_field(sys)
-    out = []
-    y = np.asarray(init, dtype=float).copy()
-    t = 0.0
+def _rk4_samples(field, init, times, max_step: float) -> list[np.ndarray]:
+    """Classical RK4 for y' = field(y), y(0) = init, sampled at each time; a
+    span > 0 from the time before (0 first) takes equal steps <= max_step."""
+    out, y, t = [], np.array(init, dtype=float), 0.0
     for tk in times:
-        y = _rk4_to(field, y, t, tk, max_step)
+        if (span := tk - t) > 0:
+            m = max(1, math.ceil(span / max_step))
+            dt = span / m
+            for _ in range(m):
+                k1 = field(y)
+                k2 = field(y + 0.5 * dt * k1)
+                k3 = field(y + 0.5 * dt * k2)
+                k4 = field(y + dt * k3)
+                y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = tk
         out.append(y.copy())
     return out

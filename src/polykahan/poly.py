@@ -375,14 +375,7 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        out = Polynomial.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return _coerce_poly(_powers(self, e)[-1])
 
     def __eq__(self, other) -> bool:
         other = _coerce_poly(other)
@@ -539,11 +532,13 @@ def _coerce_poly(v) -> Polynomial:
 
 
 def _powers(p, emax: int) -> list:
-    """[1, p, p^2, ..., p^emax] for a Polynomial or a number."""
-    out = [p**0]
-    for _ in range(emax):
+    """[1, p, p^2, ..., p^emax] for a Polynomial or a number, each power from
+    p^2 on one product with p; the one power routine (``Polynomial.__pow__``
+    takes the last).  The 1 is the int: 1 * q is q, with no product."""
+    out = [1, p]
+    while len(out) <= emax:
         out.append(out[-1] * p)
-    return out
+    return out[: emax + 1]
 
 
 def _coerce_rational(v) -> "RationalFunction":

@@ -495,6 +495,43 @@ def test_eval_rational_batch_masks_vanishing_denominators():
         rf.eval({a: 1.0})
 
 
+def _mask_the_first_state_once(monkeypatch, name, first):
+    """Wrap ``maps.<name>`` so that its first call masks its first state and
+    doubles that state's values ``values[first]``, which would show in a
+    check that used them; return the mask of each call."""
+    real, masks = getattr(maps, name), []
+
+    def masking(*args):
+        values, ok = real(*args)
+        if not masks:
+            values[first] *= 2
+            ok[0] = False
+        masks.append(ok.tolist())
+        return values, ok
+
+    monkeypatch.setattr(maps, name, masking)
+    return masks
+
+
+def test_beam_measure_check_skips_a_masked_state_and_draws_another(monkeypatch):
+    case = cases.beam_symmetric(beam_params())
+    masks = _mask_the_first_state_once(monkeypatch, "_eval_rational_batch", (slice(None), 0))
+    rep = cases.beam_measure_check(case, n_points=20, seed=7)
+    assert masks == [[False] + [True] * 19, [True]]  # 20 good samples over two batches
+    assert rep.samples == 20
+    assert rep.max_rel_gap < 1e-9  # the doubled determinant would give a gap near 1/2
+
+
+def test_symplecticity_check_resamples_a_masked_state(monkeypatch):
+    case = cases.beam_lagrangian(beam_params())
+    unmasked = cases.symplecticity_check(case, seed=11)
+    masks = _mask_the_first_state_once(monkeypatch, "_jacobian_values", 0)
+    rep = cases.symplecticity_check(case, seed=11)
+    assert masks == [[False] + [True] * 19, [True]]  # 20 good samples over two batches
+    assert (rep.samples, rep.resampled) == (20, unmasked.resampled + 1)
+    assert rep.defect < 1e-6  # the doubled Jacobian would give a defect near 3
+
+
 # -- fixed points and spectra ----------------------------------------------------------
 
 
@@ -592,7 +629,7 @@ def test_a_degenerate_fixed_point_has_a_unit_spectrum(build):
     rep = cases.beam_fixed_point_analysis(build(beam_params(a=1, b=-2, c=1)))
     for w in (1.0, -1.0):
         sp = rep.spectra[w]
-        assert max(abs(abs(z) - 1) for z in sp.roots) > sp.unit_tol
+        assert max(abs(abs(z) - 1) for z in sp.roots) > maps.UNIT_TOL
         assert sp.classification == ["unit"] * 4
 
 

@@ -474,6 +474,36 @@ def test_discretize_subcommand(tmp_path):
     assert "E[0] = 0" in report
 
 
+_COMMAND_SECTIONS = {
+    "discretize": ("[scheme]", "[map]"),
+    "orbit": ("[orbit]",),
+    "darboux": ("[darboux]",),
+    "analyze-beam": ("[beam]",),
+}
+
+
+def _report_sections(path):
+    """report.txt's text per section, keyed by the section's header line."""
+    sections = {}
+    for line in path.read_text().splitlines(keepends=True):
+        if re.fullmatch(r"\[[a-z]+\]\n", line):
+            header = line.strip()
+            sections[header] = ""
+        sections[header] += line
+    return sections
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("discretize", "lv"), ("orbit", "lv"), ("darboux", "quartic"), ("analyze-beam", "beam-sym"),
+])
+def test_each_command_writes_the_config_and_its_own_sections_of_the_report(tmp_path, command, preset):
+    for run in ("report", command):
+        assert main([run, "--preset", preset, "--out", str(tmp_path / run)]) == 0
+    report = _report_sections(tmp_path / "report" / "report.txt")
+    single = (tmp_path / command / "report.txt").read_text()
+    assert single == "".join(report[k] for k in ("[config]", *_COMMAND_SECTIONS[command]))
+
+
 def test_unbound_inline_parameter_is_config_error(tmp_path):
     cfg = tmp_path / "u.cfg"
     cfg.write_text("rhs = -a*x1^3\norder = 2\nsteps = 5\ninit = 0.1, 0.1\n")

@@ -298,6 +298,27 @@ def test_first_integral_rejects_certificates_of_different_map_objects():
         darboux.first_integral(c1, c2)
 
 
+def test_a_certificate_with_a_nonzero_witness_is_refused():
+    case = quartic_bound()
+    good = darboux.verify_darboux(case.density_poly, case.bound_map)
+    bad = darboux.DarbouxCertificate(P=good.P, cofactor=good.cofactor, witness=X0, map=good.map)
+    with pytest.raises(darboux.CofactorMismatch, match="^certificate witness is nonzero$"):
+        darboux.invariant_measure(bad)
+    for pair in ((good, bad), (bad, good)):
+        with pytest.raises(darboux.CofactorMismatch, match="^certificate witness is nonzero$"):
+            darboux.first_integral(*pair)
+
+
+def test_first_integral_refuses_a_ratio_the_map_does_not_keep():
+    # both witnesses are zero and the cofactor is J, but x1 is not Darboux
+    case = quartic_bound()
+    good = darboux.verify_darboux(case.density_poly, case.bound_map)
+    forged = darboux.DarbouxCertificate(P=X0, cofactor=good.cofactor, witness=Polynomial(), map=good.map)
+    assert forged.valid
+    with pytest.raises(darboux.CofactorMismatch, match="^ratio is not invariant under the map$"):
+        darboux.first_integral(good, forged)
+
+
 def test_beam_sym_degree3_certificate_is_the_measure_density():
     p = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
     case = cases.beam_symmetric(p)

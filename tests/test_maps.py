@@ -406,7 +406,7 @@ def test_char_poly_double_root():
 
 def test_char_poly_classifies_a_split_multiple_root_by_its_mean():
     rep = maps.char_poly_and_roots(np.array([[0.0, 1.0], [-1.0, 2.0]]))
-    assert max(abs(abs(z) - 1.0) for z in rep.roots) > rep.unit_tol
+    assert max(abs(abs(z) - 1.0) for z in rep.roots) > maps.UNIT_TOL
     assert rep.classification == ["unit", "unit"]
     # distinct roots 0.002 apart stay apart
     rep = maps.char_poly_and_roots(np.diag([1.001, 0.999, 2.0, 0.5]))
@@ -792,8 +792,8 @@ def test_first_order_field_equals_the_ceval_loop_on_an_rk4_sample(name):
         "euler_top": lambda: (euler_top_system(), [1.0, 0.5, 0.3]),
     }[name]()
     y0 = np.array(y0, dtype=float)
-    got = maps._rk4_to(maps.first_order_field(sys), y0, 0.0, 1.0, 0.05)
-    want = maps._rk4_to(ceval_field(sys), y0, 0.0, 1.0, 0.05)
+    got = maps._rk4_samples(maps.first_order_field(sys), y0, [1.0], 0.05)[0]
+    want = maps._rk4_samples(ceval_field(sys), y0, [1.0], 0.05)[0]
     assert got.tobytes() == want.tobytes()
 
 
