@@ -10,8 +10,9 @@ Quispel, Tapley, van der Kamp, J. Phys. A 52 (2019), arXiv:1902.04685): over
 an ansatz of all monomials up to a degree bound, each exact rational point p
 gives the row [m(Phi(p)) - J(p) m(p)].  Rows are built on integers: Phi and
 J are compiled once per bound map over one monomial table, each monomial is
-evaluated once per point p = a/q, and each row is scaled by a positive
-integer of its point and divided by its gcd, which keeps its nullspace.
+evaluated once per point p = a/q, as one coordinate times a lower table
+entry where there is one, and each row is scaled by a positive integer of
+its point and divided by its gcd, which keeps its nullspace.
 Every Darboux polynomial satisfies every row, so the nullspace contains the
 true space; an exact pullback identity certifies each basis vector, and a
 failure draws more points from a wider box.  A nonzero relation of bounded
@@ -164,12 +165,20 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
     k = max(map(sum, exps))
     top = max(top, k)
     shape = [(ex, table.setdefault(tuple(ex), len(table)), k - sum(ex)) for ex in exps]
+    products, steps = [], []  # by degree, so that a step's neighbour comes first
+    for ex in sorted(table, key=sum):
+        for j, e in enumerate(ex):
+            if e and (lower := (*ex[:j], e - 1, *ex[j + 1 :])) in table:
+                steps.append((table[ex], table[lower], j))  # a^ex = a^lower * a_j
+                break
+        else:
+            products.append((table[ex], ex))
 
     def row(point) -> list[int]:
         q = math.lcm(*(v.denominator for v in point))
         apow = [_powers(v.numerator * (q // v.denominator), top) for v in point]
         qpow = _powers(q, top)
-        mono = [math.prod(map(getitem, apow, ex)) for ex in table]
+        mono = _table_values(products, steps, apow)
         pairs = []
         for num, den in forms:
             d = sum(c * mono[i] * qpow[r] for c, i, r in den)
@@ -189,6 +198,16 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
         return [v // g for v in out] if g > 1 else out
 
     return row
+
+
+def _table_values(products: list, steps: list, apow: list[list[int]]) -> list[int]:
+    """a^e per table entry: the plan's products, then its steps; apow[j][i] = a_j^i."""
+    mono = [0] * (len(products) + len(steps))
+    for i, ex in products:
+        mono[i] = math.prod(map(getitem, apow, ex))
+    for i, lower, j in steps:
+        mono[i] = mono[lower] * apow[j][1]
+    return mono
 
 
 def pullback(m: BirationalMap, P: Polynomial) -> tuple[Polynomial, Polynomial]:

@@ -1,20 +1,21 @@
 """Exact linear algebra over the rationals.
 
 ``nullspace`` first solves its integer rows modulo one word-size prime,
-_PRIME = 2^61 - 1: Gauss-Jordan elimination with a deterministic pivot
-rule -- first nonzero entry in column order -- on rows packed one to an int
-in lazily reduced slots, and Wang's rational reconstruction (SYMSAC 1981)
-of each basis entry.  Every reconstructed vector is then checked exactly
-against every row, and only a basis that passes is returned; otherwise
-the fraction-free (Bareiss) elimination with the same pivot rule gives it.  Both paths return the same basis (see
-``nullspace``), so it is reproducible across runs.  ``rank``, ``solve`` and
-``inverse`` read their answers off that checked nullspace: the module has
-one exact elimination.
+_PRIME = 2^61 - 1: a row echelon form, pivot rule first nonzero entry in
+column order, on rows packed one to an int in lazily reduced slots, back-
+substitution, and Wang's rational reconstruction (SYMSAC 1981) of each
+basis entry.  Every reconstructed vector is then checked exactly against
+every row, and only a basis that passes is returned; otherwise the
+fraction-free (Bareiss) elimination with the same pivot rule gives it.
+Both paths return the same basis (see ``nullspace``).  ``rank``, ``solve``
+and ``inverse`` read their answers off that checked nullspace: the module
+has one exact elimination.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from fractions import Fraction
 from typing import Sequence
@@ -30,12 +31,11 @@ def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     """Each row scaled to integers, as a new list (elimination works in place)."""
     out = []
     for row in rows:
-        if all(type(v) is int for v in row):
-            out.append(list(row))
-            continue
-        fr = [Fraction(v) for v in row]
-        scale = math.lcm(*(v.denominator for v in fr))
-        out.append([int(v * scale) for v in fr])
+        if not all(type(v) is int for v in row):
+            fr = [Fraction(v) for v in row]
+            scale = math.lcm(*(v.denominator for v in fr))
+            row = [int(v * scale) for v in fr]
+        out.append(list(row))
     return out
 
 
@@ -53,7 +53,9 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None
     Each vector writes column f through pivot columns left of f, so f is no
     pivot over Q: the free columns mod p are exactly the free columns over
     Q, and each vector is the unique one in N with the identity pattern on
-    them.  A failed reconstruction or check falls back to Bareiss.
+    them.  A failed reconstruction or check falls back to Bareiss.  Mod p the
+    rows below each pivot are those of Gauss-Jordan, so the pivots, the entries
+    -RREF[r][f] that back-substitution gives and any failure are the same.
     """
     mat = _integer_rows(rows)
     if ncols is None:
@@ -79,7 +81,7 @@ _WORD = (1 << 64) - 1
 
 
 def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | None:
-    """The nullspace basis from Gauss-Jordan elimination mod _PRIME, or None
+    """The nullspace basis from the row echelon form mod _PRIME, or None
     when an entry does not reconstruct or a vector misses a row exactly."""
     pivots, echelon = _modular_echelon(mat)
     pivot_cols = set(pivots)
@@ -87,13 +89,13 @@ def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | No
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            entry = _reconstruct(-echelon[r][f] % _PRIME)
-            if entry is None:
-                return None
-            vec[c] = entry
+        back = [0] * ncols  # back[c] becomes -RREF[r][f], c the pivot of row r
+        back[f] = 1
+        for row, c in zip(reversed(echelon), reversed(pivots)):
+            back[c] = -sum(map(operator.mul, row, back)) % _PRIME
+        vec = [_reconstruct(v) for v in back]  # free entries, 0 and 1, never fail
+        if any(v is None for v in vec):
+            return None
         ints = _normalize_int(vec)
         if any(sum(a * v for a, v in zip(row, ints) if v) for row in mat):
             return None
@@ -102,10 +104,10 @@ def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | No
 
 
 def _modular_echelon(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Pivot columns and nonzero rows of the reduced echelon form of ``mat``
-    mod _PRIME (unique, so any elimination gives it).  A row is one int of
-    128-bit slots, each below 2^63 and congruent to its entry; the pivot
-    test, the multiplier f and the stored pivot row read them reduced."""
+    """Pivot columns and nonzero rows of a row echelon form of ``mat`` mod
+    _PRIME with unit pivots, each eliminating the rows below it only.  A row
+    is one int of 128-bit slots, each below 2^63 and congruent to its entry;
+    the pivot test, the multiplier f and the stored pivot row read them reduced."""
     p = _PRIME
     width = len(mat[0]) if mat else 0
     slots = struct.Struct("<" + "Q8x" * width)  # a slot is below 2^64 when packed or read
@@ -129,9 +131,9 @@ def _modular_echelon(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
         inv = pow(row[c], -1, p)
         red[r] = pack([v * inv % p for v in row])
         neg = (m61 >> shift << shift) - red[r]  # p - v in the slots from c on, each <= p
-        for i, x in enumerate(red):
+        for i, x in enumerate(red[r + 1 :], r + 1):  # below the pivot only: row echelon
             f = (x >> shift & _WORD) % p
-            if f and i != r:  # the pivot row is zero left of c
+            if f:  # the pivot row is zero left of c
                 # a slot is below 2^63 + 2^122 < 2^128 here, so none carries into
                 # the next; the fold by 2^61 = 1 mod p puts it below 2^61 + 2^62
                 x += f * neg

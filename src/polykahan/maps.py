@@ -22,10 +22,10 @@ straight-line Python generated once from the terms (``_value_lines``).  Per
 map, direction and h, one generated function runs a whole orbit, with the
 window in local variables: ``iterate`` calls it once per orbit, and
 ``step``/``step_back`` call it for one step.  Residuals and quotients
-share one batch kernel, ``_gathered``.  One quotient plan, ``_plan`` of
-(num, den) pairs with each distinct denominator once, and ``_quotients``,
-which divides and masks vanishing denominators, serve ``eval_batch``
-(denominator 1), ``_eval_rational_batch`` and ``_jacobian_values``.
+share one batch kernel, ``_gathered``.  ``_sums`` of one plan, ``_plan`` of
+numerators and each distinct denominator once, serves ``eval_batch`` (no
+denominators) and ``_quotients``, which divides and masks vanishing ones,
+for ``_eval_rational_batch`` and ``_jacobian_values``.
 
 numpy is imported by the first float call: ``_numpy``, the package's one
 loader, binds ``np`` here once, and every float entry point reaches it
@@ -400,41 +400,46 @@ def _gathered(plan: tuple, columns: Sequence[np.ndarray], count: int):
         yield cut, terms[:, :width], sums[:, :width]
 
 
-def _plan(pairs, variables: Sequence[Var]) -> tuple:
-    """The plan of (num, den) pairs, column k of a state binding
-    ``variables[k]``: the numerators, then each distinct denominator once,
-    keyed in term order (which fixes the float sum)."""
+def _plan(nums: Sequence[Polynomial], variables: Sequence[Var], dens: Sequence[Polynomial] = ()) -> tuple:
+    """The plan of ``nums``, then of each distinct one of their ``dens`` (none
+    or one each), keyed in term order (which fixes the float sum); column k
+    of a state binds ``variables[k]``."""
     _numpy()
     slots = {v: k for k, v in enumerate(variables)}
-    dens: dict = {}
-    index = [dens.setdefault(tuple(den.terms()), len(dens)) for _, den in pairs]
-    polys = [*(num for num, _ in pairs), *map(Polynomial, dens)]
+    keys: dict = {}
+    index = [keys.setdefault(tuple(den.terms()), len(keys)) for den in dens]
+    polys = [*nums, *map(Polynomial, keys)]
     return _batch_plan([_compile(p, slots, {}) for p in polys]), len(variables), index
 
 
-def _quotients(plan: tuple, states) -> tuple[np.ndarray, np.ndarray]:
-    """num/den per pair and state (pairs x states), as RationalFunction.eval
-    divides the pair unrescaled, and the mask of the states where no
-    denominator vanishes (where eval raises)."""
-    batch, nvars, index = plan
+def _sums(plan: tuple, states) -> np.ndarray:
+    """Each planned polynomial at each state (polynomials x states)."""
+    batch, nvars, _ = plan
     states = np.reshape(np.asarray(states, dtype=float), (len(states), nvars))
     values = np.empty((len(batch[3]), len(states)))
     with np.errstate(all="ignore"):
         for cut, _, sums in _gathered(batch, states.T, len(states)):
             values[:, cut] = sums
-        nums, dens = np.split(values, [len(index)])
-        return nums / dens[index], np.logical_and.reduce(dens != 0)
+    return values
+
+
+def _quotients(plan: tuple, states) -> tuple[np.ndarray, np.ndarray]:
+    """num/den per pair and state, as RationalFunction.eval divides them, and
+    the mask of the states where no denominator vanishes (where eval raises)."""
+    nums, dens = np.split(_sums(plan, states), [len(plan[2])])
+    with np.errstate(all="ignore"):
+        return nums / dens[plan[2]], np.logical_and.reduce(dens != 0)
 
 
 def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) -> np.ndarray:
     """Each polynomial at each state (polynomials x states), as
     ``Polynomial.eval`` gives it; other variables raise ValueError."""
-    return _quotients(_plan([(p, Polynomial.const(1)) for p in polys], variables), states)[0]
+    return _sums(_plan(polys, variables), states)
 
 
 def _eval_rational_batch(pairs, variables, states) -> tuple[np.ndarray, np.ndarray]:
     """``_quotients`` of (num, den) pairs, planned for this one call."""
-    return _quotients(_plan(pairs, variables), states)
+    return _quotients(_plan([num for num, _ in pairs], variables, [den for _, den in pairs]), states)
 
 
 def _steps(m: BirationalMap, points: list, h: float, direction: str, steps: int) -> list:
@@ -546,8 +551,8 @@ def _jacobian_values(m: BirationalMap, states) -> tuple[np.ndarray, np.ndarray]:
     J, _ = jacobian(m)
     k = m.dim - m.N
     if "jacobian_plan" not in m._cache:
-        pairs = [(rf.num, rf.den) for row in J[k:] for rf in row]
-        m._cache["jacobian_plan"] = _plan(pairs, [*m.state_vars, m.scheme.step])
+        nums, dens = zip(*((rf.num, rf.den) for row in J[k:] for rf in row))
+        m._cache["jacobian_plan"] = _plan(nums, [*m.state_vars, m.scheme.step], dens)
     values, ok = _quotients(m._cache["jacobian_plan"], states)
     out = np.zeros((values.shape[1], m.dim, m.dim))
     out[:, range(k), range(m.N, m.dim)] = 1.0

@@ -326,7 +326,7 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         p = Polynomial.__new__(Polynomial)
-        p._terms = _accumulate(dict(self._terms), other._terms.items())
+        p._terms = _accumulate(dict(self._terms), other._terms.items()) or {}  # drop an emptied table
         return p
 
     __radd__ = __add__

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from operator import getitem
 
 import pytest
 from hypothesis import assume, given, settings
@@ -484,6 +485,37 @@ def test_integer_row_on_the_map_denominator_raises(name, point):
     relation_row = darboux._relation_rows(m, maps.jacobian(m)[1], _ansatz_exponents(m, 2))
     with pytest.raises(DenominatorVanished):
         relation_row(point)
+
+
+@pytest.mark.parametrize("name, maxdeg, size, steps", [("euler_top", 2, 190, 25), ("beam_sym", 2, 51, 40)])
+def test_planned_table_values_are_the_monomials_at_the_first_batch(monkeypatch, name, maxdeg, size, steps):
+    # an entry one variable above another table entry is that entry's value
+    # times a_j; every value must still be the product over the coordinates
+    m = RELATION_MAPS[name]()
+    calls = []
+    table_values = darboux._table_values
+
+    def recorded(plan_products, plan_steps, apow):
+        calls.append((len(plan_steps), apow, table_values(plan_products, plan_steps, apow)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(darboux, "_table_values", recorded)
+    exps = _ansatz_exponents(m, maxdeg)
+    relation_row = darboux._relation_rows(m, maps.jacobian(m)[1], exps)
+    table = dict(m._cache["relation_forms"][3])  # Phi's and J's table, extended by the ansatz
+    for ex in exps:
+        table.setdefault(tuple(ex), len(table))
+    points = darboux._sample_points(m.dim, len(exps) + darboux._EXTRA_ROWS, 0)
+    for point in points:
+        try:
+            relation_row(point)
+        except DenominatorVanished:
+            pass
+    assert len(calls) == len(points) and len(table) == size
+    for neighbour_products, apow, mono in calls:
+        assert neighbour_products == steps  # most of beam-sym's entries, few of the Euler top's
+        assert len(mono) == size
+        assert all(mono[i] == math.prod(map(getitem, apow, ex)) for ex, i in table.items())
 
 
 # -- the search output on the benchmark cases -----------------------------------

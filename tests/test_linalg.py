@@ -126,9 +126,11 @@ def test_nullspace_equals_bareiss_on_low_rank_products(case):
     assert linalg.nullspace(rows, ncols=ncols) == reference(rows, ncols)
 
 
-def _list_echelon(mat, width):
-    """Gauss-Jordan mod p on lists of residues, with the pivot rule of
-    linalg: the first row from the current one with a nonzero entry."""
+def _list_echelon(mat, width, reduced=False):
+    """Row echelon form mod p on lists of residues, with unit pivots and the
+    pivot rule of linalg (the first row from the current one with a nonzero
+    entry), eliminating below each pivot only; with ``reduced``, above it
+    too (Gauss-Jordan, the reduced echelon form)."""
     red = [[v % P for v in row] for row in mat]
     pivots = []
     for c in range(width):
@@ -139,18 +141,18 @@ def _list_echelon(mat, width):
         red[r], red[pr] = red[pr], red[r]
         inv = pow(red[r][c], -1, P)
         red[r] = [v * inv % P for v in red[r]]
-        for i, row in enumerate(red):
-            f = row[c]
-            if f and i != r:
-                red[i] = [(a - f * b) % P for a, b in zip(row, red[r])]
+        for i in range(len(red)) if reduced else range(r + 1, len(red)):
+            f = red[i][c] if i != r else 0
+            if f:
+                red[i] = [(a - f * b) % P for a, b in zip(red[i], red[r])]
         pivots.append(c)
     return pivots, red[: len(pivots)]
 
 
 def _list_nullspace(mat, ncols):
-    """The modular nullspace with the list elimination: the same
+    """The modular nullspace read off the reduced echelon form: the same
     reconstruction and exact check, None where either fails."""
-    pivots, echelon = _list_echelon(mat, len(mat[0]) if mat else 0)
+    pivots, echelon = _list_echelon(mat, len(mat[0]) if mat else 0, reduced=True)
     basis = []
     for f in range(ncols):
         if f in pivots:

@@ -184,6 +184,7 @@ def test_eval_batch_matches_polynomial_eval_bit_for_bit():
     assert got.tolist() == want
     (const,) = maps.eval_batch([Polynomial.const(2)], [a], [[0.5], [1.5]])
     assert const.tolist() == [2.0, 2.0]
+    assert maps.eval_batch([], [a, b, H], states).shape == (0, len(states))
     with pytest.raises(ValueError):
         maps.eval_batch([p], [a, b], [[0.5, 0.5]])
 
@@ -1045,10 +1046,11 @@ def batch_of(data, pool):
 
 @given(data=st.data())
 def test_eval_batch_equals_polynomial_eval_bit_for_bit(data):
-    polys = data.draw(st.lists(shared_factor_polynomials(), min_size=1, max_size=3))
+    polys = data.draw(st.lists(shared_factor_polynomials(), min_size=0, max_size=3))
     pool = data.draw(st.lists(st.lists(edge_values, min_size=3, max_size=3), min_size=1, max_size=5))
     picks = batch_of(data, pool)
     got = maps.eval_batch(polys, EVAL_VARS, [pool[k] for k in picks])
+    assert got.shape == (len(polys), len(picks)) and got.dtype == np.float64
     for p, values in zip(polys, got):
         assert values.shape == (len(picks),)
         want = {}

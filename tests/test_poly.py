@@ -56,6 +56,14 @@ def test_additive_inverse():
     assert (X + (-X)).is_zero()
 
 
+def test_a_sum_that_cancels_keeps_no_emptied_table():
+    # every Darboux certificate keeps its zero witness, a difference of two
+    # large polynomials; the table the cancellation emptied must not stay
+    p = sum((Polynomial.var(x(i)) ** 2 for i in range(1, 40)), Polynomial())
+    zero = p - p
+    assert zero.is_zero() and sys.getsizeof(zero._terms) == sys.getsizeof({})
+
+
 def test_difference_of_squares():
     assert (X + Y) * (X - Y) == X**2 - Y**2
 
