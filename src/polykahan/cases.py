@@ -240,11 +240,11 @@ def kahan_weierstrass(
 
 
 def weierstrass_elimination_matches(case: WeierstrassCase) -> bool:
-    """Check x~ + x_ = g(x) exactly: the sum of the forward and backward
-    x-components of the planar Kahan map must be independent of p and equal
-    to the additive right-hand side."""
+    """Check x~ + x_ = g(x) exactly, with x_ the forward x-component at -h,
+    since Kahan's method is self-adjoint (``scheme.is_self_adjoint``): the sum
+    must be independent of p and equal to the additive right-hand side."""
     fx = case.kahan_map.forward[0]
-    bx = case.kahan_map.backward[0]
+    bx = fx.substitute({H: -Polynomial.var(H)})
     return fx + bx == case.additive_rhs
 
 

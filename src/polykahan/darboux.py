@@ -125,8 +125,8 @@ def _sample_points(dim: int, count: int, batch: int) -> list[tuple[Fraction, ...
 
 
 def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
-    """Compile Phi and J once per bound map and cofactor; return the function
-    that maps a rational point p = a/q to the integer row
+    """Compile Phi and J once per bound map and cofactor, plan once per ansatz;
+    return the function that maps a rational point p = a/q to the integer row
 
         Jd q^k prod_j d_j^k * [mono(Phi(p)) - J(p)*mono(p) per ansatz exponent vector]
 
@@ -159,20 +159,21 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
                 (terms(rf.num, ratio.numerator / cn, deg), terms(rf.den, ratio.denominator / cd, deg))
             )
             top = max(top, deg)
-        m._cache["relation_forms"] = (J, forms, top, table)
-    _, forms, top, table = m._cache["relation_forms"]
-    table = dict(table)
-    k = max(map(sum, exps))
-    top = max(top, k)
-    shape = [(ex, table.setdefault(tuple(ex), len(table)), k - sum(ex)) for ex in exps]
-    products, steps = [], []  # by degree, so that a step's neighbour comes first
-    for ex in sorted(table, key=sum):
-        for j, e in enumerate(ex):
-            if e and (lower := (*ex[:j], e - 1, *ex[j + 1 :])) in table:
-                steps.append((table[ex], table[lower], j))  # a^ex = a^lower * a_j
-                break
-        else:
-            products.append((table[ex], ex))
+        m._cache["relation_forms"] = (J, forms, top, table, {})
+    _, forms, top, table, plans = m._cache["relation_forms"]
+    if (key := tuple(map(tuple, exps))) not in plans:
+        table, k = dict(table), max(map(sum, exps))
+        shape = [(ex, table.setdefault(ex, len(table)), k - sum(ex)) for ex in key]
+        products, steps = [], []  # by degree, so that a step's neighbour comes first
+        for ex in sorted(table, key=sum):
+            for j, e in enumerate(ex):
+                if e and (lower := (*ex[:j], e - 1, *ex[j + 1 :])) in table:
+                    steps.append((table[ex], table[lower], j))  # a^ex = a^lower * a_j
+                    break
+            else:
+                products.append((table[ex], ex))
+        plans[key] = (k, max(top, k), shape, products, steps)
+    k, top, shape, products, steps = plans[key]
 
     def row(point) -> list[int]:
         q = math.lcm(*(v.denominator for v in point))

@@ -4,11 +4,11 @@ Because the scheme equations are jointly linear in the highest shifts, they
 solve to rational update rules: the map on the nN-dimensional window state
 (x_1^(0)..x_N^(0), ..., x_1^(n-1)..x_N^(n-1)) copies the upper blocks down
 and fills the last block with the solved highest shifts.  Linearity in the
-lowest shifts gives the inverse the same way, so the map is birational.
+lowest shifts makes the map birational: the inverse is the lowest-shift system.
 Its Jacobian is block companion, dim - N unit rows above the N solved ones,
 so det = (-1)^(N (dim - N)) times the det of the solved rows' level-0 block.
 
-Symbolic solutions (Cramer on the polynomial coefficient matrix) are built
+Only the forward block is solved symbolically (Cramer on the coefficients),
 for N <= 3; numeric stepping always solves the evaluated N x N system by
 Gaussian elimination with partial pivoting, so larger systems iterate fine
 without closed forms.  The elimination is generated straight-line code on
@@ -75,10 +75,10 @@ class NoConvergence(ArithmeticError):
 
 
 class BirationalMap:
-    """Explicit forward/backward rational update rules on the window state.
+    """Explicit forward rational update rules; the inverse is ``_bottom``.
 
-    ``state_vars`` fixes the coordinate order; ``forward``/``backward`` are
-    tuples of RationalFunctions in those variables (plus h and any unbound
+    ``state_vars`` fixes the coordinate order; ``forward`` is a tuple of
+    RationalFunctions in those variables (plus h and any unbound
     parameters), or None above the symbolic dimension limit.  Instances are
     immutable in use; a small evaluation cache is built lazily.
     """
@@ -87,7 +87,6 @@ class BirationalMap:
         self,
         scheme: ImplicitScheme,
         forward: tuple[RationalFunction, ...] | None,
-        backward: tuple[RationalFunction, ...] | None,
         top_system: tuple[list[list[Polynomial]], list[Polynomial]],
         bottom_system: tuple[list[list[Polynomial]], list[Polynomial]],
     ):
@@ -99,7 +98,6 @@ class BirationalMap:
             x(j, k) for k in range(self.n) for j in range(1, self.N + 1)
         )
         self.forward = forward
-        self.backward = backward
         self._top = top_system
         self._bottom = bottom_system
         self._cache: dict = {}
@@ -149,37 +147,26 @@ class BirationalMap:
 
 
 def solve_forward(scheme: ImplicitScheme) -> BirationalMap:
-    """Solve the scheme for the highest and lowest shifts.
+    """Solve the scheme for the highest shifts; the lowest-shift system is the inverse.
 
     Raises NotLinear if a joint-linearity assumption fails and
-    ZeroDeterminant if the symbolic coefficient determinant vanishes
-    identically (N <= 3 only; larger N skips the closed form).
+    ZeroDeterminant if either coefficient determinant vanishes identically
+    (N <= 3 only; larger N skips the closed form and the check).
     """
     n, N = scheme.order, scheme.dim
     top = _linear_system(scheme.equations, [x(j, n) for j in range(1, N + 1)])
     bottom = _linear_system(scheme.equations, [x(j, 0) for j in range(1, N + 1)])
-    forward = backward = None
+    forward = None
     if N <= SYMBOLIC_DIM_LIMIT:
-        solved_top = _cramer(*top)
-        solved_bottom = _cramer(*bottom)
         shift_up = tuple(
             RationalFunction(Polynomial.var(x(j, k)))
             for k in range(1, n)
             for j in range(1, N + 1)
         )
-        forward = shift_up + tuple(solved_top)
-        # The lowest-shift solution lives on levels 1..n; rename to 0..n-1.
-        down = tuple(
-            RationalFunction(r.num.shift_states(-1), r.den.shift_states(-1))
-            for r in solved_bottom
-        )
-        shift_down = tuple(
-            RationalFunction(Polynomial.var(x(j, k)))
-            for k in range(0, n - 1)
-            for j in range(1, N + 1)
-        )
-        backward = down + shift_down
-    return BirationalMap(scheme, forward, backward, top, bottom)
+        forward = shift_up + tuple(_cramer(*top))
+        if linalg.det_poly(bottom[0]).is_zero():
+            raise ZeroDeterminant("lowest-shift coefficient determinant is identically zero")
+    return BirationalMap(scheme, forward, top, bottom)
 
 
 def _linear_system(equations, var_order):

@@ -609,6 +609,16 @@ def test_search_compiles_phi_and_j_once_per_bound_map():
     assert fresh._cache["relation_forms"] is not compiled
 
 
+def test_repeated_searches_plan_the_table_once_per_ansatz():
+    m = RELATION_MAPS["lv"]()
+    assert [c.to_text() for c in darboux.find_darboux(m, 3)] == LV_D3
+    plans = m._cache["relation_forms"][4]  # keyed by the ansatz exponents
+    ((key, planned),) = plans.items()
+    assert [c.to_text() for c in darboux.find_darboux(m, 3)] == LV_D3
+    darboux.find_darboux(m, 2)
+    assert len(plans) == 2 and plans[key] is planned
+
+
 def test_relation_rows_follow_a_cofactor_other_than_the_cached_one():
     m = RELATION_MAPS["quartic"]()
     J = maps.jacobian(m)[1]

@@ -122,6 +122,53 @@ def euler_top_map():
     return maps.solve_forward(discretize(euler_top_system()))
 
 
+@pytest.mark.parametrize("name", ["lv", "quartic", "weierstrass", "beam-sym", "beam-lag", "euler-top"])
+def test_the_lowest_shift_system_inverts_an_exact_step(name):
+    # the inverse is _bottom: solved exactly at the image's levels 1..n, it
+    # gives back the start's level-0 block
+    if name == "weierstrass":
+        m = cases.kahan_weierstrass(1, 1).kahan_map  # the oracle maps hold its additive form
+    else:
+        m = _jacobian_oracle_maps()[name]
+    h = Fraction(1, 10)
+    rng = random.Random(sum(map(ord, name)))
+    A, r = m._bottom
+    levels = [x(j, k) for k in range(1, m.n + 1) for j in range(1, m.N + 1)]
+    checked = 0
+    while checked < 3:
+        state = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m.dim)]
+        try:
+            image = maps.eval_exact(m, state, h)
+        except DenominatorVanished:
+            continue
+        at = dict(zip(levels, image)) | {H: h}
+        A_at = [[a.eval(at) for a in row] for row in A]
+        assert linalg.solve(A_at, [-p.eval(at) for p in r]) == state[: m.N]
+        checked += 1
+
+
+def test_a_scheme_without_its_lowest_shift_is_not_birational():
+    scheme = ImplicitScheme(2, 1, H, (Polynomial.var(x(1, 1)) + Polynomial.var(x(1, 2)),))
+    with pytest.raises(maps.ZeroDeterminant):
+        maps.solve_forward(scheme)
+
+
+def test_solve_forward_solves_only_the_forward_block_symbolically(monkeypatch):
+    # on the Euler top every 3 x 3 determinant is an outermost call (the
+    # minors are 2 x 2 and 1 x 1): Cramer's det and three columns for the
+    # highest shifts, and one det for the lowest-shift guard
+    sizes = []
+    det_poly = linalg.det_poly
+
+    def recorded(M):
+        sizes.append(len(M))
+        return det_poly(M)
+
+    monkeypatch.setattr(linalg, "det_poly", recorded)
+    euler_top_map()
+    assert sizes.count(3) == 5
+
+
 @pytest.mark.parametrize("name", ["quartic", "lv", "beam_sym", "euler_top"])
 def test_batched_residuals_equal_per_window_formula(name):
     beam = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
