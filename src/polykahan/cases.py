@@ -7,6 +7,7 @@ tests can compare the generic machinery against the known answers by exact
 polynomial identity.  The beam gets two discretizations: the shift-averaged
 one (measure-preserving) and a variational one derived from a discrete
 Lagrangian (symplectic); both are analyzed around their fixed points.
+``darboux._qrt_coefficients`` alone gives the QRT coefficients alpha..delta.
 The float checks take numpy from ``maps._numpy`` and evaluate quotients
 through ``maps._eval_rational_batch`` or ``maps._jacobian_values``, on one
 quotient plan whose mask marks the states the checks skip or resample.
@@ -94,25 +95,11 @@ class QuarticParams:
     h: Fraction
 
     def __post_init__(self):
-        for name in "abcd":
+        for name in "abcdh":
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        object.__setattr__(self, "h", Fraction(self.h))
-
-    @property
-    def alpha(self) -> Fraction:
-        return self.a * self.h**2
-
-    @property
-    def beta(self) -> Fraction:
-        return self.b * self.h**2 / 3
-
-    @property
-    def gamma(self) -> Fraction:
-        return 1 + self.c * self.h**2 / 3
-
-    @property
-    def delta(self) -> Fraction:
-        return self.d * self.h**2
+        qrt = darboux._qrt_coefficients(self.a, self.b, self.c, self.d, self.h)
+        for name, value in zip(("alpha", "beta", "gamma", "delta"), qrt):
+            object.__setattr__(self, name, value)
 
 
 def _qrt_invariants(al, be, ga, de) -> tuple[Polynomial, Polynomial]:
@@ -162,12 +149,10 @@ def quartic_oscillator(params: QuarticParams | None = None) -> QuarticCase:
     """x'' = -a x^3 - b x^2 - c x - d with its solved planar map and the two
     invariant polynomials; ``params=None`` keeps every coefficient symbolic."""
     if params is None:
-        a, b, c, d = (Polynomial.var(param(s)) for s in "abcd")
-        h2 = Polynomial.var(H) ** 2
-        al, be, ga, de = a * h2, b * h2 / 3, 1 + c * h2 / 3, d * h2
+        a, b, c, d, h = (Polynomial.var(param(s)) for s in "abcdh")
     else:
-        a, b, c, d = params.a, params.b, params.c, params.d
-        al, be, ga, de = params.alpha, params.beta, params.gamma, params.delta
+        a, b, c, d, h = params.a, params.b, params.c, params.d, params.h
+    qrt = darboux._qrt_coefficients(a, b, c, d, h)
     X = Polynomial.var(x(1))
     sys = PolyOdeSystem(2, 1, (-(_P(a) * X**3) - _P(b) * X**2 - _P(c) * X - _P(d),))
     sch = discretize(sys)
@@ -175,8 +160,8 @@ def quartic_oscillator(params: QuarticParams | None = None) -> QuarticCase:
     bound = None
     if params is not None:
         bound = m.bind({"h": params.h})
-    num, den = _qrt_closed_form(al, be, ga, de)
-    density, invariant = _qrt_invariants(al, be, ga, de)
+    num, den = _qrt_closed_form(*qrt)
+    density, invariant = _qrt_invariants(*qrt)
     return QuarticCase(params, sys, sch, m, bound, num, den, density, invariant)
 
 
@@ -194,6 +179,7 @@ class WeierstrassCase:
     additive_rhs: RationalFunction  # g(x) = (4x - 2 delta)/(3 beta x + 2)
     pencil: darboux.Pencil  # invariant pencil of the additive map
     qrt_pencil_alpha0: darboux.Pencil  # the alpha=0, gamma=1 member family
+    step: Polynomial  # the step h the case was built with; H when symbolic
 
 
 def kahan_weierstrass(
@@ -210,8 +196,7 @@ def kahan_weierstrass(
     sys = PolyOdeSystem(1, 2, (P, -bp * X**2 - dp))
     sch = discretize(sys)
     kmap = solve_forward(sch)
-    beta = bp * hp**2 / 3
-    delta = dp * hp**2
+    _, beta, _, delta = darboux._qrt_coefficients(0, bp, 0, dp, hp)
     lo, mid = _W(0), _W(1)
     hi = _W(2)
     additive_eq = (lo + hi) * (3 * beta * mid + 2) - (4 * mid - 2 * delta)
@@ -236,16 +221,18 @@ def kahan_weierstrass(
         additive_rhs=g,
         pencil=pencil,
         qrt_pencil_alpha0=darboux.Pencil(q_density, q_invariant),
+        step=hp,
     )
 
 
 def weierstrass_elimination_matches(case: WeierstrassCase) -> bool:
     """Check x~ + x_ = g(x) exactly, with x_ the forward x-component at -h,
-    since Kahan's method is self-adjoint (``scheme.is_self_adjoint``): the sum
-    must be independent of p and equal to the additive right-hand side."""
+    since Kahan's method is self-adjoint (``scheme.is_self_adjoint``): the sum,
+    at the case's step (the map keeps h symbolic for the reversal), must be
+    independent of p and equal to the additive right-hand side."""
     fx = case.kahan_map.forward[0]
     bx = fx.substitute({H: -Polynomial.var(H)})
-    return fx + bx == case.additive_rhs
+    return (fx + bx).substitute({H: case.step}) == case.additive_rhs
 
 
 # ---------------------------------------------------------------------------

@@ -315,21 +315,13 @@ def first_integral(
 
 
 def in_span(polys: Sequence[Polynomial], candidate: Polynomial) -> bool:
-    """Exact membership of ``candidate`` in the rational span of ``polys``."""
-    vecs, _ = _coefficient_matrix(list(polys) + [candidate])
-    base = vecs[:-1]
-    return linalg.rank(base) == linalg.rank(vecs)
-
-
-def _coefficient_matrix(polys: Sequence[Polynomial]):
-    monos: set[Monomial] = set()
-    for p in polys:
-        monos.update(m for m, _ in p.terms())
-    universe = tuple(
-        sorted({v for m in monos for v in m.vars()}, key=lambda v: v.sort_key())
-    )
-    index = sorted(monos, key=lambda m: _grlex_key(m, universe))
-    return [[p.coefficient(m) for m in index] for p in polys], index
+    """Exact membership of ``candidate`` in the rational span of ``polys``: a
+    rank does not depend on column order, so the columns are the distinct
+    monomials in first-seen order."""
+    polys = [*polys, candidate]
+    monos = dict.fromkeys(m for p in polys for m, _ in p.terms())
+    vecs = [[p.coefficient(m) for m in monos] for p in polys]
+    return linalg.rank(vecs[:-1]) == linalg.rank(vecs)
 
 
 @dataclass
@@ -359,8 +351,7 @@ def pencil_compare(p: Pencil, q: Pencil) -> PencilComparison:
 @dataclass
 class ContinuumLimitReport:
     """Exact h-expansion checks of the two invariant polynomials of the
-    quartic-oscillator map under alpha = a h^2, beta = b h^2/3,
-    gamma = 1 + c h^2/3, delta = d h^2 and y = x + h p."""
+    quartic-oscillator map under ``_qrt_coefficients`` and y = x + h p."""
 
     p1_order0_is_one: bool
     p1_order1_is_zero: bool
@@ -381,6 +372,14 @@ class ContinuumLimitReport:
         )
 
 
+def _qrt_coefficients(a, b, c, d, h):
+    """(alpha, beta, gamma, delta) = (a h^2, b h^2/3, 1 + c h^2/3, d h^2): the
+    coefficients of the solved QRT update of x'' = -a x^3 - b x^2 - c x - d
+    with step h, for Fraction or Polynomial arguments."""
+    h2 = h**2
+    return a * h2, b * h2 / 3, 1 + c * h2 / 3, d * h2
+
+
 def continuum_limit_check(P1: Polynomial, P2: Polynomial) -> ContinuumLimitReport:
     """Verify P1 = 1 + O(h^2) and P2 = 4 H h^2 + O(h^3) exactly.
 
@@ -394,13 +393,8 @@ def continuum_limit_check(P1: Polynomial, P2: Polynomial) -> ContinuumLimitRepor
     h = Polynomial.var(hvar)
     a, b, c, d, p = (Polynomial.var(param(s)) for s in ("a", "b", "c", "d", "p"))
     xv = Polynomial.var(x(1, 0))
-    sigma = {
-        param("alpha"): a * h**2,
-        param("beta"): b * h**2 / 3,
-        param("gamma"): 1 + c * h**2 / 3,
-        param("delta"): d * h**2,
-        x(1, 1): xv + h * p,
-    }
+    names = map(param, ("alpha", "beta", "gamma", "delta"))
+    sigma = {**dict(zip(names, _qrt_coefficients(a, b, c, d, h))), x(1, 1): xv + h * p}
     s1 = P1.subs_poly(sigma).split_by(hvar)
     s2 = P2.subs_poly(sigma).split_by(hvar)
     hamiltonian4 = (

@@ -1,10 +1,12 @@
+import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polykahan import cases, darboux, maps
@@ -60,6 +62,20 @@ def test_quartic_solved_map_closed_form_numeric():
     assert case.bound_map.forward[1] == RationalFunction(case.qrt_num, case.qrt_den)
 
 
+_symbolic_quartic_map = functools.cache(lambda: cases.quartic_oscillator().map)
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(max_examples=30)
+@given(_SMALL, _SMALL, _SMALL, _SMALL, st.fractions(Fraction(1, 20), Fraction(1, 2), max_denominator=20))
+def test_qrt_coefficients_agree_on_the_symbolic_and_numeric_paths(a, b, c, d, h):
+    # h <= 1/2 keeps gamma = 1 + c h^2/3 >= 2/3, so the update is defined
+    symbolic = _symbolic_quartic_map().bind({"a": a, "b": b, "c": c, "d": d, "h": h})
+    numeric = cases.quartic_oscillator(cases.QuarticParams(a, b, c, d, h)).bound_map
+    closed = RationalFunction(*cases._qrt_closed_form(*darboux._qrt_coefficients(a, b, c, d, h)))
+    assert symbolic.forward[1] == numeric.forward[1] == closed
+
+
 def test_duffing_map_is_odd_symmetric():
     # b = d = 0 leaves an odd force; conjugation by x -> -x fixes the map
     case = cases.quartic_oscillator()
@@ -78,6 +94,18 @@ def test_duffing_map_is_odd_symmetric():
 def test_weierstrass_elimination_symbolic():
     case = cases.kahan_weierstrass()
     assert cases.weierstrass_elimination_matches(case)
+
+
+@pytest.mark.parametrize("b,d,h", [(1, 1, Fraction(1, 10)), (3, -2, Fraction(1, 4))])
+def test_weierstrass_elimination_numeric_step(b, d, h):
+    assert cases.weierstrass_elimination_matches(cases.kahan_weierstrass(b, d, h))
+
+
+@pytest.mark.parametrize("args", [(), (1, 1, Fraction(1, 10))], ids=["symbolic", "numeric"])
+def test_weierstrass_elimination_rejects_a_perturbed_rhs(args):
+    case = cases.kahan_weierstrass(*args)
+    case = dataclasses.replace(case, additive_rhs=case.additive_rhs + Polynomial.var(x(1)))
+    assert not cases.weierstrass_elimination_matches(case)
 
 
 def test_weierstrass_additive_map_form():

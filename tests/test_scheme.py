@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polykahan.poly import Monomial, Polynomial, collect_linear, param, x
 from polykahan.scheme import (
@@ -155,6 +157,29 @@ def test_self_adjointness_orders_one_to_four():
         for _ in range(3):
             sys = rand_system(rng, n, rng.randint(1, 3) if n <= 2 else 1, n + 1)
             assert is_self_adjoint(discretize(sys))
+
+
+@st.composite
+def poly_ode_systems(draw):
+    """Order 1-3, dimension 1-2, up to three terms per right-hand side of
+    state degree <= order + 1, small rational coefficients, and a parameter
+    factor on some terms."""
+    order, dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    coeff = st.fractions(-3, 3, max_denominator=4)
+    term = st.tuples(coeff, st.lists(st.integers(1, dim), max_size=order + 1), st.booleans())
+    a = Polynomial.var(param("a"))
+    rhs = []
+    for _ in range(dim):
+        p = Polynomial.zero()
+        for c, comps, with_a in draw(st.lists(term, max_size=3)):
+            p = p + math.prod((Polynomial.var(x(i)) for i in comps), start=c * (a if with_a else 1))
+        rhs.append(p)
+    return PolyOdeSystem(order, dim, tuple(rhs))
+
+
+@given(poly_ode_systems())
+def test_self_adjointness_of_generated_systems(sys):
+    assert is_self_adjoint(discretize(sys))
 
 
 def test_plain_reversal_fixes_even_orders():
