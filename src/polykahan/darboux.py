@@ -9,10 +9,10 @@ The search is linear algebra at points (Celledoni, Evripidou, McLaren, Owren,
 Quispel, Tapley, van der Kamp, J. Phys. A 52 (2019), arXiv:1902.04685): over
 an ansatz of all monomials up to a degree bound, each exact rational point p
 gives the row [m(Phi(p)) - J(p) m(p)].  Rows are built on integers: Phi and
-J are compiled once per bound map over one monomial table, each monomial is
-evaluated once per point p = a/q, as one coordinate times a lower table
-entry where there is one, and each row is scaled by a positive integer of
-its point and divided by its gcd, which keeps its nullspace.
+J are compiled once per bound map over one monomial table, closed downward
+per ansatz so that a monomial at p = a/q is one product, a lower entry times
+a coordinate; the image side is one such table over Phi's common denominator,
+and each row is scaled by a positive integer and divided by its gcd.
 Every Darboux polynomial satisfies every row, so the nullspace contains the
 true space; an exact pullback identity certifies each basis vector, and a
 failure draws more points from a wider box.  A nonzero relation of bounded
@@ -28,7 +28,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
 from typing import Sequence
 
 from . import linalg
@@ -128,17 +127,18 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
     """Compile Phi and J once per bound map and cofactor, plan once per ansatz;
     return the function that maps a rational point p = a/q to the integer row
 
-        Jd q^k prod_j d_j^k * [mono(Phi(p)) - J(p)*mono(p) per ansatz exponent vector]
+        Jd q^k D^k * [mono(Phi(p)) - J(p)*mono(p) per ansatz exponent vector]
 
-    divided by the gcd of its entries, where Phi_j(p) = n_j/d_j, J(p) = Jn/Jd
-    and k = maxdeg.  It raises DenominatorVanished where Phi or J is undefined.
+    divided by the gcd of its entries, where Phi_j(p) = n_j/d_j, D = lcm(d_j),
+    J(p) = Jn/Jd and k = maxdeg; DenominatorVanished where Phi or J is undefined.
 
     Each numerator and denominator is compiled with integer coefficients to
     terms (c, index of x^e in one table of exponent vectors, degree - |e|),
-    the ansatz exponents extend a copy of the table, and a point computes
-    each monomial a^e of it once.  Each value is an integer pair (n, d), d > 0,
-    some t > 0 times its lowest terms; the row is then the lowest-terms row
-    times t_J prod_j t_j^k > 0, and the primitive row is the same bit for bit."""
+    and the ansatz extends a copy of the table that ``_close`` closes.  Each
+    value is an integer pair (n, d), d > 0, a positive multiple of its lowest
+    terms.  With y_j = n_j*(D/d_j), entry e is Jd q^k D^r y^e - Jn D^k q^r a^e,
+    r = k - |e|, y^e from the ansatz closed alike: a positive multiple of the
+    rational row, so the primitive row is the same bit for bit."""
     if m._cache.get("relation_forms", (None,))[0] is not J:
         table, forms, top = {}, [], 0
         slot = {v: i for i, v in enumerate(m.state_vars)}
@@ -163,23 +163,15 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
     _, forms, top, table, plans = m._cache["relation_forms"]
     if (key := tuple(map(tuple, exps))) not in plans:
         table, k = dict(table), max(map(sum, exps))
-        shape = [(ex, table.setdefault(ex, len(table)), k - sum(ex)) for ex in key]
-        products, steps = [], []  # by degree, so that a step's neighbour comes first
-        for ex in sorted(table, key=sum):
-            for j, e in enumerate(ex):
-                if e and (lower := (*ex[:j], e - 1, *ex[j + 1 :])) in table:
-                    steps.append((table[ex], table[lower], j))  # a^ex = a^lower * a_j
-                    break
-            else:
-                products.append((table[ex], ex))
-        plans[key] = (k, max(top, k), shape, products, steps)
-    k, top, shape, products, steps = plans[key]
+        shape = [(table.setdefault(ex, len(table)), k - sum(ex)) for ex in key]
+        ansatz = {ex: s for s, ex in enumerate(key)}  # y^ex at the ansatz position s
+        plans[key] = (k, max(top, k), shape, _close(table), _close(ansatz))
+    k, top, shape, steps, image_steps = plans[key]
 
     def row(point) -> list[int]:
         q = math.lcm(*(v.denominator for v in point))
-        apow = [_powers(v.numerator * (q // v.denominator), top) for v in point]
         qpow = _powers(q, top)
-        mono = _table_values(products, steps, apow)
+        mono = _table_values(steps, [v.numerator * (q // v.denominator) for v in point])
         pairs = []
         for num, den in forms:
             d = sum(c * mono[i] * qpow[r] for c, i, r in den)
@@ -188,26 +180,37 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
             n = sum(c * mono[i] * qpow[r] for c, i, r in num)
             pairs.append((n, d) if d > 0 else (-n, -d))
         *image, (jn, jd) = pairs
-        ratios = [[n**e * d ** (k - e) for e in range(k + 1)] for n, d in image]
-        lhs = jd * qpow[k]
-        rhs = jn * math.prod(t[0] for t in ratios)
-        out = [
-            lhs * math.prod(map(getitem, ratios, ex)) - rhs * mono[i] * qpow[rest]
-            for ex, i, rest in shape
-        ]
+        D = math.lcm(*(d for _, d in image))
+        y = _table_values(image_steps, [n * (D // d) for n, d in image])
+        Dpow = _powers(D, k)
+        lhs = [jd * qpow[k] * v for v in Dpow]
+        rhs = [jn * Dpow[k] * v for v in qpow[: k + 1]]
+        out = [lhs[r] * y[s] - rhs[r] * mono[i] for s, (i, r) in enumerate(shape)]
         g = math.gcd(*out)
         return [v // g for v in out] if g > 1 else out
 
     return row
 
 
-def _table_values(products: list, steps: list, apow: list[list[int]]) -> list[int]:
-    """a^e per table entry: the plan's products, then its steps; apow[j][i] = a_j^i."""
-    mono = [0] * (len(products) + len(steps))
-    for i, ex in products:
-        mono[i] = math.prod(map(getitem, apow, ex))
+def _close(table: dict) -> list[tuple[int, int, int]]:
+    """Extend ``table`` (exponent tuple -> index) downward so that each entry but
+    the zero exponent is a lower entry, one already there if any, times one
+    coordinate; return these steps (index, lower index, j), lower degrees first."""
+    steps = []
+    for deg in range(max(map(sum, table)), 0, -1):
+        for ex in [ex for ex in table if sum(ex) == deg]:
+            lowers = [(j, (*ex[:j], e - 1, *ex[j + 1 :])) for j, e in enumerate(ex) if e]
+            j, lower = next((pair for pair in lowers if pair[1] in table), lowers[0])
+            steps.append((table[ex], table.setdefault(lower, len(table)), j))
+    return steps[::-1]
+
+
+def _table_values(steps: list, a: list[int]) -> list[int]:
+    """a^e per entry of a table closed by ``_close``: 1 at the zero exponent,
+    and a^e = a^lower * a_j for each step (index of e, index of lower, j)."""
+    mono = [1] * (len(steps) + 1)
     for i, lower, j in steps:
-        mono[i] = mono[lower] * apow[j][1]
+        mono[i] = mono[lower] * a[j]
     return mono
 
 
@@ -314,13 +317,15 @@ def first_integral(
     return RationalFunction(c2.P, c1.P)
 
 
-def in_span(polys: Sequence[Polynomial], candidate: Polynomial) -> bool:
-    """Exact membership of ``candidate`` in the rational span of ``polys``: a
-    rank does not depend on column order, so the columns are the distinct
-    monomials in first-seen order."""
-    polys = [*polys, candidate]
+def _coefficient_rows(polys: Sequence[Polynomial]) -> list[list]:
+    """Coefficient vectors of ``polys``, columns in first-seen monomial order (ranks ignore it)."""
     monos = dict.fromkeys(m for p in polys for m, _ in p.terms())
-    vecs = [[p.coefficient(m) for m in monos] for p in polys]
+    return [[p.coefficient(m) for m in monos] for p in polys]
+
+
+def in_span(polys: Sequence[Polynomial], candidate: Polynomial) -> bool:
+    """Exact membership of ``candidate`` in the rational span of ``polys``."""
+    vecs = _coefficient_rows([*polys, candidate])
     return linalg.rank(vecs[:-1]) == linalg.rank(vecs)
 
 
@@ -341,10 +346,12 @@ def pencil_compare(p: Pencil, q: Pencil) -> PencilComparison:
     negative answer the witness is a member of one pencil that is not in the
     span of the other.
     """
-    for base, other in ((p, q), (q, p)):
-        for member in (other.P1, other.P2):
-            if not in_span([base.P1, base.P2], member):
-                return PencilComparison(equal=False, witness=member)
+    vecs = _coefficient_rows([p.P1, p.P2, q.P1, q.P2])
+    both = linalg.rank(vecs)
+    sides = ((vecs[:2], vecs[2], (q.P1, q.P2)), (vecs[2:], vecs[0], (p.P1, p.P2)))
+    for base, first, members in sides:
+        if (r := linalg.rank(base)) < both:  # a member of the other pencil is outside
+            return PencilComparison(False, members[linalg.rank([*base, first]) == r])
     return PencilComparison(equal=True)
 
 

@@ -2,8 +2,9 @@
 
 ``nullspace`` first solves its integer rows modulo one word-size prime,
 _PRIME = 2^61 - 1: a row echelon form, pivot rule first nonzero entry in
-column order, on rows packed one to an int in lazily reduced slots, back-
-substitution, and Wang's rational reconstruction (SYMSAC 1981) of each
+column order, on rows packed one to an int in lazily reduced slots, column 0
+the most significant, so a row shortens as its leading columns are cleared;
+back-substitution; and Wang's rational reconstruction (SYMSAC 1981) of each
 basis entry.  Every reconstructed vector is then checked exactly against
 every row, and only a basis that passes is returned; otherwise the
 fraction-free (Bareiss) elimination with the same pivot rule gives it.
@@ -77,7 +78,7 @@ def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
 
 _PRIME = 2**61 - 1
 _BOUND = math.isqrt(_PRIME // 2)  # Wang's bound on |numerator| and denominator
-_WORD = (1 << 64) - 1
+_FOLD_EVERY = (2**128 - 2**68) // 2**122  # 63 additions to a slot between folds
 
 
 def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | None:
@@ -105,41 +106,53 @@ def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | No
 
 def _modular_echelon(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """Pivot columns and nonzero rows of a row echelon form of ``mat`` mod
-    _PRIME with unit pivots, each eliminating the rows below it only.  A row
-    is one int of 128-bit slots, each below 2^63 and congruent to its entry;
-    the pivot test, the multiplier f and the stored pivot row read them reduced."""
-    p = _PRIME
+    _PRIME with unit pivots, each eliminating the rows below it only.
+
+    A row is one int of 128-bit slots, column 0 the most significant, each
+    below 2^128 and congruent to its entry.  Once column c is done, its slot
+    and those left of it (0 mod p) are cleared in the rows below, so that the
+    top slot is the entry the pivot test and multiplier f read.  An addition
+    f*(p - v), f, v < p, adds below 2^122 and a fold by 2^61 = 1 mod p leaves
+    a slot below 2^68, so the rows below fold every _FOLD_EVERY pivots, as
+    2^68 + 63 * 2^122 < 2^128.  The pivot row is folded twice, to below 2^62,
+    before it is unpacked, which reads the low 64 bits of each slot."""
+    p, n = _PRIME, len(mat)
     width = len(mat[0]) if mat else 0
-    slots = struct.Struct("<" + "Q8x" * width)  # a slot is below 2^64 when packed or read
+    slots = struct.Struct(">" + "8xQ" * width)
+    ones = ((1 << 128 * width) - 1) // ((1 << 128) - 1)  # a 1 in every slot
+    m61, m67 = p * ones, ((1 << 67) - 1) * ones  # p = 2^61 - 1 is also M61
 
     def pack(values) -> int:
-        return int.from_bytes(slots.pack(*values), "little")
+        return int.from_bytes(slots.pack(*values), "big")
 
     def unpack(x: int) -> list[int]:
-        return [v % p for v in slots.unpack(x.to_bytes(slots.size, "little"))]
+        return [v % p for v in slots.unpack(x.to_bytes(slots.size, "big"))]
+
+    def fold(x: int) -> int:  # each slot below 2^128 to below 2^61 + 2^67
+        return (x & m61) + (x >> 61 & m67)
 
     red = [pack([v % p for v in row]) for row in mat]
-    m61, m62 = pack([p] * width), pack([(1 << 62) - 1] * width)  # p = 2^61 - 1 is also M61
     pivots: list[int] = []
     for c in range(width):
-        r, shift = len(pivots), 128 * c
-        pr = next((i for i in range(r, len(red)) if (red[i] >> shift & _WORD) % p), None)
+        r, shift = len(pivots), 128 * (width - 1 - c)
+        low = (1 << shift) - 1  # clears column c and the columns left of it
+        pr = next((i for i in range(r, n) if (red[i] >> shift) % p), None)
         if pr is None:
+            red[r:] = [x & low for x in red[r:]]
             continue
         red[r], red[pr] = red[pr], red[r]
-        row = unpack(red[r])
+        row = unpack(fold(fold(red[r])))
         inv = pow(row[c], -1, p)
         red[r] = pack([v * inv % p for v in row])
-        neg = (m61 >> shift << shift) - red[r]  # p - v in the slots from c on, each <= p
-        for i, x in enumerate(red[r + 1 :], r + 1):  # below the pivot only: row echelon
-            f = (x >> shift & _WORD) % p
-            if f:  # the pivot row is zero left of c
-                # a slot is below 2^63 + 2^122 < 2^128 here, so none carries into
-                # the next; the fold by 2^61 = 1 mod p puts it below 2^61 + 2^62
-                x += f * neg
-                red[i] = (x & m61) + (x >> 61 & m62)
+        neg = (m61 & ((1 << shift + 128) - 1)) - red[r]  # p - v in the slots from c on
         pivots.append(c)
-        if len(pivots) == len(red):
+        due = len(pivots) % _FOLD_EVERY == 0
+        for i in range(r + 1, n):  # below the pivot only: row echelon
+            x = red[i]
+            if f := (x >> shift) % p:
+                x += f * neg
+            red[i] = fold(x & low) if due else x & low
+        if len(pivots) == n:
             break
     return pivots, [unpack(x) for x in red[: len(pivots)]]
 

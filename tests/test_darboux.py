@@ -3,7 +3,6 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from operator import getitem
 
 import pytest
 from hypothesis import assume, given, settings
@@ -229,6 +228,22 @@ def test_pencil_compare_finds_a_witness_in_either_direction():
     for first, second in ((p, q), (q, p)):
         result = darboux.pencil_compare(first, second)
         assert not result.equal and result.witness == Y
+
+
+def test_pencil_compare_ranks_each_base_once(monkeypatch):
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(len(rows)) or rank(rows))
+    pencil = cases.kahan_weierstrass().pencil
+    assert darboux.pencil_compare(pencil, pencil).equal
+    assert sorted(calls) == [2, 2, 4]  # rank P, rank Q and rank P u Q
+    X, Y = Polynomial.var(x(1, 0)), Polynomial.var(x(1, 1))
+    p = darboux.Pencil(X, Y)
+    # the witness is the first of q.P1, q.P2, p.P1, p.P2 outside the other span
+    for q, witness, ranks in ((darboux.Pencil(X, X * X), X * X, 3), (darboux.Pencil(X, 3 * X), Y, 4)):
+        calls.clear()
+        assert darboux.pencil_compare(p, q) == darboux.PencilComparison(False, witness)
+        assert len(calls) == ranks
 
 
 def test_pencil_level_conserved_along_orbit():
@@ -487,35 +502,90 @@ def test_integer_row_on_the_map_denominator_raises(name, point):
         relation_row(point)
 
 
-@pytest.mark.parametrize("name, maxdeg, size, steps", [("euler_top", 2, 190, 25), ("beam_sym", 2, 51, 40)])
-def test_planned_table_values_are_the_monomials_at_the_first_batch(monkeypatch, name, maxdeg, size, steps):
-    # an entry one variable above another table entry is that entry's value
-    # times a_j; every value must still be the product over the coordinates
-    m = RELATION_MAPS[name]()
+def _closed_table(steps, dim):
+    """index -> exponent vector of a table that darboux._close closed, read off
+    its steps; exactly one index, the zero exponent's, is not a step."""
+    (zero,) = set(range(len(steps) + 1)) - {i for i, _, _ in steps}
+    table = {zero: (0,) * dim}
+    for i, lower, j in steps:  # lower degrees first
+        table[i] = tuple(e + (v == j) for v, e in enumerate(table[lower]))
+    return table
+
+
+def _recording_table_values(monkeypatch):
+    """Record (steps, coordinates, values) per darboux._table_values call."""
     calls = []
     table_values = darboux._table_values
 
-    def recorded(plan_products, plan_steps, apow):
-        calls.append((len(plan_steps), apow, table_values(plan_products, plan_steps, apow)))
+    def recorded(steps, a):
+        calls.append((steps, a, table_values(steps, a)))
         return calls[-1][-1]
 
     monkeypatch.setattr(darboux, "_table_values", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name, maxdeg, size", [("euler_top", 2, 354), ("beam_sym", 2, 58)])
+def test_planned_table_values_are_the_monomials_at_the_first_batch(monkeypatch, name, maxdeg, size):
+    # the plan closes Phi's and J's table, with the ansatz, downward: every entry
+    # but the zero exponent is a lower entry times one coordinate a_j, and every
+    # value must still be the product over the coordinates
+    m = RELATION_MAPS[name]()
+    calls = _recording_table_values(monkeypatch)
     exps = _ansatz_exponents(m, maxdeg)
     relation_row = darboux._relation_rows(m, maps.jacobian(m)[1], exps)
-    table = dict(m._cache["relation_forms"][3])  # Phi's and J's table, extended by the ansatz
-    for ex in exps:
-        table.setdefault(tuple(ex), len(table))
+    base = m._cache["relation_forms"][3]  # Phi's and J's table
+    _, _, shape, steps, _ = m._cache["relation_forms"][4][tuple(map(tuple, exps))]
+    table = _closed_table(steps, m.dim)
+    assert len(table) == len(steps) + 1 == size
+    assert all(table[i] == ex for ex, i in base.items())
+    assert [table[i] for i, _ in shape] == [tuple(ex) for ex in exps]
     points = darboux._sample_points(m.dim, len(exps) + darboux._EXTRA_ROWS, 0)
     for point in points:
+        calls.clear()
         try:
             relation_row(point)
         except DenominatorVanished:
             pass
-    assert len(calls) == len(points) and len(table) == size
-    for neighbour_products, apow, mono in calls:
-        assert neighbour_products == steps  # most of beam-sym's entries, few of the Euler top's
-        assert len(mono) == size
-        assert all(mono[i] == math.prod(map(getitem, apow, ex)) for ex, i in table.items())
+        planned, a, mono = calls[0]
+        assert planned is steps
+        q = math.lcm(*(v.denominator for v in point))
+        assert [Fraction(v, q) for v in a] == list(point)
+        assert all(mono[i] == math.prod(map(pow, a, ex)) for i, ex in table.items())
+
+
+@pytest.mark.parametrize("name, maxdeg, shifts", [("euler_top", 2, 0), ("beam_sym", 3, 3)])
+def test_image_side_is_over_the_lcm_of_the_image_denominators(monkeypatch, name, maxdeg, shifts):
+    # with Phi_j(a/q) = n_j/d_j, D = lcm(d_j) and y_j = n_j * (D/d_j), so that
+    # Phi_j = y_j/D, and the image side's table holds y^ex per ansatz exponent;
+    # the Euler top's three components share one denominator, and beam-sym's
+    # three shifts have d = q
+    m = RELATION_MAPS[name]()
+    calls = _recording_table_values(monkeypatch)
+    exps = _ansatz_exponents(m, maxdeg)
+    relation_row = darboux._relation_rows(m, maps.jacobian(m)[1], exps)
+    _, forms, _, base, _ = m._cache["relation_forms"]
+    exponent = {i: ex for ex, i in base.items()}
+    checked = 0
+    for point in darboux._sample_points(m.dim, len(exps) + darboux._EXTRA_ROWS, 0):
+        calls.clear()
+        try:
+            relation_row(point)
+        except DenominatorVanished:
+            continue
+        (_, a, _), (_, y, values) = calls
+        q = math.lcm(*(v.denominator for v in point))
+        dens = [
+            abs(sum(c * math.prod(map(pow, a, exponent[i])) * q**r for c, i, r in den))
+            for _, den in forms[:-1]
+        ]
+        assert dens == [q] * shifts + [dens[-1]] * (m.dim - shifts)
+        D = math.lcm(*dens)
+        at = dict(zip(m.state_vars, point))
+        assert [Fraction(v, D) for v in y] == [rf.eval(at) for rf in m.forward]
+        assert values[: len(exps)] == [math.prod(map(pow, y, ex)) for ex in exps]
+        checked += 1
+    assert checked >= len(exps)
 
 
 # -- the search output on the benchmark cases -----------------------------------

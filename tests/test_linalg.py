@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polykahan import linalg
+from tall_matrix import tall_matrix
 
 
 def test_nullspace_and_rank_leave_the_callers_rows_alone():
@@ -204,6 +205,15 @@ def test_packed_elimination_equals_the_list_elimination(case):
     rows, width = case
     assert linalg._modular_echelon(rows) == _list_echelon(rows, width)
     assert linalg._modular_nullspace(rows, width) == _list_nullspace(rows, width)
+
+
+def test_elimination_past_the_fold_interval_equals_the_list_and_bareiss_eliminations(bareiss_calls):
+    rows, width = tall_matrix()
+    pivots, echelon = linalg._modular_echelon(rows)
+    assert linalg._FOLD_EVERY < len(pivots) == 70 < width
+    assert (pivots, echelon) == _list_echelon(rows, width)
+    assert linalg.nullspace(rows) == reference(rows)
+    assert bareiss_calls == []  # solved mod p, and the basis passed the exact check
 
 
 @pytest.mark.parametrize("rows", [[[3**20, -1]], [[2**40, -1], [2**41, -2]]])
