@@ -205,6 +205,18 @@ def _integer(value: str, line: int) -> int:
     return int(q)
 
 
+def _floats(value: str, line: int) -> list[float]:
+    return [_float(v.strip(), line) for v in value.split(",")]
+
+
+_READERS = {  # the RunConfig fields that one key sets, each with the reader of its value
+    **dict.fromkeys(("preset", "out"), lambda value, line: value),
+    **dict.fromkeys(("order", "dim", "steps", "darboux_maxdeg", "epsilon", "seed"), _integer),
+    **dict.fromkeys(("init", "init_ode"), _floats),
+    "h": _fraction,
+}
+
+
 def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -218,29 +230,11 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if not value:
             raise ParseError(f"missing value for {key!r}", lineno)
-        if key == "preset":
-            cfg.preset = value
+        if key in _READERS:
+            setattr(cfg, key, _READERS[key](value, lineno))
         elif key == "rhs":
             cfg.rhs_text = [part.strip() for part in value.split(";") if part.strip()]
             cfg._rhs_line = lineno
-        elif key == "order":
-            cfg.order = _integer(value, lineno)
-        elif key == "dim":
-            cfg.dim = _integer(value, lineno)
-        elif key == "h":
-            cfg.h = _fraction(value, lineno)
-        elif key == "steps":
-            cfg.steps = _integer(value, lineno)
-        elif key in ("init", "init_ode"):
-            setattr(cfg, key, [_float(v.strip(), lineno) for v in value.split(",")])
-        elif key == "out":
-            cfg.out = value
-        elif key == "darboux_maxdeg":
-            cfg.darboux_maxdeg = _integer(value, lineno)
-        elif key == "epsilon":
-            cfg.epsilon = _integer(value, lineno)
-        elif key == "seed":
-            cfg.seed = _integer(value, lineno)
         elif key == "plot":
             parts = [_integer(v.strip(), lineno) for v in value.split(",")]
             if len(parts) != 2:
@@ -316,10 +310,6 @@ def build_case(cfg: RunConfig) -> CaseBundle:
 # ---------------------------------------------------------------------------
 
 
-def state_names(m: maps.BirationalMap) -> list[str]:
-    return [f"x{v.comp}_{v.shift}" for v in m.state_vars]
-
-
 def write_csv(path: Path, orbit: maps.Orbit, names: list[str]):
     """Write ``orbit.csv``: a ``step,<state names>`` header, then per point its step and each
     value's ``repr``, Python's shortest round-trip text, each row one ``%`` format."""
@@ -383,8 +373,7 @@ def _orbit_start(bundle: CaseBundle, cfg: RunConfig) -> list[float]:
 
 def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path, init: list[float]) -> list[str]:
     orbit = maps.iterate(bundle.map, init, float(cfg.h), cfg.steps)
-    names = state_names(bundle.map)
-    write_csv(out / "orbit.csv", orbit, names)
+    write_csv(out / "orbit.csv", orbit, [f"x{v.comp}_{v.shift}" for v in bundle.map.state_vars])
     i, j = cfg.plot or (0, min(1, bundle.map.dim - 1))
     write_svg(out / "phase.svg", orbit.column(i), orbit.column(j))
     lines = [

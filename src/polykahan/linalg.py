@@ -214,11 +214,10 @@ def _bareiss_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 def _normalize_int(vec: list[Fraction]) -> list[int]:
+    """``vec``, with some entry 1, as coprime integers, lead positive: the 1 scales to the lcm,
+    and an entry whose denominator holds a prime's full power in it scales prime to it."""
     scale = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * scale) for v in vec]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
     lead = next((v for v in ints if v), 0)
     if lead < 0:
         ints = [-v for v in ints]

@@ -698,19 +698,18 @@ def reference_solution(
     init: Sequence[float],
     times: Sequence[float],
     max_step: float,
-    check: bool = True,
 ) -> list[np.ndarray]:
     """High-accuracy samples of the continuous solution at given times.
 
-    Classical one-step 4th-order integration at ``max_step``; when ``check``
-    is set the run is repeated at half the step and the two must agree,
-    which guards against an untrustworthy oracle.  A sample that overflows
-    or is nan is NoConvergence, without a numpy warning.
+    Classical one-step 4th-order integration at ``max_step``, repeated at
+    half the step; the two runs must agree, which guards against an
+    untrustworthy oracle, and the half-step samples are returned.  A sample
+    that overflows or is nan is NoConvergence, without a numpy warning.
     """
     field = first_order_field(sys)
     with np.errstate(over="ignore", invalid="ignore"):
         samples = _rk4_samples(field, init, times, max_step)
-        finer = _rk4_samples(field, init, times, max_step / 2.0) if check and times else []
+        finer = _rk4_samples(field, init, times, max_step / 2.0)
         if not all(np.isfinite(s).all() for s in samples + finer):
             raise NoConvergence("reference oracle is not finite")
         if finer:
@@ -752,9 +751,9 @@ def convergence_order(
     The window is seeded from the continuous initial-value problem (initial
     position and derivatives), the map is iterated to time T, and the slope
     of log(error) against log(h) is fit by least squares.  The oracle steps
-    at a hundredth of the smallest h.  Steps where the map hits a
-    singularity are excluded and reported; an h that does not divide T
-    (to 1e-9 T) raises ValueError."""
+    at a hundredth of the smallest h and checks the windows and the state at
+    T alike.  Steps where the map hits a singularity are excluded and
+    reported; an h that does not divide T (to 1e-9 T) raises ValueError."""
     for h in hs:
         if abs(round(T / h) * h - T) > 1e-9 * T:
             raise ValueError(f"h = {h!r} does not divide T = {T!r}")
@@ -767,7 +766,7 @@ def convergence_order(
     excluded: list[float] = []
     for h in hs:
         window_times = [k * h for k in range(n)]
-        window_states = reference_solution(sys, init, window_times, oracle_step, check=False)
+        window_states = reference_solution(sys, init, window_times, oracle_step)
         state = [float(s[j]) for s in window_states for j in range(N)]
         steps = round(T / h)
         orbit = iterate(m, state, h, steps)

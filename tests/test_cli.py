@@ -163,6 +163,21 @@ def test_parse_config_inline_system():
     assert cfg.rhs_text == ["-a*x1^3"]
 
 
+@pytest.mark.parametrize("text, key, value", [
+    ("preset = lv\nseed = 10.0", "seed", 10),
+    ("preset = lv\nh = 0.1", "h", Fraction(1, 10)),
+    ("preset = lv\ninit = 1, 2", "init", [1.0, 2.0]),
+    ("preset = lv\ninit_ode = 1/2, 0", "init_ode", [0.5, 0.0]),
+    ("preset = beam-sym\nepsilon = -1", "epsilon", -1),
+    ("preset = lv\nout = runs/lv 1.x", "out", "runs/lv 1.x"),
+    ("preset = lv\ndarboux_maxdeg = 2", "darboux_maxdeg", 2),
+    ("rhs = x1\norder = 1\ndim = 1", "dim", 1),
+], ids=["seed", "h", "init", "init_ode", "epsilon", "out", "darboux_maxdeg", "dim"])
+def test_parse_config_reads_each_key_to_its_type(text, key, value):
+    read = getattr(parse_config(text), key)
+    assert (read, repr(read)) == (value, repr(value))  # repr tells 10 from 10.0, entries too
+
+
 def test_an_inline_system_built_in_code_builds_the_same_case():
     read = build_case(parse_config("order = 2\nrhs = -a*x1^3; x1\na = 1"))
     made = build_case(RunConfig(rhs_text=["-a*x1^3", "x1"], order=2, params={"a": Fraction(1)}))

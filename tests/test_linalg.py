@@ -207,6 +207,16 @@ def test_packed_elimination_equals_the_list_elimination(case):
     assert linalg._modular_nullspace(rows, width) == _list_nullspace(rows, width)
 
 
+@given(residue_matrices())
+def test_nullspace_vectors_are_coprime_with_a_positive_lead(case):
+    # _normalize_int divides by no gcd: the entry 1 at each free column leaves none
+    rows, width = case
+    for basis in (linalg.nullspace(rows, width), reference(rows, width)):
+        for vec in basis:
+            assert math.gcd(*vec) == 1
+            assert next(v for v in vec if v) > 0
+
+
 def test_elimination_past_the_fold_interval_equals_the_list_and_bareiss_eliminations(bareiss_calls):
     rows, width = tall_matrix()
     pivots, echelon = linalg._modular_echelon(rows)

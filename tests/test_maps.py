@@ -589,6 +589,22 @@ def test_convergence_order_two_for_newton_case():
     assert rep.slope == pytest.approx(2.0, abs=0.3)
 
 
+def test_convergence_order_seeds_its_windows_from_a_checked_oracle(monkeypatch):
+    # the half-step run drifts at the window times only; the state at T is one sample
+    case = quartic_numeric(1, 0, 1, 0)
+    hs, rk4 = [0.1, 0.05], maps._rk4_samples
+
+    def drifting(field, init, times, max_step):
+        samples = rk4(field, init, times, max_step)
+        if max_step < min(hs) / 100.0 and len(times) > 1:
+            samples = [s + 1e-6 for s in samples]
+        return samples
+
+    monkeypatch.setattr(maps, "_rk4_samples", drifting)
+    with pytest.raises(maps.NoConvergence, match="self-check gap 1.000e-06"):
+        maps.convergence_order(case.system, [0.3, 0.0], 1.0, hs)
+
+
 @pytest.mark.parametrize("hs", [[0.3], [0.1, 0.07]])
 def test_convergence_order_rejects_an_h_that_does_not_divide_t(hs):
     # round(1/0.3) = 3 steps end at 0.9, where the error against the oracle at T means nothing
