@@ -12,13 +12,15 @@ gives the row [m(Phi(p)) - J(p) m(p)].  Rows are built on integers: Phi and
 J are compiled once per bound map over one monomial table, closed downward
 per ansatz so that a monomial at p = a/q is one product, a lower entry times
 a coordinate; the image side is one such table over Phi's common denominator,
-and each row is scaled by a positive integer and divided by its gcd.
-Every Darboux polynomial satisfies every row, so the nullspace contains the
-true space; an exact pullback identity certifies each basis vector, and a
-failure draws more points from a wider box.  A nonzero relation of bounded
-degree vanishes at a random point of a box of side S with probability at
-most degree/S, so the loop ends, and the echelonized basis depends only on
-the space, not on the points.
+J's denominator, where it is a power of Phi's, is that power of the value the
+row has just read, and each row is scaled by a positive integer and divided
+by its gcd.  Every Darboux polynomial satisfies every row, so the nullspace
+contains the true space; an exact pullback identity, one accumulation of
+integer products, certifies each basis vector, and a failure draws more
+points from a wider box.  A nonzero relation of bounded degree vanishes at a
+random point of a box of side S with probability at most degree/S, so the
+loop ends, and the echelonized basis depends only on the space, not on the
+points.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Sequence
 
 from . import linalg
 from .maps import BirationalMap, jacobian
-from .poly import DenominatorVanished, try_divide
+from .poly import DenominatorVanished, _cleared, _sum_of_products, try_divide
 from .poly import Monomial, Polynomial, RationalFunction, Var, _compose, _grlex_key, _powers, param, x
 
 _EXTRA_ROWS = 2  # rows per batch beyond the number of ansatz monomials
@@ -49,6 +51,8 @@ class DarbouxCertificate:
     ``witness`` is a*num - b*P, where num/den = P(Phi) is the pullback and
     a*num = b*P is P(Phi) = J*P with denominators cleared; it is zero exactly
     when the residual is, and is kept as evidence rather than re-derived.
+    ``_certify`` sums it on integers, times the lcm of the denominators of a,
+    b and num, and divides a nonzero sum back.
     """
 
     P: Polynomial
@@ -136,12 +140,20 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
     terms (c, index of x^e in one table of exponent vectors, degree - |e|),
     and the ansatz extends a copy of the table that ``_close`` closes.  Each
     value is an integer pair (n, d), d > 0, a positive multiple of its lowest
-    terms.  With y_j = n_j*(D/d_j), entry e is Jd q^k D^r y^e - Jn D^k q^r a^e,
+    terms.  J's denominator is d^s * rest, d = m.forward[-1].den the solved
+    denominator: where J.den = d^s (s = deg J.den / deg d, checked once per
+    map and cofactor), rest = 1 and Jd is d's value at the point, as the row
+    has just read it for Phi, to the power s; otherwise s = 0, rest = J.den.
+    With y_j = n_j*(D/d_j), entry e is Jd q^k D^r y^e - Jn D^k q^r a^e,
     r = k - |e|, y^e from the ansatz closed alike: a positive multiple of the
     rational row, so the primitive row is the same bit for bit."""
     if m._cache.get("relation_forms", (None,))[0] is not J:
         table, forms, top = {}, [], 0
         slot = {v: i for i, v in enumerate(m.state_vars)}
+        d = m.forward[-1].den
+        s = J.den.degree() // d.degree() if d.degree() else 0
+        if s and J.den != _powers(d, s)[-1]:
+            s = 0
 
         def terms(p: Polynomial, scale: Fraction, deg: int):
             out = []
@@ -152,13 +164,16 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
                 out.append((int(c * scale), table.setdefault(tuple(ex), len(table)), deg - sum(ex)))
             return out
 
-        for rf in (*m.forward, J):
-            cn, cd = rf.num.content(), rf.den.content()
-            ratio, deg = cn / cd, max(rf.num.degree(), rf.den.degree())
-            forms.append(
-                (terms(rf.num, ratio.numerator / cn, deg), terms(rf.den, ratio.denominator / cd, deg))
-            )
-            top = max(top, deg)
+        # (num, rest, e): the denominator is rest times the one before it to the e
+        parts = [(rf.num, rf.den, 0) for rf in m.forward]
+        parts.append((J.num, J.den if s == 0 else Polynomial.const(1), s))
+        d_deg, d_scale = 0, 1
+        for num, den, e in parts:
+            cn, cd = num.content(), den.content()
+            ratio, deg = cn / cd, max(num.degree(), den.degree() + e * d_deg)
+            n_scale, den_scale = ratio.numerator / cn * d_scale**e, ratio.denominator / cd
+            forms.append((terms(num, n_scale, deg), terms(den, den_scale, deg - e * d_deg), e))
+            top, d_deg, d_scale = max(top, deg), deg, den_scale
         m._cache["relation_forms"] = (J, forms, top, table, {})
     _, forms, top, table, plans = m._cache["relation_forms"]
     if (key := tuple(map(tuple, exps))) not in plans:
@@ -172,9 +187,9 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
         q = math.lcm(*(v.denominator for v in point))
         qpow = _powers(q, top)
         mono = _table_values(steps, [v.numerator * (q // v.denominator) for v in point])
-        pairs = []
-        for num, den in forms:
-            d = sum(c * mono[i] * qpow[r] for c, i, r in den)
+        pairs, d = [], 1
+        for num, den, e in forms:
+            d = sum(c * mono[i] * qpow[r] for c, i, r in den) * d**e
             if d == 0:
                 raise DenominatorVanished("denominator vanished at a sample point")
             n = sum(c * mono[i] * qpow[r] for c, i, r in num)
@@ -226,19 +241,32 @@ def pullback(m: BirationalMap, P: Polynomial) -> tuple[Polynomial, Polynomial]:
 
 def _certify(P: Polynomial, m: BirationalMap, J: RationalFunction) -> DarbouxCertificate:
     """Check P(Phi) = J*P as a*num == b*P, num/den the pullback of P: (a, b) is
-    (1, Jn*den/Jd), (Jd/den, Jn) or (Jd, Jn*den) as Jd | den, den | Jd or neither."""
+    (1, Jn*den/Jd), (Jd/den, Jn) or (Jd, Jn*den) as Jd | den, den | Jd or neither.
+
+    (a, b) depend only on J and den, and are cached per den times the lcm L
+    of their coefficients' denominators.  With num times the lcm L1 of its own,
+    the witness a*num - b*P times L*L1 is one accumulation on integers, so
+    a valid certificate's is summed with no Fraction and no monomial made; a
+    nonzero one is divided by L*L1 for the CofactorMismatch."""
+    if P.is_zero():
+        raise ValueError("the zero polynomial is not a Darboux polynomial")
     P = P.primitive()
     num, den = pullback(m, P)
-    key = ("certify", *(P.degree_in({v}) for v in m.state_vars))
+    key = ("certify", *den.terms())
     if m._cache.get(key, (None,))[0] is not J:
         if (q := try_divide(den, J.den)) is not None:
-            m._cache[key] = (J, 1, J.num * q)
+            a, b = Polynomial.const(1), J.num * q
+        elif (q := try_divide(J.den, den)) is not None:
+            a, b = q, J.num
         else:
-            q = try_divide(J.den, den)
-            m._cache[key] = (J, J.den, J.num * den) if q is None else (J, q, J.num)
-    _, a, b = m._cache[key]
-    witness = num * a - b * P
+            a, b = J.den, J.num * den
+        L = math.lcm(*(c.denominator for p in (a, b) for _, c in p.terms()))
+        m._cache[key] = (J, L, a * L, b * -L)
+    _, L, a, minus_b = m._cache[key]
+    num, L1 = _cleared(num)
+    witness = _sum_of_products([(num, a), (minus_b, P * L1)])
     if not witness.is_zero():
+        witness = witness / (L * L1)
         raise CofactorMismatch(
             f"P is not Darboux: the witness has {len(witness.terms())} terms of degree"
             f" {witness.degree()}, leading term {Polynomial(witness.sorted_terms()[:1])}"

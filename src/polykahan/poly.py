@@ -15,9 +15,11 @@ Variables and monomials are interned: there is one ``Var`` per (component,
 shift, name) and one live ``Monomial`` per exponent vector, so equality is
 identity and both hash by identity.  Each variable owns a bit field of every
 monomial's packed key, sum_v e_v << v._at; a weakly held table maps keys to
-live monomials, so a product adds two keys and probes the table, and a
-monomial nothing refers to is collected with its entry.  An exponent must lie
-in 1..``MAX_EXPONENT``; one beyond it raises ValueError.
+live monomials, and a monomial nothing refers to is collected with its entry.
+A product of polynomials, or a sum of such products, adds c1*c2 on the keys
+m1._key + m2._key in one accumulation and looks up or makes a monomial only
+for a key whose sum survives.  An exponent must lie in 1..``MAX_EXPONENT``;
+one beyond it raises ValueError, also in a product term that cancels.
 
 All values are immutable after construction.  Arithmetic never mutates its
 operands, and the intern tables change only under one lock, which makes
@@ -60,10 +62,13 @@ _MASK = (1 << _FIELD) - 1
 
 # One lock makes creating an interned object, and dropping the table entry
 # of a collected monomial, atomic; it is reentrant because a collection can
-# run that removal in the thread that holds it.
+# run that removal in the thread that holds it.  _VARS holds the variables in
+# the order they were made, which is the order of their fields, and _GUARDS
+# the guard bits of all their fields.
 _INTERN = threading.RLock()
 _VARS: dict[tuple[int, int, str], "Var"] = {}
 _MONOMIALS: dict[int, weakref.KeyedRef] = {}
+_GUARDS = 0
 
 
 def _frozen(self, *args):
@@ -87,6 +92,7 @@ class Var:
     __setattr__ = __delattr__ = _frozen
 
     def __new__(cls, comp: int = 0, shift: int = 0, name: str = ""):
+        global _GUARDS
         ident = (comp, shift, name)
         v = _VARS.get(ident)
         if v is None:
@@ -102,6 +108,7 @@ class Var:
                         _key=key, _at=_FIELD * len(_VARS),
                     )
                     _VARS[ident] = v
+                    _GUARDS |= 1 << v._at + _FIELD - 1
         return v
 
     def __reduce__(self):
@@ -194,12 +201,7 @@ class Monomial:
         return tuple(v for v, _ in self.factors)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        key = self._key + other._key
-        ref = _MONOMIALS.get(key)
-        if ref is not None and (m := ref()) is not None:
-            return m
-        # Missing, or a sum set a guard bit, which the constructor rejects.
-        return Monomial.from_pairs(self.factors + other.factors)
+        return _monomial(self._key + other._key)
 
     def without(self, v: Var) -> "Monomial":
         return Monomial(tuple((w, e) for w, e in self.factors if w is not v))
@@ -216,6 +218,17 @@ def _live(key: int) -> Monomial | None:
     return None if ref is None else ref()
 
 
+def _monomial(key: int) -> Monomial:
+    """The monomial of packed key ``key``, a sum or difference of stored keys
+    that borrows from no field: the live one, or one made from the key's
+    fields; ValueError when a field holds an exponent beyond the limit."""
+    m = _live(key)
+    if m is None:
+        owners = list(_VARS.values())[: key.bit_length() // _FIELD + 1]
+        m = Monomial([(v, e) for v in owners if (e := key >> v._at & _MASK)])
+    return m
+
+
 def _forget(ref: weakref.KeyedRef, table=_MONOMIALS, lock=_INTERN) -> None:
     # Called when a monomial is collected; a monomial made since under the
     # same key keeps its entry.  The table and lock are bound as defaults so
@@ -227,9 +240,7 @@ def _forget(ref: weakref.KeyedRef, table=_MONOMIALS, lock=_INTERN) -> None:
 
 def _quotient(m: Monomial, d: Monomial) -> Monomial:
     """m / d for a monomial ``d`` that divides ``m``."""
-    return _live(m._key - d._key) or Monomial(
-        tuple((v, e - d.exponent(v)) for v, e in m.factors if e > d.exponent(v))
-    )
+    return _monomial(m._key - d._key)
 
 
 _ONE = Monomial()
@@ -357,11 +368,7 @@ class Polynomial:
             return p
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial(
-            (m1 * m2, c1 * c2)
-            for m1, c1 in self._terms.items()
-            for m2, c2 in other._terms.items()
-        )
+        return _sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -440,7 +447,8 @@ class Polynomial:
 
         Values of ``sigma`` may be RationalFunction, Polynomial, Var or
         scalars; unmapped variables stay fixed.  The result is num/den from
-        :func:`_compose`, over the common denominator prod_v d_v^E_v.
+        :func:`_compose`, over the product of each shared denominator to
+        the total degree in its variables.
         """
         relevant = self.vars()
         subs = {v: _coerce_rational(val) for v, val in sigma.items() if v in relevant}
@@ -513,6 +521,46 @@ def _accumulate(out: dict, pairs) -> dict:
     return out
 
 
+def _sum_of_products(pairs) -> Polynomial:
+    """The sum of p*q over the (p, q) pairs of Polynomials: each c1*c2 is added
+    on the packed key m1._key + m2._key, outer terms of p, inner of q, popped
+    as soon as its running sum is zero, as by ``_accumulate``; a Monomial is
+    looked up or made only for a key that survives.  A new key that sets a
+    guard bit raises ValueError, even if its term would cancel later."""
+    acc: dict[int, Scalar] = {}
+    get, guards = acc.get, _GUARDS
+    for p, q in pairs:
+        inner = [(m._key, c) for m, c in q._terms.items()]
+        for m1, c1 in p._terms.items():
+            k1 = m1._key
+            for k2, c2 in inner:
+                k = k1 + k2
+                s = get(k)
+                if s is None:
+                    if k & guards:
+                        _monomial(k)  # raises: an exponent is beyond MAX_EXPONENT
+                    acc[k] = c1 * c2
+                elif s := s + c1 * c2:
+                    acc[k] = s
+                else:
+                    del acc[k]
+    out, live = Polynomial.__new__(Polynomial), _MONOMIALS.get
+    out._terms = {
+        (ref := live(k)) and ref() or _monomial(k): c if type(c) is int else _exact(c)
+        for k, c in acc.items()
+    }
+    return out
+
+
+def _cleared(p: Polynomial) -> tuple[Polynomial, int]:
+    """(L*p, L) for L the lcm of p's coefficient denominators; L*p has int
+    coefficients, found without making a Fraction."""
+    L = math.lcm(*(c.denominator for c in p._terms.values()))
+    out = Polynomial.__new__(Polynomial)
+    out._terms = {m: c.numerator * (L // c.denominator) for m, c in p._terms.items()}
+    return out, L
+
+
 def _exact(c) -> Scalar:
     """``c`` exactly, as an int when it is integral and a Fraction otherwise."""
     if type(c) is int:
@@ -554,29 +602,39 @@ def _compose(p: Polynomial, subs: Mapping[Var, "RationalFunction"], tables: dict
     """(num, den) with p(subs) = num/den exactly, every variable of ``subs``
     replaced at once by its RationalFunction; the one composition routine.
 
-    The terms are grouped by their exponents e_v in the variables
-    v -> n_v/d_v, and each group is multiplied by prod_v n_v^e_v
-    d_v^(E_v - e_v), E_v = deg_v p, read from ``tables[v, E_v]`` and filled
-    there on first use; den = prod_v d_v^E_v."""
-    solved = {v: (rf, E) for v, rf in subs.items() if (E := p.degree_in({v}))}
+    The variables v -> n_v/d_v of p that share one nonconstant denominator d
+    form a class, every other variable a class of its own, with E the total
+    degree of p in the class.  The terms are grouped by their exponents e_v,
+    and each group is multiplied, class by class, by prod_v n_v^e_v
+    d^(E - sum e_v), read from ``tables[class, E]`` and filled there on first
+    use; den = prod d^E over the classes."""
+    present, classes = p.vars(), {}
+    for v, rf in subs.items():
+        if v in present:
+            shared = v if rf.den.is_constant() else frozenset(rf.den.terms())
+            classes.setdefault(shared, ([], rf.den))[0].append(v)
+    solved = [v for vs, _ in classes.values() for v in vs]
     groups: dict[tuple[int, ...], list] = {}
     for mono, c in p.terms():
-        rest = [(v, e) for v, e in mono.factors if v not in solved]
+        rest = [(v, e) for v, e in mono.factors if v not in subs]
         key = tuple(mono.exponent(v) for v in solved)
         groups.setdefault(key, []).append((Monomial(rest), c))
-    rows = []
-    for v, (rf, E) in solved.items():
-        if (v, E) not in tables:
-            npow, dpow = _powers(rf.num, E), _powers(rf.den, E)
-            tables[v, E] = [npow[e] * dpow[E - e] for e in range(E + 1)]
-        rows.append(tables[v, E])
+    rows, at = [], 0
+    for vs, d in classes.values():
+        part = slice(at, at + len(vs))  # the class's exponents in a group key
+        at += len(vs)
+        if (cls := (tuple(vs), max(sum(key[part]) for key in groups))) not in tables:
+            tables[cls] = ([_powers(subs[v].num, cls[1]) for v in vs], _powers(d, cls[1]), {})
+        rows.append((part, *tables[cls]))
     num = []
     for key, pairs in groups.items():
         g = Polynomial(pairs)
-        for row, e in zip(rows, key):
-            g = g * row[e]
+        for part, npows, dpow, factors in rows:
+            if (es := key[part]) not in factors:  # dpow[-1 - sum(es)] is d^(E - sum e_v)
+                factors[es] = math.prod([*(n[e] for n, e in zip(npows, es)), dpow[-1 - sum(es)]])
+            g = g * factors[es]
         num.extend(g.terms())
-    return Polynomial(num), math.prod((row[0] for row in rows), start=Polynomial.const(1))
+    return Polynomial(num), math.prod((dpow[-1] for _, _, dpow, _ in rows), start=Polynomial.const(1))
 
 
 def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polykahan import cases, darboux, linalg, maps
+from polykahan import cases, darboux, linalg, maps, poly
 from polykahan.poly import DenominatorVanished, Monomial, Polynomial, RationalFunction, Var, param, try_divide, x
 from polykahan.scheme import H, PolyOdeSystem, discretize
 
@@ -429,6 +429,39 @@ RELATION_MAPS = {
 }
 
 
+# J.den = d^k for d = m.forward[-1].den, with the term count of J.den
+COFACTOR_POWERS = {"euler_top": (6, 175), "lv": (4, 15), "beam_sym": (2, 42), "quartic": (2, 9)}
+
+
+@pytest.mark.parametrize("name", sorted(COFACTOR_POWERS))
+def test_the_row_reads_the_cofactor_denominator_as_a_power_of_phis(name):
+    m = RELATION_MAPS[name]()
+    J, d = maps.jacobian(m)[1], m.forward[-1].den
+    k, count = COFACTOR_POWERS[name]
+    assert J.den == d**k and len(J.den.terms()) == count
+    relation_row = darboux._relation_rows(m, J, _ansatz_exponents(m, 2))
+    _, forms, _, table, _ = m._cache["relation_forms"]
+    *_, (_, phi_den, _), (j_num, rest, dk) = forms
+    assert dk == k and [i for _, i, _ in rest] == [table[(0,) * m.dim]]  # J.den is not compiled
+    exponent = {i: ex for ex, i in table.items()}
+    checked = 0
+    for point in _relation_points(m.dim):
+        try:
+            relation_row(point)
+        except DenominatorVanished:
+            continue
+        q = math.lcm(*(v.denominator for v in point))
+        a = [v.numerator * (q // v.denominator) for v in point]
+
+        def value(terms):
+            return sum(c * math.prod(map(pow, a, exponent[i])) * q**r for c, i, r in terms)
+
+        jd = value(rest) * value(phi_den) ** k  # d's value, raised to k
+        assert Fraction(value(j_num), jd) == J.eval(dict(zip(m.state_vars, point)))
+        checked += 1
+    assert checked >= 6
+
+
 def _fraction_row(m, J, exps, point):
     """The relation row in Fraction arithmetic, through RationalFunction.eval."""
     at = dict(zip(m.state_vars, point))
@@ -525,7 +558,7 @@ def _recording_table_values(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name, maxdeg, size", [("euler_top", 2, 354), ("beam_sym", 2, 58)])
+@pytest.mark.parametrize("name, maxdeg, size", [("euler_top", 2, 314), ("beam_sym", 2, 31)])
 def test_planned_table_values_are_the_monomials_at_the_first_batch(monkeypatch, name, maxdeg, size):
     # the plan closes Phi's and J's table, with the ansatz, downward: every entry
     # but the zero exponent is a lower entry times one coordinate a_j, and every
@@ -577,7 +610,7 @@ def test_image_side_is_over_the_lcm_of_the_image_denominators(monkeypatch, name,
         q = math.lcm(*(v.denominator for v in point))
         dens = [
             abs(sum(c * math.prod(map(pow, a, exponent[i])) * q**r for c, i, r in den))
-            for _, den in forms[:-1]
+            for _, den, _ in forms[:-1]
         ]
         assert dens == [q] * shifts + [dens[-1]] * (m.dim - shifts)
         D = math.lcm(*dens)
@@ -847,6 +880,65 @@ def test_certification_passes_darboux_and_rejects_perturbed_in_each_branch(name)
     assert cert.valid and cert.P == P.primitive()
     with pytest.raises(darboux.CofactorMismatch):
         darboux._certify(perturbed, m, J)
+
+
+def test_a_valid_certificate_makes_no_monomial(monkeypatch):
+    m = RELATION_MAPS["beam_sym"]()
+    (cert,) = darboux.find_darboux(m, 3)
+    pulled = darboux.pullback(m, cert.P)
+    monkeypatch.setattr(darboux, "pullback", lambda *_: pulled)
+    made, init_slots = [], poly._init_slots
+
+    def recorded(obj, **values):
+        made.append(obj)
+        init_slots(obj, **values)
+
+    monkeypatch.setattr(poly, "_init_slots", recorded)
+    again = darboux._certify(cert.P, m, cert.cofactor)
+    assert again.valid and again.witness == Polynomial()
+    assert made == []
+
+
+def test_the_witness_text_is_that_of_the_rational_witness():
+    # texts of a*num - b*P as Fraction arithmetic gave them; the Euler top's two
+    # polynomials have one exponent profile but different pullback denominators
+    quartic = quartic_bound().bound_map
+    first, _ = darboux.find_darboux(quartic, 4)
+    beam = RELATION_MAPS["beam_sym"]()
+    (density,) = darboux.find_darboux(beam, 3)
+    euler = RELATION_MAPS["euler_top"]()
+    x1, x2, x3 = (Polynomial.var(x(i)) for i in (1, 2, 3))
+    expected = [
+        (quartic, first.P + Fraction(1, 1000) * X0**2 * X1, "10 terms of degree 6, leading term -6*x1^2*x1'^4"),
+        (beam, density.P + Polynomial.var(x(1, 3)), "67 terms of degree 7, leading term -x1^2*x1'^2*x1''^2*x1'''"),
+        (euler, x1 + x2 + x3, "555 terms of degree 18, leading term 10*x1^8*x2^5*x3^5"),
+        (euler, x1 * x2 * x3, "212 terms of degree 18, leading term 1000*x1^10*x2^4*x3^4"),
+    ]
+    for m, P, text in expected:
+        with pytest.raises(darboux.CofactorMismatch) as failure:
+            darboux.verify_darboux(P, m)
+        assert str(failure.value) == f"P is not Darboux: the witness has {text}"
+
+
+def test_the_zero_polynomial_is_not_certified():
+    lv = RELATION_MAPS["lv"]()
+    with pytest.raises(ValueError, match="zero polynomial"):
+        darboux.verify_darboux(Polynomial(), lv)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        darboux._certify(Polynomial(), lv, maps.jacobian(lv)[1])
+
+
+def test_pullback_clears_a_shared_denominator_once():
+    # the Euler top's three solved coordinates share d: den = d^3, not d^9
+    euler = RELATION_MAPS["euler_top"]()
+    x1, x2, x3 = (Polynomial.var(x(i)) for i in (1, 2, 3))
+    num, den = darboux.pullback(euler, x1**3 + x2**3 + x3**3)
+    assert den == euler.forward[-1].den ** 3 and len(den.terms()) == 34
+    assert len(num.terms()) < 1704
+    # N = 1: the one solved coordinate's denominator to its degree, as before
+    quartic = quartic_bound().bound_map
+    _, den = darboux.pullback(quartic, X0**2 * X1**3 + X1)
+    assert den == quartic.forward[-1].den ** 3
 
 
 def test_cofactor_mismatch_message_is_short():

@@ -503,6 +503,19 @@ def test_an_exponent_beyond_the_field_raises_and_never_yields_a_wrong_monomial()
     assert 2 * half._key not in poly._MONOMIALS
 
 
+def test_a_sum_of_products_whose_only_over_limit_term_cancels_still_raises():
+    # v^A * (v^B + 1) - v^A * v^B = v^A, but v^(A+B) is past the limit on the way
+    v, w = param("cancelled_v"), param("cancelled_w")
+    A, B = MAX_EXPONENT, 1
+    VA, VB = Polynomial.var(v) ** A, Polynomial.var(v) ** B
+    with pytest.raises(ValueError, match=f"not in 1..{MAX_EXPONENT}"):
+        poly._sum_of_products([(VA, VB + 1), (-VA, VB)])
+    assert (A + B) << v._at not in poly._MONOMIALS
+    # under the limit the same cancellation leaves v^A
+    WA = Polynomial.var(w) ** A
+    assert poly._sum_of_products([(WA, Polynomial.var(v) + 1), (-WA, Polynomial.var(v))]) == WA
+
+
 def test_threads_building_the_same_monomials_get_one_object_each(monkeypatch):
     # Each new object sleeps while it is being made, so the threads are all
     # inside the creation of the same variable or monomial at once.
