@@ -7,20 +7,25 @@ is a first integral.
 
 The search is linear algebra at points (Celledoni, Evripidou, McLaren, Owren,
 Quispel, Tapley, van der Kamp, J. Phys. A 52 (2019), arXiv:1902.04685): over
-an ansatz of all monomials up to a degree bound, each exact rational point p
-gives the row [m(Phi(p)) - J(p) m(p)].  Rows are built on integers: Phi and
-J are compiled once per bound map over one monomial table, closed downward
-per ansatz so that a monomial at p = a/q is one product, a lower entry times
-a coordinate; the image side is one such table over Phi's common denominator,
-J's denominator, where it is a power of Phi's, is that power of the value the
-row has just read, and each row is scaled by a positive integer and divided
-by its gcd.  Every Darboux polynomial satisfies every row, so the nullspace
-contains the true space; an exact pullback identity, one accumulation of
-integer products, certifies each basis vector, and a failure draws more
-points from a wider box.  A nonzero relation of bounded degree vanishes at a
-random point of a box of side S with probability at most degree/S, so the
-loop ends, and the echelonized basis depends only on the space, not on the
-points.
+an ansatz of all monomials up to a degree bound, generated as exponent
+vectors in graded-lex order, each exact rational point p gives the row
+[m(Phi(p)) - J(p) m(p)].  Rows are built on small integers: the shift
+components of Phi are the point's own coordinates, and Phi's solved block
+and J are compiled once per bound map over one monomial table, closed
+downward per ansatz so that a monomial at p = a/q is one product, a lower
+entry times a coordinate; each value is a pair in lowest terms, the image
+side is one such table over the lcm D of the image denominators, J's
+denominator, where it is a power of Phi's, is that power of the value the
+row has just read, and each row is scaled by lcm(Jd q^k, D^k) and divided
+by its gcd.  The nullspace stays modular on a ladder of Mersenne primes
+(``linalg.nullspace``).  Every Darboux polynomial satisfies every row, so
+the nullspace contains the true space; an exact pullback identity, one
+accumulation of integer products, certifies each basis vector, and a
+failure draws more points from a wider box.  A nonzero relation of bounded
+degree vanishes at a random point of a box of side S with probability at
+most degree/S, so the loop ends, and the echelonized basis depends only on
+the space, not on the points.  Monomials are made only for the vectors
+certified.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Sequence
 from . import linalg
 from .maps import BirationalMap, jacobian
 from .poly import DenominatorVanished, _cleared, _sum_of_products, try_divide
-from .poly import Monomial, Polynomial, RationalFunction, Var, _compose, _grlex_key, _powers, param, x
+from .poly import Monomial, Polynomial, RationalFunction, Var, _compose, _powers, param, x
 
 _EXTRA_ROWS = 2  # rows per batch beyond the number of ansatz monomials
 
@@ -91,19 +96,25 @@ def jacobian_det_2d(m: BirationalMap) -> RationalFunction:
     return jacobian(m)[1]
 
 
-def _monomial_basis(vars_: Sequence[Var], maxdeg: int) -> list[Monomial]:
-    """All monomials of total degree <= maxdeg, ascending graded-lex."""
+def _grlex_exponents(vars_: Sequence[Var], maxdeg: int) -> list[tuple[int, ...]]:
+    """The exponent vectors over ``vars_`` of all monomials of total degree <=
+    maxdeg, ascending graded-lex: by degree, then lexicographically in the
+    canonical variable order, as ``poly._grlex_key`` orders monomials."""
+    order = sorted(range(len(vars_)), key=lambda j: vars_[j].sort_key())
     out = []
-    k = len(vars_)
     for total in range(maxdeg + 1):
-        for combo in itertools.combinations_with_replacement(range(k), total):
-            exps = [0] * k
-            for i in combo:
-                exps[i] += 1
-            out.append(Monomial.from_pairs(list(zip(vars_, exps))))
-    universe = tuple(sorted(vars_, key=lambda v: v.sort_key()))
-    out.sort(key=lambda m: _grlex_key(m, universe))
+        # multisets of canonical positions come in lex order, their exponent vectors descending
+        for combo in reversed(list(itertools.combinations_with_replacement(order, total))):
+            ex = [0] * len(vars_)
+            for j in combo:
+                ex[j] += 1
+            out.append(tuple(ex))
     return out
+
+
+def _polynomial(vars_: Sequence[Var], exps, coefficients) -> Polynomial:
+    """The polynomial with these coefficients on the monomials x^ex, ex in ``exps``."""
+    return Polynomial((Monomial.from_pairs(zip(vars_, ex)), c) for ex, c in zip(exps, coefficients) if c)
 
 
 def _require_bound(m: BirationalMap):
@@ -128,25 +139,30 @@ def _sample_points(dim: int, count: int, batch: int) -> list[tuple[Fraction, ...
 
 
 def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
-    """Compile Phi and J once per bound map and cofactor, plan once per ansatz;
-    return the function that maps a rational point p = a/q to the integer row
+    """Compile Phi's solved block and J once per bound map and cofactor, plan
+    once per ansatz; return the function that maps a rational point p = a/q
+    to the integer row
 
-        Jd q^k D^k * [mono(Phi(p)) - J(p)*mono(p) per ansatz exponent vector]
+        L * [mono(Phi(p)) - J(p)*mono(p) per ansatz exponent vector]
 
-    divided by the gcd of its entries, where Phi_j(p) = n_j/d_j, D = lcm(d_j),
-    J(p) = Jn/Jd and k = maxdeg; DenominatorVanished where Phi or J is undefined.
+    divided by the gcd of its entries, where Phi_j(p) = n_j/d_j in lowest
+    terms, D = lcm(d_j), J(p) = Jn/Jd in lowest terms, k = maxdeg and
+    L = lcm(Jd q^k, D^k); DenominatorVanished where Phi or J is undefined.
 
-    Each numerator and denominator is compiled with integer coefficients to
-    terms (c, index of x^e in one table of exponent vectors, degree - |e|),
-    and the ansatz extends a copy of the table that ``_close`` closes.  Each
-    value is an integer pair (n, d), d > 0, a positive multiple of its lowest
-    terms.  J's denominator is d^s * rest, d = m.forward[-1].den the solved
+    The first (n-1)N components of Phi are shifts, read off the point as its
+    own coordinates.  Each numerator and denominator of the others and of J
+    is compiled with integer coefficients to terms (c, index of x^e in one
+    table of exponent vectors, degree - |e|), and the ansatz extends a copy
+    of the table that ``_close`` closes.  Each value is an integer pair
+    (n, d), d > 0, a positive multiple of its lowest terms, divided by its
+    gcd.  J's denominator is d^s * rest, d = m.forward[-1].den the solved
     denominator: where J.den = d^s (s = deg J.den / deg d, checked once per
     map and cofactor), rest = 1 and Jd is d's value at the point, as the row
     has just read it for Phi, to the power s; otherwise s = 0, rest = J.den.
-    With y_j = n_j*(D/d_j), entry e is Jd q^k D^r y^e - Jn D^k q^r a^e,
-    r = k - |e|, y^e from the ansatz closed alike: a positive multiple of the
-    rational row, so the primitive row is the same bit for bit."""
+    With y_j = n_j*(D/d_j) and g = gcd(Jd q^k, D^k), entry e is
+    (Jd q^k/g) D^r y^e - Jn (D^k/g) q^r a^e, r = k - |e|, y^e from the
+    ansatz closed alike: a positive multiple of the rational row, so the
+    primitive row is the same bit for bit."""
     if m._cache.get("relation_forms", (None,))[0] is not J:
         table, forms, top = {}, [], 0
         slot = {v: i for i, v in enumerate(m.state_vars)}
@@ -165,7 +181,7 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
             return out
 
         # (num, rest, e): the denominator is rest times the one before it to the e
-        parts = [(rf.num, rf.den, 0) for rf in m.forward]
+        parts = [(rf.num, rf.den, 0) for rf in m.forward[m.dim - m.N :]]
         parts.append((J.num, J.den if s == 0 else Polynomial.const(1), s))
         d_deg, d_scale = 0, 1
         for num, den, e in parts:
@@ -176,7 +192,7 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
             top, d_deg, d_scale = max(top, deg), deg, den_scale
         m._cache["relation_forms"] = (J, forms, top, table, {})
     _, forms, top, table, plans = m._cache["relation_forms"]
-    if (key := tuple(map(tuple, exps))) not in plans:
+    if (key := tuple(exps)) not in plans:
         table, k = dict(table), max(map(sum, exps))
         shape = [(table.setdefault(ex, len(table)), k - sum(ex)) for ex in key]
         ansatz = {ex: s for s, ex in enumerate(key)}  # y^ex at the ansatz position s
@@ -187,19 +203,22 @@ def _relation_rows(m: BirationalMap, J: RationalFunction, exps):
         q = math.lcm(*(v.denominator for v in point))
         qpow = _powers(q, top)
         mono = _table_values(steps, [v.numerator * (q // v.denominator) for v in point])
-        pairs, d = [], 1
+        pairs, d = [(v.numerator, v.denominator) for v in point[m.N :]], 1
         for num, den, e in forms:
             d = sum(c * mono[i] * qpow[r] for c, i, r in den) * d**e
             if d == 0:
                 raise DenominatorVanished("denominator vanished at a sample point")
             n = sum(c * mono[i] * qpow[r] for c, i, r in num)
-            pairs.append((n, d) if d > 0 else (-n, -d))
+            g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+            pairs.append((n // g, d // g))
         *image, (jn, jd) = pairs
         D = math.lcm(*(d for _, d in image))
         y = _table_values(image_steps, [n * (D // d) for n, d in image])
         Dpow = _powers(D, k)
-        lhs = [jd * qpow[k] * v for v in Dpow]
-        rhs = [jn * Dpow[k] * v for v in qpow[: k + 1]]
+        jq = jd * qpow[k]
+        g = math.gcd(jq, Dpow[k])
+        lhs = [jq // g * v for v in Dpow]
+        rhs = [jn * (Dpow[k] // g) * v for v in qpow[: k + 1]]
         out = [lhs[r] * y[s] - rhs[r] * mono[i] for s, (i, r) in enumerate(shape)]
         g = math.gcd(*out)
         return [v // g for v in out] if g > 1 else out
@@ -284,20 +303,19 @@ def find_darboux(m: BirationalMap, maxdeg: int) -> list[DarbouxCertificate]:
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
     _require_bound(m)
-    basis = _monomial_basis(m.state_vars, maxdeg)
-    exps = [[mono.exponent(v) for v in m.state_vars] for mono in basis]
+    exps = _grlex_exponents(m.state_vars, maxdeg)
     J = jacobian(m)[1]
     relation_row = _relation_rows(m, J, exps)
     rows: list[list[int]] = []
     for batch in itertools.count():
-        for point in _sample_points(m.dim, len(basis) + _EXTRA_ROWS, batch):
+        for point in _sample_points(m.dim, len(exps) + _EXTRA_ROWS, batch):
             try:
                 rows.append(relation_row(point))
             except DenominatorVanished:
                 continue
-        null = linalg.nullspace(rows, ncols=len(basis))
+        null = linalg.nullspace(rows, ncols=len(exps))
         try:
-            return [_certify(Polynomial(zip(basis, vec)), m, J) for vec in null]
+            return [_certify(_polynomial(m.state_vars, exps, vec), m, J) for vec in null]
         except CofactorMismatch:
             continue  # too few or too special points: sample more
 

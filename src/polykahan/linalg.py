@@ -1,23 +1,24 @@
 """Exact linear algebra over the rationals.
 
-``nullspace`` first solves its integer rows modulo one word-size prime,
-_PRIME = 2^61 - 1: a row echelon form, pivot rule first nonzero entry in
-column order, on rows packed one to an int in lazily reduced slots, column 0
-the most significant, so a row shortens as its leading columns are cleared;
-back-substitution; and Wang's rational reconstruction (SYMSAC 1981) of each
-basis entry.  Every reconstructed vector is then checked exactly against
-every row, and only a basis that passes is returned; otherwise the
-fraction-free (Bareiss) elimination with the same pivot rule gives it.
-Both paths return the same basis (see ``nullspace``).  ``rank``, ``solve``
-and ``inverse`` read their answers off that checked nullspace: the module
-has one exact elimination.
+``nullspace`` solves its integer rows modulo the Mersenne primes
+p = 2^e - 1, e in _MERSENNE_EXPONENTS = (61, 89, 127, 521), in turn.  At each
+prime: a row echelon form, pivot rule first nonzero entry in column order,
+on rows packed one to an int in lazily reduced slots of about 2e + 6 bits,
+column 0 the most significant, so a row shortens as its leading columns
+are cleared; back-substitution; and Wang's rational reconstruction (SYMSAC
+1981) of each basis entry, which needs the entry's numerator and
+denominator below sqrt(p/2).  Every reconstructed vector is then checked
+exactly against every row, and the first prime whose basis passes gives
+it; after the last, the fraction-free (Bareiss) elimination with the same
+pivot rule does.  All paths return the same basis (see ``nullspace``).
+``rank``, ``solve`` and ``inverse`` read their answers off that checked
+nullspace: the module has one exact elimination.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import struct
 from fractions import Fraction
 from typing import Sequence
 
@@ -46,29 +47,34 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None
     Basis vectors are scaled to coprime integer entries with the first
     nonzero entry positive; one vector per free column, in column order.
 
-    The modular path returns the same basis as Bareiss elimination.  Every
-    vector it returns lies in the rational nullspace N, since it is checked
-    exactly.  The vectors are independent (each is 1 at its own free column
-    mod p and 0 at the others), so there are at most dim N of them.  The
-    rank mod p is at most the rank over Q, so there are at least dim N.
-    Each vector writes column f through pivot columns left of f, so f is no
-    pivot over Q: the free columns mod p are exactly the free columns over
-    Q, and each vector is the unique one in N with the identity pattern on
-    them.  A failed reconstruction or check falls back to Bareiss.  Mod p the
-    rows below each pivot are those of Gauss-Jordan, so the pivots, the entries
-    -RREF[r][f] that back-substitution gives and any failure are the same.
+    Each prime of the ladder returns the same basis as Bareiss elimination,
+    or none.  Every vector it returns lies in the rational nullspace N, since
+    it is checked exactly.  The vectors are independent (each is 1 at its
+    own free column mod p and 0 at the others), so there are at most dim N
+    of them.  The rank mod p is at most the rank over Q, so there are at
+    least dim N.  Each vector writes column f through pivot columns left of
+    f, so f is no pivot over Q: the free columns mod p are exactly the free
+    columns over Q, and each vector is the unique one in N with the identity
+    pattern on them.  None of this depends on which prime p is, so each
+    prime's basis is checked on its own and no residues are combined; a
+    failed reconstruction or check moves to the next prime, and after the
+    last to Bareiss.  Mod p the rows below each pivot are those of
+    Gauss-Jordan, so the pivots, the entries -RREF[r][f] that
+    back-substitution gives and any failure are the same.
     """
     mat = _integer_rows(rows)
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
-    basis = _modular_nullspace(mat, ncols)
-    return basis if basis is not None else _bareiss_nullspace(mat, ncols)
+    for e in _MERSENNE_EXPONENTS:
+        if (basis := _modular_nullspace(mat, ncols, e)) is not None:
+            return basis
+    return _bareiss_nullspace(mat, ncols)
 
 
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank over Q: the column count minus the nullspace dimension.
 
-    Exact on both paths of ``nullspace``: the Bareiss basis is exact, and a
+    Exact on every path of ``nullspace``: the Bareiss basis is exact, and a
     modular basis is returned only after the exact check, when it has
     exactly dim N vectors (see ``nullspace``).
     """
@@ -76,15 +82,18 @@ def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     return ncols - len(nullspace(rows, ncols))
 
 
-_PRIME = 2**61 - 1
-_BOUND = math.isqrt(_PRIME // 2)  # Wang's bound on |numerator| and denominator
-_FOLD_EVERY = (2**128 - 2**68) // 2**122  # 63 additions to a slot between folds
+_MERSENNE_EXPONENTS = (61, 89, 127, 521)  # the ladder: the primes 2^e - 1 tried in turn
+_PRIME = 2**61 - 1  # the first rung, and the default of the modular routines
+_BOUND = math.isqrt(_PRIME // 2)  # Wang's bound on |numerator| and denominator mod _PRIME
+_FOLD_EVERY = 63  # additions to a slot between folds, at every rung (see _modular_echelon)
 
 
-def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | None:
-    """The nullspace basis from the row echelon form mod _PRIME, or None
+def _modular_nullspace(mat: list[list[int]], ncols: int, e: int = 61) -> list[list[int]] | None:
+    """The nullspace basis from the row echelon form mod p = 2^e - 1, or None
     when an entry does not reconstruct or a vector misses a row exactly."""
-    pivots, echelon = _modular_echelon(mat)
+    p = 2**e - 1
+    bound = math.isqrt(p // 2)
+    pivots, echelon = _modular_echelon(mat, e)
     pivot_cols = set(pivots)
     basis: list[list[int]] = []
     for f in range(ncols):
@@ -93,8 +102,8 @@ def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | No
         back = [0] * ncols  # back[c] becomes -RREF[r][f], c the pivot of row r
         back[f] = 1
         for row, c in zip(reversed(echelon), reversed(pivots)):
-            back[c] = -sum(map(operator.mul, row, back)) % _PRIME
-        vec = [_reconstruct(v) for v in back]  # free entries, 0 and 1, never fail
+            back[c] = -sum(map(operator.mul, row, back)) % p
+        vec = [_reconstruct(v, p, bound) for v in back]  # free entries, 0 and 1, never fail
         if any(v is None for v in vec):
             return None
         ints = _normalize_int(vec)
@@ -104,47 +113,45 @@ def _modular_nullspace(mat: list[list[int]], ncols: int) -> list[list[int]] | No
     return basis
 
 
-def _modular_echelon(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+def _modular_echelon(mat: list[list[int]], e: int = 61) -> tuple[list[int], list[list[int]]]:
     """Pivot columns and nonzero rows of a row echelon form of ``mat`` mod
-    _PRIME with unit pivots, each eliminating the rows below it only.
+    p = 2^e - 1 with unit pivots, each eliminating the rows below it only.
 
-    A row is one int of 128-bit slots, column 0 the most significant, each
-    below 2^128 and congruent to its entry.  Once column c is done, its slot
-    and those left of it (0 mod p) are cleared in the rows below, so that the
-    top slot is the entry the pivot test and multiplier f read.  An addition
-    f*(p - v), f, v < p, adds below 2^122 and a fold by 2^61 = 1 mod p leaves
-    a slot below 2^68, so the rows below fold every _FOLD_EVERY pivots, as
-    2^68 + 63 * 2^122 < 2^128.  The pivot row is folded twice, to below 2^62,
-    before it is unpacked, which reads the low 64 bits of each slot."""
-    p, n = _PRIME, len(mat)
+    A row is one int of w-bit slots, w = 2e + 6 rounded up to whole bytes
+    (128 at e = 61), column 0 the most significant, each slot below 2^w and
+    congruent to its entry.  Once column c is done, its slot and those left
+    of it (0 mod p) are cleared in the rows below, so that the top slot is
+    the entry the pivot test and multiplier f read.  A fold by 2^e = 1 mod p
+    leaves a slot below 2^e + 2^(w - e) < 2^(w - e + 1), and an addition
+    f*(p - v), f < p, v <= p, adds below 2^2e, so the rows below fold every
+    _FOLD_EVERY = 63 pivots: 2^(w - e + 1) + 63 * 2^2e <= 2^w for w >= 2e + 6
+    and e >= 7.  The pivot row is scaled on its packed int: two folds leave
+    its slots below 2^e + 2^14 (w - 2e <= 13), the product with the inverse
+    of its pivot below 2^(2e + 1), and three more folds at most p, so that
+    the pivot slot is 1.  Rows are unpacked only when returned."""
+    p, n = 2**e - 1, len(mat)
     width = len(mat[0]) if mat else 0
-    slots = struct.Struct(">" + "8xQ" * width)
-    ones = ((1 << 128 * width) - 1) // ((1 << 128) - 1)  # a 1 in every slot
-    m61, m67 = p * ones, ((1 << 67) - 1) * ones  # p = 2^61 - 1 is also M61
+    size = (2 * e + 13) // 8  # bytes per slot
+    w = 8 * size
+    ones = ((1 << w * width) - 1) // ((1 << w) - 1)  # a 1 in every slot
+    low_e, high = p * ones, ((1 << w - e) - 1) * ones  # p = 2^e - 1 is also the mask
 
-    def pack(values) -> int:
-        return int.from_bytes(slots.pack(*values), "big")
+    def fold(x: int) -> int:  # each slot below 2^w to below 2^e + 2^(w - e)
+        return (x & low_e) + (x >> e & high)
 
-    def unpack(x: int) -> list[int]:
-        return [v % p for v in slots.unpack(x.to_bytes(slots.size, "big"))]
-
-    def fold(x: int) -> int:  # each slot below 2^128 to below 2^61 + 2^67
-        return (x & m61) + (x >> 61 & m67)
-
-    red = [pack([v % p for v in row]) for row in mat]
+    red = [int.from_bytes(b"".join([(v % p).to_bytes(size, "big") for v in row]), "big") for row in mat]
     pivots: list[int] = []
     for c in range(width):
-        r, shift = len(pivots), 128 * (width - 1 - c)
+        r, shift = len(pivots), w * (width - 1 - c)
         low = (1 << shift) - 1  # clears column c and the columns left of it
         pr = next((i for i in range(r, n) if (red[i] >> shift) % p), None)
         if pr is None:
             red[r:] = [x & low for x in red[r:]]
             continue
         red[r], red[pr] = red[pr], red[r]
-        row = unpack(fold(fold(red[r])))
-        inv = pow(row[c], -1, p)
-        red[r] = pack([v * inv % p for v in row])
-        neg = (m61 & ((1 << shift + 128) - 1)) - red[r]  # p - v in the slots from c on
+        inv = pow((red[r] >> shift) % p, -1, p)
+        red[r] = fold(fold(fold(fold(fold(red[r])) * inv)))
+        neg = (low_e & ((1 << shift + w) - 1)) - red[r]  # p - v in the slots from c on
         pivots.append(c)
         due = len(pivots) % _FOLD_EVERY == 0
         for i in range(r + 1, n):  # below the pivot only: row echelon
@@ -154,18 +161,22 @@ def _modular_echelon(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
             red[i] = fold(x & low) if due else x & low
         if len(pivots) == n:
             break
-    return pivots, [unpack(x) for x in red[: len(pivots)]]
+    echelon = []
+    for x in red[: len(pivots)]:
+        raw = x.to_bytes(size * width, "big")
+        echelon.append([int.from_bytes(raw[i : i + size], "big") % p for i in range(0, len(raw), size)])
+    return pivots, echelon
 
 
-def _reconstruct(u: int) -> Fraction | None:
-    """Wang's rational reconstruction: n/d = u mod _PRIME with |n|, d <= _BOUND
-    and gcd(n, d) = 1, or None when no such fraction exists."""
-    r0, r1, t0, t1 = _PRIME, u, 0, 1
-    while r1 > _BOUND:
+def _reconstruct(u: int, p: int = _PRIME, bound: int = _BOUND) -> Fraction | None:
+    """Wang's rational reconstruction: n/d = u mod p with |n|, d <= bound =
+    isqrt(p // 2) and gcd(n, d) = 1, or None when no such fraction exists."""
+    r0, r1, t0, t1 = p, u, 0, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if abs(t1) > _BOUND or math.gcd(r1, t1) != 1:
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
         return None
     return Fraction(r1, t1)
 

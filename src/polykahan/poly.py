@@ -579,11 +579,12 @@ def _coerce_poly(v) -> Polynomial:
     return NotImplemented
 
 
-def _powers(p, emax: int) -> list:
+def _powers(p, emax: int, out: list | None = None) -> list:
     """[1, p, p^2, ..., p^emax] for a Polynomial or a number, each power from
     p^2 on one product with p; the one power routine (``Polynomial.__pow__``
-    takes the last).  The 1 is the int: 1 * q is q, with no product."""
-    out = [1, p]
+    takes the last).  The 1 is the int: 1 * q is q, with no product.  A list
+    ``out`` of the powers [1, p, ...] is extended in place as far as needed."""
+    out = [1, p] if out is None else out
     while len(out) <= emax:
         out.append(out[-1] * p)
     return out[: emax + 1]
@@ -606,8 +607,10 @@ def _compose(p: Polynomial, subs: Mapping[Var, "RationalFunction"], tables: dict
     form a class, every other variable a class of its own, with E the total
     degree of p in the class.  The terms are grouped by their exponents e_v,
     and each group is multiplied, class by class, by prod_v n_v^e_v
-    d^(E - sum e_v), read from ``tables[class, E]`` and filled there on first
-    use; den = prod d^E over the classes."""
+    d^(E - sum e_v), read from ``tables[class]`` and filled there on first
+    use, where each n_v's powers reach only v's own largest exponent in p
+    and d's reach E, both lists extended as later calls need; den = prod d^E
+    over the classes."""
     present, classes = p.vars(), {}
     for v, rf in subs.items():
         if v in present:
@@ -623,18 +626,22 @@ def _compose(p: Polynomial, subs: Mapping[Var, "RationalFunction"], tables: dict
     for vs, d in classes.values():
         part = slice(at, at + len(vs))  # the class's exponents in a group key
         at += len(vs)
-        if (cls := (tuple(vs), max(sum(key[part]) for key in groups))) not in tables:
-            tables[cls] = ([_powers(subs[v].num, cls[1]) for v in vs], _powers(d, cls[1]), {})
-        rows.append((part, *tables[cls]))
+        npows, dpow, factors = tables.setdefault(tuple(vs), ([[1, subs[v].num] for v in vs], [1, d], {}))
+        for v, pows, top in zip(vs, npows, (max(col) for col in zip(*(key[part] for key in groups)))):
+            _powers(subs[v].num, top, pows)
+        E = max(sum(key[part]) for key in groups)
+        _powers(d, E, dpow)
+        rows.append((part, E, npows, dpow, factors))
     num = []
     for key, pairs in groups.items():
         g = Polynomial(pairs)
-        for part, npows, dpow, factors in rows:
-            if (es := key[part]) not in factors:  # dpow[-1 - sum(es)] is d^(E - sum e_v)
-                factors[es] = math.prod([*(n[e] for n, e in zip(npows, es)), dpow[-1 - sum(es)]])
-            g = g * factors[es]
+        for part, E, npows, dpow, factors in rows:
+            es = key[part]
+            if (es, E) not in factors:
+                factors[es, E] = math.prod([*(n[e] for n, e in zip(npows, es)), dpow[E - sum(es)]])
+            g = g * factors[es, E]
         num.extend(g.terms())
-    return Polynomial(num), math.prod((dpow[-1] for _, _, dpow, _ in rows), start=Polynomial.const(1))
+    return Polynomial(num), math.prod((dpow[E] for _, E, _, dpow, _ in rows), start=Polynomial.const(1))
 
 
 def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:

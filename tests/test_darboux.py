@@ -1,7 +1,9 @@
 import functools
 import hashlib
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -475,8 +477,21 @@ def _fraction_row(m, J, exps, point):
 
 
 def _ansatz_exponents(m, maxdeg):
-    basis = darboux._monomial_basis(m.state_vars, maxdeg)
-    return [[mono.exponent(v) for v in m.state_vars] for mono in basis]
+    return darboux._grlex_exponents(m.state_vars, maxdeg)
+
+
+@pytest.mark.parametrize("order, dim", [(1, 2), (1, 3), (2, 2), (3, 2), (2, 3)])
+def test_the_ansatz_is_generated_in_graded_lex_order(order, dim):
+    # the exponent vectors in the order of the sorted monomials, which fixes the
+    # basis columns and so the certificate texts
+    vars_ = tuple(x(j, k) for k in range(order) for j in range(1, dim + 1))
+    universe = tuple(sorted(vars_))
+    for maxdeg in range(5):
+        cube = itertools.product(range(maxdeg + 1), repeat=len(vars_))
+        monomials = [Monomial.from_pairs(zip(vars_, ex)) for ex in cube if sum(ex) <= maxdeg]
+        monomials.sort(key=lambda m: poly._grlex_key(m, universe))
+        expected = [tuple(m.exponent(v) for v in vars_) for m in monomials]
+        assert darboux._grlex_exponents(vars_, maxdeg) == expected
 
 
 def _relation_points(dim):
@@ -589,15 +604,16 @@ def test_planned_table_values_are_the_monomials_at_the_first_batch(monkeypatch, 
 
 @pytest.mark.parametrize("name, maxdeg, shifts", [("euler_top", 2, 0), ("beam_sym", 3, 3)])
 def test_image_side_is_over_the_lcm_of_the_image_denominators(monkeypatch, name, maxdeg, shifts):
-    # with Phi_j(a/q) = n_j/d_j, D = lcm(d_j) and y_j = n_j * (D/d_j), so that
-    # Phi_j = y_j/D, and the image side's table holds y^ex per ansatz exponent;
-    # the Euler top's three components share one denominator, and beam-sym's
-    # three shifts have d = q
+    # with Phi_j(a/q) = n_j/d_j in lowest terms, D = lcm(d_j) and y_j = n_j * (D/d_j),
+    # so that Phi_j = y_j/D, and the image side's table holds y^ex per ansatz exponent;
+    # only the solved block is compiled (the Euler top's three components share one
+    # denominator), and beam-sym's three shifts are the point's own coordinates
     m = RELATION_MAPS[name]()
     calls = _recording_table_values(monkeypatch)
     exps = _ansatz_exponents(m, maxdeg)
     relation_row = darboux._relation_rows(m, maps.jacobian(m)[1], exps)
     _, forms, _, base, _ = m._cache["relation_forms"]
+    assert len(forms) == m.dim - shifts + 1  # the solved block, then J
     exponent = {i: ex for ex, i in base.items()}
     checked = 0
     for point in darboux._sample_points(m.dim, len(exps) + darboux._EXTRA_ROWS, 0):
@@ -608,14 +624,16 @@ def test_image_side_is_over_the_lcm_of_the_image_denominators(monkeypatch, name,
             continue
         (_, a, _), (_, y, values) = calls
         q = math.lcm(*(v.denominator for v in point))
-        dens = [
-            abs(sum(c * math.prod(map(pow, a, exponent[i])) * q**r for c, i, r in den))
-            for _, den, _ in forms[:-1]
-        ]
-        assert dens == [q] * shifts + [dens[-1]] * (m.dim - shifts)
-        D = math.lcm(*dens)
+
+        def value(terms):
+            return sum(c * math.prod(map(pow, a, exponent[i])) * q**r for c, i, r in terms)
+
         at = dict(zip(m.state_vars, point))
-        assert [Fraction(v, D) for v in y] == [rf.eval(at) for rf in m.forward]
+        image = [rf.eval(at) for rf in m.forward]
+        assert image[:shifts] == list(point[m.N :])
+        assert [Fraction(value(num), value(den)) for num, den, _ in forms[:-1]] == image[shifts:]
+        D = math.lcm(*(v.denominator for v in image))
+        assert [Fraction(v, D) for v in y] == image
         assert values[: len(exps)] == [math.prod(map(pow, y, ex)) for ex in exps]
         checked += 1
     assert checked >= len(exps)
@@ -693,6 +711,32 @@ def test_beam_sym_batch_rows_give_the_bareiss_basis(
     assert (len(rows), ncols) == (37, 35)
     assert linalg.nullspace(rows[:count], ncols=ncols) == _bareiss_nullspace(rows[:count], ncols)
     assert len(bareiss_calls) == fallbacks
+
+
+def _henon_heiles_bound():
+    """The classic Henon-Heiles map, x'' = -x - 2xy, y'' = -y - x^2 + y^2, at h = 1/10."""
+    X, Y = (Polynomial.var(x(i)) for i in (1, 2))
+    system = PolyOdeSystem(2, 2, (-X - 2 * X * Y, -Y - X**2 + Y**2))
+    return maps.solve_forward(discretize(system)).bind({"h": Fraction(1, 10)})
+
+
+# sha256 of the degree-5 certificate texts, one per line, as the Bareiss path gives them
+HENON_HEILES_D5_SHA256 = "f03f08a14a231919da366b7f353f3855f97a5196a87ca0fa2949f765f7be184e"
+
+
+def test_henon_heiles_degree5_search_stays_modular(bareiss_calls):
+    # the measure density P (degree 2) and the modified energy's numerator Q
+    # (degree 5); Q's coefficients have 43 bits, past Wang's bound at 2**61 - 1,
+    # so the batch is solved mod 2**89 - 1, where Bareiss took about 70 s
+    m = _henon_heiles_bound()
+    start = time.perf_counter()
+    certs = darboux.find_darboux(m, 5)
+    elapsed = time.perf_counter() - start
+    assert [len(c.P.terms()) for c in certs] == [7, 38]
+    texts = "\n".join(c.to_text() for c in certs)
+    assert hashlib.sha256(texts.encode()).hexdigest() == HENON_HEILES_D5_SHA256
+    assert bareiss_calls == []
+    assert elapsed < 2
 
 
 # -- the pullback, exact certification and the per-map caches -------------------
@@ -939,6 +983,33 @@ def test_pullback_clears_a_shared_denominator_once():
     quartic = quartic_bound().bound_map
     _, den = darboux.pullback(quartic, X0**2 * X1**3 + X1)
     assert den == quartic.forward[-1].den ** 3
+
+
+def test_pullback_raises_each_numerator_to_its_own_largest_exponent(monkeypatch):
+    # LV's two solved coordinates share d, so x1*x2 has the class degree E = 2, but
+    # each numerator is needed only to the power 1: the first pullback makes 6
+    # products, where raising both numerators to E made 8; a later P extends the
+    # same power lists
+    lv = RELATION_MAPS["lv"]()
+    x1, x2 = (Polynomial.var(x(i)) for i in (1, 2))
+    first, later = x1 * x2, x1**3 * x2
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting)
+    darboux.pullback(lv, first)
+    assert len(calls) == 6
+    ((npows, dpow, _),) = lv._cache["pullback"].values()
+    assert [len(pows) for pows in npows] == [2, 2] and len(dpow) == 3
+    darboux.pullback(lv, later)
+    assert [len(pows) for pows in npows] == [4, 2] and len(dpow) == 5
+    monkeypatch.undo()
+    assert darboux.pullback(lv, later) == darboux.pullback(RELATION_MAPS["lv"](), later)
 
 
 def test_cofactor_mismatch_message_is_short():

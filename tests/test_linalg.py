@@ -83,18 +83,36 @@ def reference(rows, ncols=None):
     return BAREISS(mat, len(mat[0]) if ncols is None else ncols)
 
 
+LADDER = linalg._MERSENNE_EXPONENTS
+
+
+def _rungs_that_solve(rows, ncols):
+    """The exponents e of the ladder at which the modular path returns a basis."""
+    return [e for e in LADDER if linalg._modular_nullspace(rows, ncols, e) is not None]
+
+
+# rows -> the first rung of the ladder whose bound the basis fits under, None past the last
+FIRST_RUNG = {2**40: 89, P + 1: 127, 3**20: 89, 2**300: None, 3**400: None}
+
+
 @pytest.mark.parametrize(
     "rows, basis",
     [
         ([[2**40, -1]], [[1, 2**40]]),
         ([[P + 1, -1]], [[1, P + 1]]),
         ([[3**20, -1]], [[1, 3**20]]),
+        ([[2**300, -1]], [[1, 2**300]]),
+        ([[3**400, -1]], [[1, 3**400]]),
     ],
 )
 def test_rows_the_modular_path_cannot_solve_fall_back_to_bareiss(bareiss_calls, rows, basis):
+    # none solves mod 2**61 - 1; each solves from the first rung whose Wang bound
+    # its basis fits under, and only the rows past 2**521 - 1 reach Bareiss
     assert linalg._modular_nullspace(rows, 2) is None
+    first = FIRST_RUNG[rows[0][0]]
+    assert _rungs_that_solve(rows, 2) == ([] if first is None else list(LADDER[LADDER.index(first) :]))
     assert linalg.nullspace(rows) == reference(rows) == basis
-    assert len(bareiss_calls) == 1
+    assert len(bareiss_calls) == (0 if first else 1)
 
 
 def test_why_the_modular_path_fails_on_those_rows():
@@ -127,8 +145,8 @@ def test_nullspace_equals_bareiss_on_low_rank_products(case):
     assert linalg.nullspace(rows, ncols=ncols) == reference(rows, ncols)
 
 
-def _list_echelon(mat, width, reduced=False):
-    """Row echelon form mod p on lists of residues, with unit pivots and the
+def _list_echelon(mat, width, reduced=False, P=P):
+    """Row echelon form mod P on lists of residues, with unit pivots and the
     pivot rule of linalg (the first row from the current one with a nonzero
     entry), eliminating below each pivot only; with ``reduced``, above it
     too (Gauss-Jordan, the reduced echelon form)."""
@@ -207,6 +225,22 @@ def test_packed_elimination_equals_the_list_elimination(case):
     assert linalg._modular_nullspace(rows, width) == _list_nullspace(rows, width)
 
 
+@given(residue_matrices(), st.sampled_from(LADDER[1:]))
+def test_packed_elimination_at_every_rung_equals_the_list_elimination(case, e):
+    # the slots widen with e (184, 264 and 1048 bits); the fold interval stays 63
+    rows, width = case
+    assert linalg._modular_echelon(rows, e) == _list_echelon(rows, width, P=2**e - 1)
+
+
+@pytest.mark.parametrize("e", LADDER[1:])
+def test_elimination_past_the_fold_interval_at_every_rung(e):
+    # -1..-3 are nearly p at every rung, so each addition is nearly 2**2e
+    rows, width = tall_matrix()
+    pivots, echelon = linalg._modular_echelon(rows, e)
+    assert linalg._FOLD_EVERY < len(pivots) == 70
+    assert (pivots, echelon) == _list_echelon(rows, width, P=2**e - 1)
+
+
 @given(residue_matrices())
 def test_nullspace_vectors_are_coprime_with_a_positive_lead(case):
     # _normalize_int divides by no gcd: the entry 1 at each free column leaves none
@@ -226,10 +260,26 @@ def test_elimination_past_the_fold_interval_equals_the_list_and_bareiss_eliminat
     assert bareiss_calls == []  # solved mod p, and the basis passed the exact check
 
 
-@pytest.mark.parametrize("rows", [[[3**20, -1]], [[2**40, -1], [2**41, -2]]])
+@pytest.mark.parametrize(
+    "rows", [[[3**20, -1]], [[2**40, -1], [2**41, -2]], [[3**400, -1], [2 * 3**400, -2]]]
+)
 def test_rank_is_exact_where_the_modular_path_falls_back(bareiss_calls, rows):
+    # the first two solve mod 2**89 - 1; the last needs more than 2**521 - 1
     assert linalg.rank(rows) == 1
-    assert len(bareiss_calls) == 1
+    assert len(bareiss_calls) == (0 if FIRST_RUNG[rows[0][0]] else 1)
+
+
+@pytest.mark.parametrize("bits, nrows, ncols, first", [(3, 12, 14, 89), (2, 20, 22, 127), (12, 6, 8, 521)])
+def test_a_basis_above_the_first_bound_is_solved_on_the_ladder(bareiss_calls, bits, nrows, ncols, first):
+    # seeded dense rows whose nullspace vectors pass Wang's bound at 2**61 - 1:
+    # the modular basis from the first rung on equals Bareiss's, with no fallback
+    rng = random.Random(0)
+    rows = [[rng.randint(-(2**bits), 2**bits) for _ in range(ncols)] for _ in range(nrows)]
+    expected = reference(rows, ncols)
+    assert max(abs(v) for vec in expected for v in vec) > linalg._BOUND
+    assert _rungs_that_solve(rows, ncols) == list(LADDER[LADDER.index(first) :])
+    assert linalg.nullspace(rows, ncols) == expected
+    assert bareiss_calls == []
 
 
 @st.composite
