@@ -281,4 +281,4 @@ def det_poly(M: Sequence[Sequence[Polynomial | RationalFunction]]):
     return out
 
 
-det_rational = det_poly  # the same routine under the name maps.jacobian calls
+det_rational = det_poly  # an alias kept for perfbench's tracing targets; no module calls it

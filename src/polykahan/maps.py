@@ -6,7 +6,8 @@ solve to rational update rules: the map on the nN-dimensional window state
 and fills the last block with the solved highest shifts.  Linearity in the
 lowest shifts makes the map birational: the inverse is the lowest-shift system.
 Its Jacobian is block companion, dim - N unit rows above the N solved ones,
-so det = (-1)^(N (dim - N)) times the det of the solved rows' level-0 block.
+whose level-0 block is -A^-1 B at x_n = Phi for A x_n + r = B x_0 + s (A free
+of x_n, B of x_0), so det = (-1)^(N (dim - N) + N) det B(Phi) / det A.
 
 Only the forward block is solved symbolically (Cramer on the coefficients),
 for N <= 3; numeric stepping always solves the evaluated N x N system by
@@ -43,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import linalg
-from .poly import DenominatorVanished, Polynomial, RationalFunction, Var, collect_linear, x
+from .poly import DenominatorVanished, Polynomial, RationalFunction, Var, _compose, collect_linear, x
 from .scheme import ImplicitScheme, PolyOdeSystem, discretize
 
 SYMBOLIC_DIM_LIMIT = 3  # Cramer's rule is built only for N at most this
@@ -89,6 +90,7 @@ class BirationalMap:
         forward: tuple[RationalFunction, ...] | None,
         top_system: tuple[list[list[Polynomial]], list[Polynomial]],
         bottom_system: tuple[list[list[Polynomial]], list[Polynomial]],
+        dets: tuple[Polynomial, Polynomial] | None,
     ):
         self.scheme = scheme
         self.n = scheme.order
@@ -100,6 +102,7 @@ class BirationalMap:
         self.forward = forward
         self._top = top_system
         self._bottom = bottom_system
+        self._dets = dets  # det A of _top, det B of _bottom; None above the symbolic limit
         self._cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
@@ -156,17 +159,22 @@ def solve_forward(scheme: ImplicitScheme) -> BirationalMap:
     n, N = scheme.order, scheme.dim
     top = _linear_system(scheme.equations, [x(j, n) for j in range(1, N + 1)])
     bottom = _linear_system(scheme.equations, [x(j, 0) for j in range(1, N + 1)])
-    forward = None
+    forward = dets = None
     if N <= SYMBOLIC_DIM_LIMIT:
         shift_up = tuple(
             RationalFunction(Polynomial.var(x(j, k)))
             for k in range(1, n)
             for j in range(1, N + 1)
         )
-        forward = shift_up + tuple(_cramer(*top))
-        if linalg.det_poly(bottom[0]).is_zero():
+        dets = (linalg.det_poly(top[0]), linalg.det_poly(bottom[0]))
+        if dets[0].is_zero():
+            raise ZeroDeterminant("coefficient determinant is identically zero")
+        if dets[1].is_zero():
             raise ZeroDeterminant("lowest-shift coefficient determinant is identically zero")
-    return BirationalMap(scheme, forward, top, bottom)
+        A, r = top  # Cramer: x_j^(n) = det(A with column j replaced by -r) / det A
+        cols = ([[-r[i] if c == j else A[i][c] for c in range(N)] for i in range(N)] for j in range(N))
+        forward = shift_up + tuple(RationalFunction(linalg.det_poly(M), dets[0]) for M in cols)
+    return BirationalMap(scheme, forward, top, bottom, dets)
 
 
 def _linear_system(equations, var_order):
@@ -177,17 +185,6 @@ def _linear_system(equations, var_order):
         A.append([coeffs.get(v, Polynomial()) for v in var_order])
         r.append(rem)
     return A, r
-
-
-def _cramer(A: list[list[Polynomial]], r: list[Polynomial]) -> list[RationalFunction]:
-    det = linalg.det_poly(A)
-    if det.is_zero():
-        raise ZeroDeterminant("coefficient determinant is identically zero")
-    out = []
-    for j in range(len(A)):
-        col = [[-r[i] if c == j else A[i][c] for c in range(len(A))] for i in range(len(A))]
-        out.append(RationalFunction(linalg.det_poly(col), det))
-    return out
 
 
 _NUMPY_NAMES = ("np",)
@@ -516,18 +513,23 @@ def jacobian(
     """Exact Jacobian matrix of the forward map and its determinant, built
     once per map and cached: callers must not mutate the returned lists.
     Row i < dim - N is the unit row (1 at column i + N); only the N solved
-    rows are differentiated, one d^2 per row.  Moving them up takes N (dim - N)
-    row swaps: det = (-1)^(N (dim - N)) det B, B their N x N level-0 block."""
+    rows are differentiated.  Moving them up takes N (dim - N) row swaps, and
+    their level-0 block is -A^-1 B at x_n = Phi (A free of x_n, B of x_0), so
+    det = (-1)^(N (dim - N) + N) det B(Phi) / det A: one ``_compose`` of
+    ``solve_forward``'s det B, no expansion; at N = 1 the block is its one
+    entry, -det B(Phi) / det A already, which costs less than the compose."""
     if m.forward is None:
         raise ValueError("no symbolic forward map available")
     if "jacobian" not in m._cache:
-        k = m.dim - m.N
+        k, (det_top, det_bottom) = m.dim - m.N, m._dets
         J = [[RationalFunction(int(c == i + m.N)) for c in range(m.dim)] for i in range(k)]
-        for rf in m.forward[k:]:
-            n, d, d2 = rf.num, rf.den, rf.den * rf.den
-            J.append([RationalFunction(n.derivative(v) * d - n * d.derivative(v), d2) for v in m.state_vars])
-        det = linalg.det_rational([row[: m.N] for row in J[k:]])
-        m._cache["jacobian"] = (J, -det if m.N * k % 2 else det)
+        J += [[rf.derivative(v) for v in m.state_vars] for rf in m.forward[k:]]
+        if m.N == 1:
+            det = -J[k][0]
+        else:
+            num, den = _compose(det_bottom, {x(j, m.n): rf for j, rf in enumerate(m.forward[k:], 1)}, {})
+            det = RationalFunction(num, den * det_top)
+        m._cache["jacobian"] = (J, -det if m.N * (k + 1) % 2 else det)
     return m._cache["jacobian"]
 
 

@@ -642,25 +642,25 @@ def test_analyze_beam_reports_a_constant_load_without_fixed_points(tmp_path):
 
 @pytest.mark.parametrize("preset", ["beam-sym", "beam-lag"])
 def test_beam_report_builds_each_map_once(tmp_path, monkeypatch, preset):
-    solved, dets = [], []
-    solve_forward, det_rational = maps.solve_forward, maps.linalg.det_rational
+    solved, derivatives = [], []
+    solve_forward, derivative = maps.solve_forward, maps.RationalFunction.derivative
 
     def counting_solve(scheme):
         solved.append(scheme)
         return solve_forward(scheme)
 
-    def counting_det(J):
-        dets.append(len(J))
-        return det_rational(J)
+    def counting_derivative(rf, v):
+        derivatives.append(v)
+        return derivative(rf, v)
 
     monkeypatch.setattr(maps, "solve_forward", counting_solve)
     monkeypatch.setattr(cases, "solve_forward", counting_solve)
-    monkeypatch.setattr(maps.linalg, "det_rational", counting_det)
+    monkeypatch.setattr(maps.RationalFunction, "derivative", counting_derivative)
     assert main(["report", "--preset", preset, "--out", str(tmp_path)]) == 0
-    # one shift-averaged and one variational map, one Jacobian determinant
-    # each, of the N x N solved block (N = 1)
+    # one shift-averaged and one variational map, one Jacobian each: the
+    # N = 1 solved row differentiated once by each of the 4 coordinates
     assert len(solved) == 2 and solved[0].equations != solved[1].equations
-    assert dets == [1, 1]
+    assert derivatives == [x(1, k) for k in range(4)] * 2
 
 
 # SHA-256 of the default report files at seed 1, of the beam presets' at

@@ -341,7 +341,21 @@ def test_jacobian_gives_the_reference_terms_in_their_order(name, bound):
         return list(rf.num.terms()), list(rf.den.terms())
 
     assert [[terms(rf) for rf in row] for row in J] == [[terms(rf) for rf in row] for row in J_ref]
-    assert terms(det) == terms(det_ref)
+    # the determinant comes from det A and det B, not the expansion: equal by cross-multiplication
+    assert det == det_ref
+
+
+@pytest.mark.parametrize("name", ["euler-top", "order-3"])
+def test_jacobian_expands_no_determinant(monkeypatch, name):
+    m = _jacobian_oracle_maps()[name].bind({"h": Fraction(1, 10)})
+
+    def refused(M):
+        raise AssertionError("jacobian expanded a determinant")
+
+    for routine in ("det_poly", "det_rational"):
+        monkeypatch.setattr(linalg, routine, refused)
+    J, det = maps.jacobian(m)
+    assert len(J) == m.dim and not det.is_zero()
 
 
 def test_jacobian_is_built_once_per_map(monkeypatch):
@@ -349,18 +363,19 @@ def test_jacobian_is_built_once_per_map(monkeypatch):
     assert maps.jacobian(m) is maps.jacobian(m)
     assert maps.jacobian(m.bind({})) is not maps.jacobian(m)  # a new map, a new cache
     builds = []
-    det_rational = maps.linalg.det_rational
+    derivative = RationalFunction.derivative
 
-    def counting(J):
-        builds.append(J)
-        return det_rational(J)
+    def counting(rf, v):
+        builds.append(v)
+        return derivative(rf, v)
 
-    monkeypatch.setattr(maps.linalg, "det_rational", counting)
+    monkeypatch.setattr(RationalFunction, "derivative", counting)
     p = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
-    rep = cases.beam_fixed_point_analysis(cases.beam_symmetric(p))
+    case = cases.beam_symmetric(p)
+    rep = cases.beam_fixed_point_analysis(case)
     assert len(rep.spectra) == 4
-    # one determinant, of the N x N solved block (N = 1 for the beam)
-    assert [len(J) for J in builds] == [1]
+    # one build: the N = 1 solved row differentiated once by each coordinate
+    assert builds == list(case.map.state_vars)
 
 
 def test_fresh_maps_share_the_code_of_their_generated_source():

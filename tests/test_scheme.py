@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polykahan import linalg, maps
 from polykahan.poly import Monomial, Polynomial, collect_linear, param, x
 from polykahan.scheme import (
     H,
@@ -180,6 +181,21 @@ def poly_ode_systems(draw):
 @given(poly_ode_systems())
 def test_self_adjointness_of_generated_systems(sys):
     assert is_self_adjoint(discretize(sys))
+
+
+@settings(max_examples=50, deadline=None)
+@given(poly_ode_systems().filter(lambda sys: sys.order * sys.dim <= 4))
+def test_jacobian_determinant_is_the_laplace_expansion_of_the_jacobian(sys):
+    # (-1)^(N (dim - N) + N) det B(Phi) / det A, at symbolic h, against the
+    # full dim x dim expansion of the quotient rule on every coordinate; on
+    # a window of 6 that expansion can run for minutes, and the order-3
+    # map of test_maps covers that size
+    try:
+        m = maps.solve_forward(discretize(sys))
+    except maps.ZeroDeterminant:
+        assume(False)
+    full = [[rf.derivative(v) for v in m.state_vars] for rf in m.forward]
+    assert maps.jacobian(m)[1] == linalg.det_poly(full)
 
 
 def test_plain_reversal_fixes_even_orders():
