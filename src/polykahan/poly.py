@@ -9,7 +9,10 @@ Coefficients are exact rationals: a stored coefficient is an ``int`` when it
 is integral and a ``fractions.Fraction`` otherwise, so polynomial identity
 is decidable and every algebraic check in this package is exact.  The zero
 polynomial stores no terms; nonzero polynomials never store a zero
-coefficient, so two equal polynomials have identical term dictionaries.
+coefficient, so two equal polynomials have identical term dictionaries.  A
+RationalFunction reduces by content and shared monomials only; its arithmetic
+follows the definition, equal denominators adding over the shared one, and
+never trial-divides.
 
 Variables and monomials are interned: there is one ``Var`` per (component,
 shift, name) and one live ``Monomial`` per exponent vector, so equality is
@@ -307,10 +310,6 @@ class Polynomial:
 
     def degree(self) -> int:
         return max((m.degree for m in self._terms), default=0)
-
-    def degree_in(self, vars: set[Var] | frozenset[Var]) -> int:
-        vs = frozenset(vars)
-        return max((m.degree_in(vs) for m in self._terms), default=0)
 
     def state_degree(self) -> int:
         return max((m.state_degree() for m in self._terms), default=0)
@@ -645,7 +644,8 @@ def _compose(p: Polynomial, subs: Mapping[Var, "RationalFunction"], tables: dict
 
 
 def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
-    """Exact polynomial quotient p/q, or None when q does not divide p."""
+    """Exact quotient p/q, or None when q does not divide p; called only where
+    the quotient is used: ``RationalFunction.as_polynomial``, ``darboux._certify``."""
     if q.is_zero():
         return None
     if q.is_constant():
@@ -674,8 +674,9 @@ class RationalFunction:
     Construction reduces by the common rational content and by monomial
     factors shared between numerator and denominator, and normalizes the
     denominator to coprime integer coefficients with positive leading
-    coefficient.  Full gcd reduction is not attempted: equality is decided
-    by cross-multiplication, so correctness never depends on it.
+    coefficient.  Arithmetic follows the definition and never trial-divides:
+    a/b + c/d = (ad + cb)/(bd), over b alone when d == b, and a/b * c/d =
+    (ac)/(bd).  Equality is decided by cross-multiplication: no gcd is needed.
     """
 
     __slots__ = ("num", "den")
@@ -705,10 +706,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def as_polynomial(self) -> Polynomial:
-        if self.den.is_constant():
-            return self.num / self.den.constant_value()
-        q = try_divide(self.num, self.den)
-        if q is not None:
+        if (q := try_divide(self.num, self.den)) is not None:
             return q
         raise ValueError(f"not a polynomial: ({self.num}) / ({self.den})")
 
@@ -721,15 +719,7 @@ class RationalFunction:
         other = _coerce_rational(other)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
-        q = try_divide(other.den, self.den)
-        if q is not None:
-            return RationalFunction(self.num * q + other.num, other.den)
-        q = try_divide(self.den, other.den)
-        if q is not None:
-            return RationalFunction(self.num + other.num * q, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -746,16 +736,12 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         other = _coerce_rational(other)
-        n1, d2 = _cancel(self.num, other.den)
-        n2, d1 = _cancel(other.num, self.den)
-        return RationalFunction(n1 * n2, d1 * d2)
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalFunction":
         other = _coerce_rational(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
         return self * RationalFunction(other.den, other.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
@@ -819,15 +805,6 @@ def _strip_monomial(p: Polynomial, m: Monomial) -> Polynomial:
     q = Polynomial.__new__(Polynomial)
     q._terms = {_quotient(mm, m): c for mm, c in p.terms()}
     return q
-
-
-def _cancel(n: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if d.is_constant():
-        return n, d
-    q = try_divide(n, d)
-    if q is not None:
-        return q, Polynomial.const(1)
-    return n, d
 
 
 def collect_linear(p: Polynomial, vars: Iterable[Var]) -> tuple[dict[Var, Polynomial], Polynomial]:

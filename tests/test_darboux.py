@@ -389,6 +389,20 @@ def test_search_resamples_after_a_degenerate_first_batch(monkeypatch, first_batc
     assert batches == [0, 1]
 
 
+def test_search_skips_a_sample_point_where_phi_is_undefined(monkeypatch):
+    lv = RELATION_MAPS["lv"]()
+    expected = [c.to_text() for c in darboux.find_darboux(RELATION_MAPS["lv"](), 3)]
+    undefined = (Fraction(0), Fraction(-19))  # 19*x1 - 21*x2 - 399 = 0
+    assert lv.forward[-1].den.eval(dict(zip(lv.state_vars, undefined))) == 0
+    relation_row = darboux._relation_rows(lv, maps.jacobian(lv)[1], _ansatz_exponents(lv, 3))
+    with pytest.raises(DenominatorVanished):
+        relation_row(undefined)
+    draw = darboux._sample_points
+    batches = _degenerate_first_batch(monkeypatch, lambda dim, count: [undefined, *draw(dim, count, 0)])
+    assert [c.to_text() for c in darboux.find_darboux(lv, 3)] == expected == LV_D3
+    assert batches == [0]
+
+
 def test_perturbed_basis_vector_fails_certification():
     m = quartic_bound().bound_map
     cert = darboux.find_darboux(m, 4)[0]
@@ -770,11 +784,13 @@ def test_relation_rows_follow_a_cofactor_other_than_the_cached_one():
     m = RELATION_MAPS["quartic"]()
     J = maps.jacobian(m)[1]
     other = J * RationalFunction(X0 + 3)
+    unshared = J * RationalFunction(1, X0 + 3)  # J.den is no longer a power of Phi's
     exps = _ansatz_exponents(m, 2)
     darboux._relation_rows(m, J, exps)
-    for cofactor in (other, J):
+    for cofactor in (other, unshared, J):
         relation_row = darboux._relation_rows(m, cofactor, exps)
         assert m._cache["relation_forms"][0] is cofactor
+        assert (m._cache["relation_forms"][1][-1][2] == 0) == (cofactor is unshared)
         checked = 0
         for point in _relation_points(m.dim):
             try:

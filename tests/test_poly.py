@@ -603,6 +603,60 @@ def test_arithmetic_stores_only_exact_coefficients(seed):
     assert_exact(p / Fraction(1, 3))
 
 
+def _nonzero_poly(rng, **kw):
+    while (p := rand_poly(rng, **kw)).is_zero():
+        pass
+    return p
+
+
+def _no_trial_division(p, q):
+    raise AssertionError(f"trial division of {p} by {q}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_rational_arithmetic_is_that_of_the_values_without_trial_division(seed):
+    # Sums, products, quotients, powers and compositions follow the definition:
+    # no try_divide call, and each result evaluates to the operation on values.
+    rng = random.Random(seed)
+    d = _nonzero_poly(rng, nvars=3, maxdeg=2)
+    f = RationalFunction(rand_poly(rng, nvars=3, maxdeg=3), d)
+    e = d if rng.random() < 0.3 else _nonzero_poly(rng, nvars=3, maxdeg=2)  # at times a shared one
+    g = RationalFunction(rand_poly(rng, nvars=3, maxdeg=3), e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "try_divide", _no_trial_division)
+        results = [(f + g, lambda a, b: a + b), (f - g, lambda a, b: a - b), (f * g, lambda a, b: a * b)]
+        results += [(f**k, lambda a, b, k=k: a**k) for k in range(3)]
+        if not g.is_zero():
+            results.append((f / g, lambda a, b: a / b))
+        with pytest.raises(ZeroDivisionError):
+            f / 0
+        if not f.is_zero():
+            results += [(f**k, lambda a, b, k=k: a**k) for k in (-2, -1)] + [(3 / f, lambda a, b: 3 / a)]
+        try:
+            composed = f.substitute({x(1): g})
+        except ZeroDivisionError:  # f's denominator is 0 on x1 = g
+            composed = None
+    for _ in range(3):
+        point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for v in (x(1), x(2), x(1, 1))}
+        try:
+            a, b = f.eval(point), g.eval(point)
+        except DenominatorVanished:
+            continue
+        for r, op in results:
+            try:
+                expected = op(a, b)
+            except ZeroDivisionError:
+                continue
+            assert r.eval(point) == expected
+        try:
+            expected = f.eval({**point, x(1): b})
+        except DenominatorVanished:
+            continue
+        assert composed is not None
+        assert composed.eval(point) == expected
+
+
 def test_integral_fraction_coefficient_is_stored_as_int():
     m = Monomial.from_pairs([(x(1), 2)])
     a, b = Polynomial({m: Fraction(2)}), Polynomial({m: 2})
