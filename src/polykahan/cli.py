@@ -372,14 +372,15 @@ def _orbit_start(bundle: CaseBundle, cfg: RunConfig) -> list[float]:
 
 
 def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path, init: list[float]) -> list[str]:
-    orbit = maps.iterate(bundle.map, init, float(cfg.h), cfg.steps)
+    h = float(cfg.h)
+    orbit = maps.iterate(bundle.map, init, h, cfg.steps)
     write_csv(out / "orbit.csv", orbit, [f"x{v.comp}_{v.shift}" for v in bundle.map.state_vars])
     i, j = cfg.plot or (0, min(1, bundle.map.dim - 1))
     write_svg(out / "phase.svg", orbit.column(i), orbit.column(j))
     lines = [
         "[orbit]",
         f"initial = {init}",
-        f"h = {float(cfg.h)!r}",
+        f"h = {h!r}",
         f"steps requested = {cfg.steps}",
         f"points = {len(orbit.points)}",
         f"status = {orbit.status}",
@@ -389,7 +390,7 @@ def orbit_section(bundle: CaseBundle, cfg: RunConfig, out: Path, init: list[floa
         worst = max(res) if all(map(math.isfinite, res)) else math.nan
         lines.append(f"max scheme residual = {worst!r}")
     if bundle.invariant_pair is not None:
-        states = [pt + [float(cfg.h)] for pt in orbit.points]
+        states = [pt + [h] for pt in orbit.points]
         variables = [*bundle.map.state_vars, H]
         (ratio,), ok = maps._eval_rational_batch([bundle.invariant_pair[::-1]], variables, states)
         vals = ratio[ok].tolist()

@@ -255,7 +255,8 @@ def pullback(m: BirationalMap, P: Polynomial) -> tuple[Polynomial, Polynomial]:
     substitutes the solved block for the top level, with its tables kept per
     map; parameters may stay symbolic."""
     solved = {x(j, m.n): rf for j, rf in enumerate(m.forward[-m.N:], start=1)}
-    return _compose(P.shift_states(1), solved, m._cache.setdefault("pullback", {}))
+    (num,), den = _compose((P.shift_states(1),), solved, m._cache.setdefault("pullback", {}))
+    return num, den
 
 
 def _certify(P: Polynomial, m: BirationalMap, J: RationalFunction) -> DarbouxCertificate:

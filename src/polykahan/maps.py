@@ -28,10 +28,13 @@ numerators and each distinct denominator once, serves ``eval_batch`` (no
 denominators) and ``_quotients``, which divides and masks vanishing ones,
 for ``_eval_rational_batch`` and ``_jacobian_values``.
 
-numpy is imported by the first float call: ``_numpy``, the package's one
-loader, binds ``np`` here once, and every float entry point reaches it
-before its first use of numpy.  The exact layer (solving, ``jacobian``,
-``eval_exact`` and all of ``darboux``) never loads numpy.
+numpy is imported by the first call that uses it: ``_numpy``, the
+package's one loader, binds ``np`` here once, and every batch kernel,
+spectrum and check reaches it before its first use of numpy.  Stepping
+(``step``, ``step_back``, ``iterate``) runs on the standard library alone;
+only a singular N >= 2 step loads numpy, for its condition number.  The
+exact layer (solving, ``jacobian``, ``eval_exact`` and all of ``darboux``)
+never loads numpy.
 """
 
 from __future__ import annotations
@@ -195,8 +198,10 @@ _source_code = functools.lru_cache(maxsize=64)(compile)
 
 def _numpy():
     """Bind ``_NUMPY_NAMES`` in this module on the first call, and return
-    numpy.  Every float entry point reaches it before it uses numpy; the
-    exact layer never does, so importing polykahan does not import numpy."""
+    numpy.  Every function that uses numpy reaches it first: the batch
+    kernels, spectra, the ``cases`` checks and ``_condition``.  The exact
+    layer and the generated steppers never do, so importing polykahan and
+    stepping a map do not import numpy."""
     global np
     if "np" not in globals():
         import numpy as np
@@ -204,6 +209,9 @@ def _numpy():
 
 
 def _condition(A: list[list[float]]) -> float | None:
+    """A's 2-norm condition number, for a singular N >= 2 step's
+    SingularStep: the one stepper path that loads numpy."""
+    _numpy()
     try:
         return float(np.linalg.cond(A))
     except np.linalg.LinAlgError:  # the SVD does not converge on a non-finite A
@@ -290,7 +298,10 @@ def _stepping_function(compiled: Sequence[list], N: int, dim: int, forward: bool
     so far (so the first largest wins), stops at a pivot that is exactly 0
     and eliminates below it; back-substitution subtracts left to right.  No
     LAPACK call: at these sizes the call costs more than the solve, and its
-    bits follow the BLAS kernel the host picks at run time."""
+    bits follow the BLAS kernel the host picks at run time.  Besides
+    builtins the function names only ``math``, ``SingularStep`` and
+    ``_condition``, so compiling and running it needs the standard library
+    alone; ``_condition`` loads numpy when a singular step calls it."""
     lines, coeffs = _value_lines(compiled)
     slots, block = [f"s{i}" for i in range(dim)], [f"b{j}" for j in range(N)]
     s = ", ".join(slots)
@@ -432,7 +443,6 @@ def _steps(m: BirationalMap, points: list, h: float, direction: str, steps: int)
         raise ValueError(f"state has {len(points[-1])} values, the map's window {m.dim}")
     if steps < 0:
         raise ValueError(f"steps must be at least 0, not {steps}")
-    _numpy()
     m._stepper(h, direction)(points, steps)
     return points
 
@@ -527,7 +537,8 @@ def jacobian(
         if m.N == 1:
             det = -J[k][0]
         else:
-            num, den = _compose(det_bottom, {x(j, m.n): rf for j, rf in enumerate(m.forward[k:], 1)}, {})
+            solved = {x(j, m.n): rf for j, rf in enumerate(m.forward[k:], 1)}
+            (num,), den = _compose((det_bottom,), solved, {})
             det = RationalFunction(num, den * det_top)
         m._cache["jacobian"] = (J, -det if m.N * (k + 1) % 2 else det)
     return m._cache["jacobian"]

@@ -39,7 +39,7 @@ import functools
 import math
 import threading
 import weakref
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from fractions import Fraction
 from typing import Union
 
@@ -451,7 +451,8 @@ class Polynomial:
         """
         relevant = self.vars()
         subs = {v: _coerce_rational(val) for v, val in sigma.items() if v in relevant}
-        return RationalFunction(*_compose(self, subs, {}))
+        (num,), den = _compose((self,), subs, {})
+        return RationalFunction(num, den)
 
     def subs_poly(self, sigma: Mapping[Var, object]) -> "Polynomial":
         """Substitution whose result must be polynomial (constant denominator)."""
@@ -598,49 +599,58 @@ def _coerce_rational(v) -> "RationalFunction":
     return RationalFunction(p)
 
 
-def _compose(p: Polynomial, subs: Mapping[Var, "RationalFunction"], tables: dict):
-    """(num, den) with p(subs) = num/den exactly, every variable of ``subs``
-    replaced at once by its RationalFunction; the one composition routine.
+def _compose(polys: Sequence[Polynomial], subs: Mapping[Var, "RationalFunction"], tables: dict):
+    """(nums, den) with polys[i](subs) = nums[i]/den exactly, every variable
+    of ``subs`` replaced at once by its RationalFunction; the one composition
+    routine.
 
-    The variables v -> n_v/d_v of p that share one nonconstant denominator d
-    form a class, every other variable a class of its own, with E the total
-    degree of p in the class.  The terms are grouped by their exponents e_v,
-    and each group is multiplied, class by class, by prod_v n_v^e_v
-    d^(E - sum e_v), read from ``tables[class]`` and filled there on first
-    use, where each n_v's powers reach only v's own largest exponent in p
-    and d's reach E, both lists extended as later calls need; den = prod d^E
-    over the classes."""
-    present, classes = p.vars(), {}
+    The variables v -> n_v/d_v of the polys that share one nonconstant
+    denominator d form a class, every other variable a class of its own,
+    with E the largest total degree of a poly in the class.  Each poly's
+    terms are grouped by their exponents e_v, and each group is multiplied,
+    class by class, by prod_v n_v^e_v d^(E - sum e_v), read from
+    ``tables[class]`` and filled there on first use, where each n_v's powers
+    reach only v's own largest exponent and d's reach E, both lists extended
+    as later calls need; den = prod d^E over the classes."""
+    present, classes = set().union(*(p.vars() for p in polys)), {}
     for v, rf in subs.items():
         if v in present:
             shared = v if rf.den.is_constant() else frozenset(rf.den.terms())
             classes.setdefault(shared, ([], rf.den))[0].append(v)
     solved = [v for vs, _ in classes.values() for v in vs]
-    groups: dict[tuple[int, ...], list] = {}
-    for mono, c in p.terms():
-        rest = [(v, e) for v, e in mono.factors if v not in subs]
-        key = tuple(mono.exponent(v) for v in solved)
-        groups.setdefault(key, []).append((Monomial(rest), c))
+    grouped: list[dict[tuple[int, ...], list]] = []
+    for p in polys:
+        groups: dict[tuple[int, ...], list] = {}
+        for mono, c in p.terms():
+            rest = [(v, e) for v, e in mono.factors if v not in subs]
+            key = tuple(mono.exponent(v) for v in solved)
+            groups.setdefault(key, []).append((Monomial(rest), c))
+        grouped.append(groups)
+    keys = [key for groups in grouped for key in groups]
     rows, at = [], 0
     for vs, d in classes.values():
         part = slice(at, at + len(vs))  # the class's exponents in a group key
         at += len(vs)
         npows, dpow, factors = tables.setdefault(tuple(vs), ([[1, subs[v].num] for v in vs], [1, d], {}))
-        for v, pows, top in zip(vs, npows, (max(col) for col in zip(*(key[part] for key in groups)))):
+        for v, pows, top in zip(vs, npows, (max(col) for col in zip(*(key[part] for key in keys)))):
             _powers(subs[v].num, top, pows)
-        E = max(sum(key[part]) for key in groups)
+        E = max(sum(key[part]) for key in keys)
         _powers(d, E, dpow)
         rows.append((part, E, npows, dpow, factors))
-    num = []
-    for key, pairs in groups.items():
-        g = Polynomial(pairs)
-        for part, E, npows, dpow, factors in rows:
-            es = key[part]
-            if (es, E) not in factors:
-                factors[es, E] = math.prod([*(n[e] for n, e in zip(npows, es)), dpow[E - sum(es)]])
-            g = g * factors[es, E]
-        num.extend(g.terms())
-    return Polynomial(num), math.prod((dpow[E] for _, E, _, dpow, _ in rows), start=Polynomial.const(1))
+    nums = []
+    for groups in grouped:
+        num = []
+        for key, pairs in groups.items():
+            g = Polynomial(pairs)
+            for part, E, npows, dpow, factors in rows:
+                es = key[part]
+                if (es, E) not in factors:
+                    powers = [*(n[e] for n, e in zip(npows, es)), dpow[E - sum(es)]]
+                    factors[es, E] = math.prod(powers)
+                g = g * factors[es, E]
+            num.extend(g.terms())
+        nums.append(Polynomial(num))
+    return nums, math.prod((dpow[E] for _, E, _, dpow, _ in rows), start=Polynomial.const(1))
 
 
 def try_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
@@ -772,7 +782,13 @@ class RationalFunction:
         )
 
     def substitute(self, sigma: Mapping[Var, object]) -> "RationalFunction":
-        return self.num.substitute(sigma) / self.den.substitute(sigma)
+        """Exact composition, num and den composed over one prod d^E
+        (:func:`_compose`), which the quotient leaves out: no power of a
+        substituted denominator stays in both parts, and nothing is divided."""
+        relevant = self.vars()
+        subs = {v: _coerce_rational(val) for v, val in sigma.items() if v in relevant}
+        (num, den), _ = _compose((self.num, self.den), subs, {})
+        return RationalFunction(num, den)
 
     def eval(self, point: Mapping[Var, Number]):
         d = self.den.eval(point)

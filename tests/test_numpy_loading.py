@@ -1,5 +1,8 @@
-"""numpy is loaded by the first float call, never by the exact layer."""
+"""numpy is loaded by the first call that uses it: never by the exact layer
+or by stepping, only by the batch kernels, spectra and checks, and by a
+singular N >= 2 step for its condition number."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +12,7 @@ import pytest
 
 from polykahan import cases, maps
 from polykahan.poly import Polynomial, x
-from polykahan.scheme import PolyOdeSystem
+from polykahan.scheme import PolyOdeSystem, discretize
 
 _EXACT_RUN = """
 import sys
@@ -24,10 +27,38 @@ assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
 """
 
 
-def test_the_exact_layer_and_commands_leave_numpy_unloaded(tmp_path):
+_STEPPING_RUN = """
+import math, sys
+from fractions import Fraction
+from polykahan import cases, maps
+from polykahan.poly import Polynomial, x
+from polykahan.scheme import PolyOdeSystem, discretize
+X1, X2, X3 = (Polynomial.var(x(i)) for i in (1, 2, 3))
+euler_top = PolyOdeSystem(1, 3, (X2 * X3, -2 * X3 * X1, X1 * X2))
+runs = [
+    (cases.quartic_oscillator(cases.QuarticParams(1, 2, 3, 5, Fraction(1, 10))).map, [0.31, 0.30]),
+    (cases.lotka_volterra(1).map, [1.2, 0.9]),
+    (maps.solve_forward(discretize(euler_top)), [1.0, 0.5, 0.3]),
+]
+for m, state in runs:
+    back = maps.step_back(m, maps.step(m, state, 0.1), 0.1)
+    assert all(math.isclose(b, s, rel_tol=1e-9) for b, s in zip(back, state)), (back, state)
+    assert maps.iterate(m, state, 0.1, 1000).status == "complete"
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+"""
+
+
+def _run(script: str, *args: str):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    subprocess.run([sys.executable, "-c", _EXACT_RUN, str(tmp_path)], check=True,
-                   env=env, capture_output=True)
+    subprocess.run([sys.executable, "-c", script, *args], check=True, env=env, capture_output=True)
+
+
+def test_the_exact_layer_and_commands_leave_numpy_unloaded(tmp_path):
+    _run(_EXACT_RUN, str(tmp_path))
+
+
+def test_stepping_at_n_1_2_and_3_leaves_numpy_unloaded():
+    _run(_STEPPING_RUN)
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +75,15 @@ def lv():
 X = Polynomial.var(x(1))
 CUBIC = PolyOdeSystem(2, 1, (-(X**3),))
 
+
+def _singular_step(lv, beam):
+    with pytest.raises(maps.SingularStep) as raised:
+        maps.step(lv, [1e300, 1e10], 0.1)
+    assert math.isfinite(raised.value.condition)
+
+
 FLOAT_ENTRY_POINTS = {
-    "step": lambda lv, beam: maps.step(lv, [1.2, 0.9], 0.1),
-    "step_back": lambda lv, beam: maps.step_back(lv, [1.2, 0.9], 0.1),
-    "iterate": lambda lv, beam: maps.iterate(lv, [1.2, 0.9], 0.1, 5),
+    "singular_step": _singular_step,
     "eval_batch": lambda lv, beam: maps.eval_batch([X], [x(1)], [[2.0]]),
     "orbit_residuals": lambda lv, beam: maps.orbit_residuals(lv, maps.Orbit(0.1, [[1.2, 0.9]] * 2)),
     "linearize_at": lambda lv, beam: maps.linearize_at(lv, [1.0, 1.0], 0.1),
@@ -70,3 +106,12 @@ def test_each_float_entry_point_loads_numpy_when_it_is_the_first_float_call(
         monkeypatch.delattr(maps, name, raising=False)
     FLOAT_ENTRY_POINTS[entry](lv, beam)
     assert all(name in vars(maps) for name in maps._NUMPY_NAMES)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_no_generated_stepper_names_numpy(lv, beam, direction):
+    X2, X3 = Polynomial.var(x(2)), Polynomial.var(x(3))
+    euler_top = maps.solve_forward(discretize(PolyOdeSystem(1, 3, (X2 * X3, -2 * X3 * X, X * X2))))
+    cubic = maps.solve_forward(discretize(CUBIC))
+    for m in (cubic, lv, euler_top, beam[0].map, beam[1].map):
+        assert "np" not in m._stepper(0.1, direction).__code__.co_names

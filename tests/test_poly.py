@@ -172,6 +172,16 @@ def test_substitute_then_eval_commutes():
         assert composed.eval(pt) == p.eval(inner)
 
 
+def test_rational_substitute_leaves_no_shared_denominator_power():
+    # x1/(x1 + 1) at x1 = x2/(x2 + 2): num and den share one (x2 + 2), which
+    # composing both over one denominator leaves out, with no trial division.
+    f = RationalFunction(X, X + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "try_divide", _no_trial_division)
+        r = f.substitute({x(1): RationalFunction(Y, Y + 2)})
+    assert str(r) == "(1/2*x2) / (x2 + 1)"
+
+
 _A, _H = param("a"), param("h")
 SUBSTITUTIONS = {
     "swap": {x(1): x(2), x(2): x(1)},
