@@ -76,14 +76,28 @@ X = Polynomial.var(x(1))
 CUBIC = PolyOdeSystem(2, 1, (-(X**3),))
 
 
-def _singular_step(lv, beam):
-    with pytest.raises(maps.SingularStep) as raised:
-        maps.step(lv, [1e300, 1e10], 0.1)
-    assert math.isfinite(raised.value.condition)
+# A state where the N = 2 solve of either direction is singular.
+SINGULAR = [1e300, 1e10]
 
 
+def _singular_step(stepper):
+    def entry(lv, beam):
+        with pytest.raises(maps.SingularStep) as raised:
+            stepper(lv, SINGULAR, 0.1)
+        assert math.isfinite(raised.value.condition)
+
+    return entry
+
+
+def _singular_iterate(lv, beam):
+    assert maps.iterate(lv, SINGULAR, 0.1, 5).status == "singular-at-step 1"
+
+
+# Stepping loads numpy only at a singular step, for its condition number.
 FLOAT_ENTRY_POINTS = {
-    "singular_step": _singular_step,
+    "step": _singular_step(maps.step),
+    "step_back": _singular_step(maps.step_back),
+    "iterate": _singular_iterate,
     "eval_batch": lambda lv, beam: maps.eval_batch([X], [x(1)], [[2.0]]),
     "orbit_residuals": lambda lv, beam: maps.orbit_residuals(lv, maps.Orbit(0.1, [[1.2, 0.9]] * 2)),
     "linearize_at": lambda lv, beam: maps.linearize_at(lv, [1.0, 1.0], 0.1),
