@@ -8,9 +8,9 @@ polynomial identity.  The beam gets two discretizations: the shift-averaged
 one (measure-preserving) and a variational one derived from a discrete
 Lagrangian (symplectic); both are analyzed around their fixed points.
 ``darboux._qrt_coefficients`` alone gives the QRT coefficients alpha..delta.
-The float checks take numpy from ``maps._numpy`` and evaluate quotients
-through ``maps._eval_rational_batch`` or ``maps._jacobian_values``, on one
-quotient plan whose mask marks the states the checks skip or resample.
+The float checks take numpy from ``maps._numpy``, step their random
+states, and evaluate DPhi through ``maps._jacobian_values`` at those states
+and images, whose mask marks the states the checks skip or resample.
 """
 
 from __future__ import annotations
@@ -335,18 +335,18 @@ def beam_measure_check(
     F = case.rhs_full
     G = F.derivative(x(1, 0))
     Hi = F.derivative(x(1, 4))
-    _, det = maps.jacobian(case.map)
     h = float(case.params.h)
     window = [x(1, k) for k in range(5)]
-    pairs = [(rf.num, rf.den) for rf in (case.map.forward[-1], det)]
     rng = random.Random(seed)
     worst = 0.0
     done = 0
     while done < n_points:
-        states = [[rng.uniform(-1.0, 1.0) for _ in range(4)] for _ in range(n_points - done)]
-        (w4, det_val), ok = maps._eval_rational_batch(pairs, [*window[:4], H], [s + [h] for s in states])
+        states, images, _ = _stepped_states(case.map, h, rng, n_points - done)
+        dphi, ok = maps._jacobian_values(case.map, states, images, h)
+        # det DPhi is (-1)^(N (dim - N)) times the level-0 block's det: -dPhi/dw^(0) here
+        det_val = -dphi[:, -1, 0]
         # G reads w^(1..4), H reads w^(0..3): one window binds both
-        g_val, h_val = maps.eval_batch([G, Hi], window, [s + [w] for s, w in zip(states, w4)])
+        g_val, h_val = maps.eval_batch([G, Hi], window, [s + image[-1:] for s, image in zip(states, images)])
         for good, d, g, hv in zip(ok, det_val.tolist(), g_val.tolist(), h_val.tolist()):
             if not good:
                 continue
@@ -535,6 +535,20 @@ def ostrogradsky_inverse(
     return [point[x(1, k)] for k in range(4)]
 
 
+def _stepped_states(m: BirationalMap, h: float, rng: random.Random, count: int) -> tuple[list, list, int]:
+    """Draw ``count`` windows uniform in [-1, 1]^dim and step each: those
+    whose step is regular, their images, and how many steps were singular."""
+    states, images = [], []
+    for _ in range(count):
+        s = [rng.uniform(-1.0, 1.0) for _ in range(m.dim)]
+        try:
+            images.append(maps.step(m, s, h))
+        except SingularStep:
+            continue
+        states.append(s)
+    return states, images, count - len(states)
+
+
 @dataclass
 class SymplecticityReport:
     defect: float
@@ -567,20 +581,13 @@ def symplecticity_check(
     done = 0
     resampled = 0
     while done < n_states:
-        states, images = [], []
-        for _ in range(n_states - done):
-            s = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-            try:
-                images.append(maps.step(case.map, s, h) + [h])
-            except SingularStep:
-                resampled += 1
-                continue
-            states.append(s + [h])
-        dphi, ok = maps._jacobian_values(case.map, states)
-        C = np.array(maps.eval_batch(dC, variables, states + images)).T.reshape(-1, 4, 4) / c_scale
+        states, images, singular = _stepped_states(case.map, h, rng, n_states - done)
+        resampled += singular
+        dphi, ok = maps._jacobian_values(case.map, states, images, h)
+        C = maps.eval_batch(dC, variables, [[*s, h] for s in states + images]).T.reshape(-1, 4, 4) / c_scale
         C_here, C_image = C[: len(states)], C[len(states) :]  # dC compiled once per batch
         for good, C_im, D, C_at in zip(ok, C_image, dphi, C_here):
-            try:  # not good: a Jacobian denominator vanished
+            try:  # not good: A vanished at the state
                 M = C_im @ D @ np.linalg.inv(C_at) if good else None
             except np.linalg.LinAlgError:
                 M = None

@@ -7,7 +7,10 @@ and fills the last block with the solved highest shifts.  Linearity in the
 lowest shifts makes the map birational: the inverse is the lowest-shift system.
 Its Jacobian is block companion, dim - N unit rows above the N solved ones,
 whose level-0 block is -A^-1 B at x_n = Phi for A x_n + r = B x_0 + s (A free
-of x_n, B of x_0), so det = (-1)^(N (dim - N) + N) det B(Phi) / det A.
+of x_n, B of x_0), so det = (-1)^(N (dim - N) + N) det B(Phi) / det A.  The
+exact Jacobian (``jacobian``) serves the exact layer; float paths take DPhi
+from E's partials instead, -A^-1 dE/dx at (state, x_n = Phi(state))
+(``_jacobian_values``), and never build the symbolic one.
 
 Only the forward block is solved symbolically (Cramer on the coefficients),
 for N <= 3; numeric stepping always solves the evaluated N x N system by
@@ -23,10 +26,9 @@ straight-line Python generated once from the terms (``_value_lines``).  Per
 map, direction and h, one generated function runs a whole orbit, with the
 window in local variables: ``iterate`` calls it once per orbit, and
 ``step``/``step_back`` call it for one step.  Residuals and quotients
-share one batch kernel, ``_gathered``.  ``_sums`` of one plan, ``_plan`` of
-numerators and each distinct denominator once, serves ``eval_batch`` (no
-denominators) and ``_quotients``, which divides and masks vanishing ones,
-for ``_eval_rational_batch`` and ``_jacobian_values``.
+share one batch kernel, ``_gathered``.  ``_sums`` of one plan (``_plan``)
+serves ``eval_batch``, ``_eval_rational_batch``, which divides and masks
+vanishing denominators, and ``_jacobian_values``.
 
 numpy is imported by the first call that uses it: ``_numpy``, the
 package's one loader, binds ``np`` here once, and every batch kernel,
@@ -395,35 +397,23 @@ def _gathered(plan: tuple, columns: Sequence[np.ndarray], count: int):
         yield cut, terms[:, :width], sums[:, :width]
 
 
-def _plan(nums: Sequence[Polynomial], variables: Sequence[Var], dens: Sequence[Polynomial] = ()) -> tuple:
-    """The plan of ``nums``, then of each distinct one of their ``dens`` (none
-    or one each), keyed in term order (which fixes the float sum); column k
-    of a state binds ``variables[k]``."""
+def _plan(polys: Sequence[Polynomial], variables: Sequence[Var]) -> tuple:
+    """The batch plan of ``polys``, whose term order fixes the float sum;
+    column k of a state binds ``variables[k]``."""
     _numpy()
     slots = {v: k for k, v in enumerate(variables)}
-    keys: dict = {}
-    index = [keys.setdefault(tuple(den.terms()), len(keys)) for den in dens]
-    polys = [*nums, *map(Polynomial, keys)]
-    return _batch_plan([_compile(p, slots, {}) for p in polys]), len(variables), index
+    return _batch_plan([_compile(p, slots, {}) for p in polys]), len(variables)
 
 
 def _sums(plan: tuple, states) -> np.ndarray:
     """Each planned polynomial at each state (polynomials x states)."""
-    batch, nvars, _ = plan
+    batch, nvars = plan
     states = np.reshape(np.asarray(states, dtype=float), (len(states), nvars))
     values = np.empty((len(batch[3]), len(states)))
     with np.errstate(all="ignore"):
         for cut, _, sums in _gathered(batch, states.T, len(states)):
             values[:, cut] = sums
     return values
-
-
-def _quotients(plan: tuple, states) -> tuple[np.ndarray, np.ndarray]:
-    """num/den per pair and state, as RationalFunction.eval divides them, and
-    the mask of the states where no denominator vanishes (where eval raises)."""
-    nums, dens = np.split(_sums(plan, states), [len(plan[2])])
-    with np.errstate(all="ignore"):
-        return nums / dens[plan[2]], np.logical_and.reduce(dens != 0)
 
 
 def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) -> np.ndarray:
@@ -433,8 +423,13 @@ def eval_batch(polys: Sequence[Polynomial], variables: Sequence[Var], states) ->
 
 
 def _eval_rational_batch(pairs, variables, states) -> tuple[np.ndarray, np.ndarray]:
-    """``_quotients`` of (num, den) pairs, planned for this one call."""
-    return _quotients(_plan([num for num, _ in pairs], variables, [den for _, den in pairs]), states)
+    """num/den of each (num, den) pair at each state, as RationalFunction.eval
+    divides them, and the mask of the states where no denominator vanishes
+    (where eval raises)."""
+    polys = [num for num, _ in pairs] + [den for _, den in pairs]
+    nums, dens = np.split(eval_batch(polys, variables, states), 2)
+    with np.errstate(all="ignore"):
+        return nums / dens, np.logical_and.reduce(dens != 0)
 
 
 def _steps(m: BirationalMap, points: list, h: float, direction: str, steps: int) -> list:
@@ -533,7 +528,7 @@ def jacobian(
     if "jacobian" not in m._cache:
         k, (det_top, det_bottom) = m.dim - m.N, m._dets
         J = [[RationalFunction(int(c == i + m.N)) for c in range(m.dim)] for i in range(k)]
-        J += [[rf.derivative(v) for v in m.state_vars] for rf in m.forward[k:]]
+        J += [rf.gradient(m.state_vars) for rf in m.forward[k:]]
         if m.N == 1:
             det = -J[k][0]
         else:
@@ -544,33 +539,63 @@ def jacobian(
     return m._cache["jacobian"]
 
 
-def _jacobian_values(m: BirationalMap, states) -> tuple[np.ndarray, np.ndarray]:
-    """The Jacobian at each state (window values, then h), states x dim x dim,
-    and the mask of states where no denominator vanishes.  Only the solved
-    rows are evaluated, through a plan cached per map; unit rows are 1.0, 0.0."""
-    J, _ = jacobian(m)
-    k = m.dim - m.N
-    if "jacobian_plan" not in m._cache:
-        nums, dens = zip(*((rf.num, rf.den) for row in J[k:] for rf in row))
-        m._cache["jacobian_plan"] = _plan(nums, [*m.state_vars, m.scheme.step], dens)
-    values, ok = _quotients(m._cache["jacobian_plan"], states)
-    out = np.zeros((values.shape[1], m.dim, m.dim))
-    out[:, range(k), range(m.N, m.dim)] = 1.0
-    out[:, k:] = values.T.reshape(-1, m.N, m.dim)
+def _partials(m: BirationalMap) -> tuple[list[list[Polynomial]], list[list[Polynomial]]]:
+    """E's partials by the window's coordinates (N x dim), and by the highest
+    shift, which is ``_top``'s A: E = A x_n + r is linear in x_n."""
+    return [[e.derivative(v) for v in m.state_vars] for e in m.scheme.equations], m._top[0]
+
+
+def _jacobian_values(m: BirationalMap, states, images, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """DPhi at each float window state, states x dim x dim, and the mask of
+    the states where A is regular.  Differentiating E(state, Phi_n(state))
+    = 0 gives the solved rows, -A^-1 dE/dx at (state, x_n), from one plan
+    per map of E's partials (``_partials``, h its last column), with x_n
+    read from ``images``, each state's window as the caller stepped it; the
+    unit rows are 1.0, 0.0.  At N = 1 a row is a division, as the stepper's;
+    at N >= 2 the rows come from one batched ``np.linalg.solve``.
+    Tolerance: on windows in [-1, 1]^dim at h = 1/10, each entry is within
+    1e-13 of the exact DPhi at the float state, relative to the largest
+    entry of its row; the error grows with A's condition number."""
+    _numpy()
+    N, dim = m.N, m.dim
+    if "partials_plan" not in m._cache:
+        dx, A = _partials(m)
+        variables = [*m.state_vars, *(x(j, m.n) for j in range(1, N + 1)), m.scheme.step]
+        m._cache["partials_plan"] = _plan([*itertools.chain(*dx, *A)], variables)
+    values = _sums(m._cache["partials_plan"], [[*s, *image[-N:], h] for s, image in zip(states, images)])
+    dx, A = values[: N * dim].T.reshape(-1, N, dim), values[N * dim :].T.reshape(-1, N, N)
+    with np.errstate(all="ignore"):
+        if N == 1:
+            ok, rows = A[:, 0, 0] != 0, -dx / A
+        else:
+            ok = np.ones(len(states), dtype=bool)
+            try:
+                rows = np.linalg.solve(A, -dx)
+            except np.linalg.LinAlgError:  # some A is singular: solve state by state
+                rows = np.zeros_like(dx)
+                for i in range(len(A)):
+                    try:
+                        rows[i] = np.linalg.solve(A[i], -dx[i])
+                    except np.linalg.LinAlgError:
+                        ok[i] = False
+    out = np.zeros((len(states), dim, dim))
+    out[:, range(dim - N), range(N, dim)] = 1.0
+    out[:, dim - N :] = rows
     return out, ok
 
 
 def linearize_at(m: BirationalMap, p: Sequence[float], h: float) -> np.ndarray:
     """Numeric Jacobian at an (approximate) fixed point of the map; raises
-    NotFixedPoint when one step moves a coordinate of p by more than 1e-9.
-    Only the solved rows' denominators are checked: the unit rows' are 1."""
+    NotFixedPoint when one step moves a coordinate of p by more than 1e-9,
+    and DenominatorVanished where A is singular at p.  The step's image
+    gives ``_jacobian_values`` its x_n, so it works at every N."""
     image = step(m, p, h)
     err = max(abs(a - b) for a, b in zip(image, p))
     if err > 1e-9:
         raise NotFixedPoint(f"|m(p) - p| = {err:.3e} exceeds 1e-09")
-    values, ok = _jacobian_values(m, [[*p, h]])
+    values, ok = _jacobian_values(m, [p], [image], float(h))
     if not ok[0]:
-        raise DenominatorVanished(f"denominator vanished at {dict(zip([*m.state_vars, m.scheme.step], [*p, h]))}")
+        raise DenominatorVanished(f"A is singular at {dict(zip([*m.state_vars, m.scheme.step], [*p, h]))}")
     return values[0]
 
 

@@ -776,10 +776,16 @@ class RationalFunction:
     # -- analysis ----------------------------------------------------------
 
     def derivative(self, v: Var) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative(v) * self.den - self.num * self.den.derivative(v),
-            self.den * self.den,
-        )
+        return self.gradient((v,))[0]
+
+    def gradient(self, vs: Sequence[Var]) -> list["RationalFunction"]:
+        """The derivative by each of ``vs``, by the quotient rule over one
+        square of the denominator."""
+        square = self.den * self.den
+        return [
+            RationalFunction(self.num.derivative(v) * self.den - self.num * self.den.derivative(v), square)
+            for v in vs
+        ]
 
     def substitute(self, sigma: Mapping[Var, object]) -> "RationalFunction":
         """Exact composition, num and den composed over one prod d^E

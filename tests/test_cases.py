@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dphi_formula import dphi_by_formula
 from polykahan import cases, darboux, maps
 from polykahan.poly import DenominatorVanished, Polynomial, RationalFunction, param, x
 from polykahan.scheme import H, PolyOdeSystem
@@ -355,30 +356,27 @@ def test_symmetric_map_symplectic_defect_recorded():
     assert rep.defect >= 0.0
 
 
-# The per-sample loops that beam_measure_check and symplecticity_check ran
-# before they evaluated through maps.eval_batch, kept as oracles: the batched
-# checks must draw the same states, skip the same ones, and give the same bits.
+# The per-sample loops of beam_measure_check and symplecticity_check, kept as
+# oracles: the batched checks must draw the same states, skip the same ones,
+# and give the same bits.  DPhi is the formula's, state by state.
 
 
 def _measure_gap_loop(case, n_points, seed):
     F = case.rhs_full
     G = F.derivative(x(1, 0))
     Hi = F.derivative(x(1, 4))
-    _, det = maps.jacobian(case.map)
     h = float(case.params.h)
     rng = random.Random(seed)
     worst = 0.0
     done = 0
     while done < n_points:
         state = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-        point = {x(1, k): state[k] for k in range(4)}
-        point[H] = h
         try:
-            w4 = case.map.forward[-1].eval(point)
-            det_val = det.eval(point)
-        except (ZeroDivisionError, DenominatorVanished):
+            image = maps.step(case.map, state, h)
+            det_val = -dphi_by_formula(case.map, state, image, h)[-1][0]  # (-1)^3 dPhi/dw^(0)
+        except (maps.SingularStep, DenominatorVanished):
             continue
-        g_val = G.eval({x(1, k): (state[k] if k < 4 else w4) for k in range(1, 5)})
+        g_val = G.eval({x(1, k): (state[k] if k < 4 else image[-1]) for k in range(1, 5)})
         h_val = Hi.eval({x(1, k): state[k] for k in range(4)})
         ratio = (1 - h**4 * g_val) / (1 - h**4 * h_val)
         worst = max(worst, abs(det_val - ratio) / max(abs(det_val), 1e-30))
@@ -399,7 +397,6 @@ def _symplectic_loop(case, n_states, seed):
     c_scale = [1.0, 1.0, scale, scale]
     state_vars = case.map.state_vars
     dC = [[poly.derivative(v) for v in state_vars] for poly in c_polys]
-    Jm, _ = maps.jacobian(case.map)
     rng = random.Random(seed)
     worst = 0.0
     done = 0
@@ -416,7 +413,7 @@ def _symplectic_loop(case, n_states, seed):
         pt_im = {v: val for v, val in zip(state_vars, image)}
         pt_im[H] = h
         try:
-            dphi = np.array([[rf.eval(pt) for rf in row] for row in Jm])
+            dphi = dphi_by_formula(case.map, s, image, h)
             C_here = np.array(
                 [[p.eval(pt) / c_scale[i] for p in row] for i, row in enumerate(dC)]
             )
@@ -424,7 +421,7 @@ def _symplectic_loop(case, n_states, seed):
                 [[p.eval(pt_im) / c_scale[i] for p in row] for i, row in enumerate(dC)]
             )
             M = C_image @ dphi @ np.linalg.inv(C_here)
-        except (ZeroDivisionError, DenominatorVanished, np.linalg.LinAlgError):
+        except (DenominatorVanished, np.linalg.LinAlgError):
             resampled += 1
             continue
         worst = max(worst, float(np.max(np.abs(M.T @ OMEGA @ M - OMEGA))))
@@ -500,9 +497,9 @@ def test_symplecticity_check_evaluates_dC_once_per_batch(monkeypatch):
         calls.append((len(polys), len(states)))
         return eval_batch(polys, variables, states)
 
-    def counting_jacobian(m, states):  # DPhi, once per batch
+    def counting_jacobian(m, states, *rest):  # DPhi, once per batch
         jacobian.append(len(states))
-        return jacobian_values(m, states)
+        return jacobian_values(m, states, *rest)
 
     monkeypatch.setattr(maps, "step", rejecting)
     monkeypatch.setattr(maps, "eval_batch", counting)
@@ -543,11 +540,11 @@ def _mask_the_first_state_once(monkeypatch, name, first):
 
 def test_beam_measure_check_skips_a_masked_state_and_draws_another(monkeypatch):
     case = cases.beam_symmetric(beam_params())
-    masks = _mask_the_first_state_once(monkeypatch, "_eval_rational_batch", (slice(None), 0))
+    masks = _mask_the_first_state_once(monkeypatch, "_jacobian_values", (0, -1))
     rep = cases.beam_measure_check(case, n_points=20, seed=7)
     assert masks == [[False] + [True] * 19, [True]]  # 20 good samples over two batches
     assert rep.samples == 20
-    assert rep.max_rel_gap < 1e-9  # the doubled determinant would give a gap near 1/2
+    assert rep.max_rel_gap < 1e-9  # the doubled solved row doubles det: a gap near 1/2
 
 
 def test_symplecticity_check_resamples_a_masked_state(monkeypatch):

@@ -643,24 +643,43 @@ def test_analyze_beam_reports_a_constant_load_without_fixed_points(tmp_path):
 @pytest.mark.parametrize("preset", ["beam-sym", "beam-lag"])
 def test_beam_report_builds_each_map_once(tmp_path, monkeypatch, preset):
     solved, derivatives = [], []
-    solve_forward, derivative = maps.solve_forward, maps.RationalFunction.derivative
+    solve_forward, gradient = maps.solve_forward, maps.RationalFunction.gradient
 
     def counting_solve(scheme):
         solved.append(scheme)
         return solve_forward(scheme)
 
-    def counting_derivative(rf, v):
-        derivatives.append(v)
-        return derivative(rf, v)
+    def counting_gradient(rf, vs):
+        derivatives.append(vs)
+        return gradient(rf, vs)
 
     monkeypatch.setattr(maps, "solve_forward", counting_solve)
     monkeypatch.setattr(cases, "solve_forward", counting_solve)
-    monkeypatch.setattr(maps.RationalFunction, "derivative", counting_derivative)
+    monkeypatch.setattr(maps.RationalFunction, "gradient", counting_gradient)
     assert main(["report", "--preset", preset, "--out", str(tmp_path)]) == 0
-    # one shift-averaged and one variational map, one Jacobian each: the
-    # N = 1 solved row differentiated once by each of the 4 coordinates
+    # one shift-averaged and one variational map, and no rational function
+    # differentiated: the float DPhi comes from the scheme's partials
     assert len(solved) == 2 and solved[0].equations != solved[1].equations
-    assert derivatives == [x(1, k) for k in range(4)] * 2
+    assert derivatives == []
+
+
+@pytest.mark.parametrize("preset", ["beam-sym", "beam-lag"])
+def test_no_float_path_builds_a_symbolic_jacobian(tmp_path, monkeypatch, preset):
+    def refused(m):
+        raise AssertionError("a float path built the symbolic Jacobian")
+
+    monkeypatch.setattr(maps, "jacobian", refused)
+    monkeypatch.setattr(darboux, "jacobian", refused)
+    bundle = build_case(parse_config(f"preset = {preset}\n"))
+    sym = bundle.beam_sym or cases.beam_symmetric(bundle.beam_lag.params)
+    lag = bundle.beam_lag or cases.beam_lagrangian(sym.params)
+    assert cases.beam_measure_check(sym).max_rel_gap < 1e-9
+    assert cases.symplecticity_check(lag).defect < 1e-6
+    for case in (sym, lag):
+        rep = cases.beam_fixed_point_analysis(case)
+        w = rep.primary
+        assert maps.linearize_at(case.map, [w] * 4, float(case.params.h)).shape == (4, 4)
+    assert main(["report", "--preset", preset, "--out", str(tmp_path)]) == 0
 
 
 # SHA-256 of the default report files at seed 1, of the beam presets' at
@@ -678,17 +697,17 @@ DEFAULT_REPORT_SHA256 = {
     "weierstrass/report.txt": "15f9a4a65469c93fb33ccfbea59e9d94f2cd7e637708d35410b535bff62e2819",
     "beam-sym/orbit.csv": "9a969a88d395c09608feee6372ecfd78c89a0f0482a435e522844fef21dae348",
     "beam-sym/phase.svg": "8bfe6ea6a1f3095651d8a1062d277790862ab6835661df3c369617f1d42da57c",
-    "beam-sym/report.txt": "39d46cb13d407f1b63cd6a849e6c8944a13c066c5870592ee4aa46d021a1552d",
+    "beam-sym/report.txt": "20487b203f935f5adecf8dea126c75189250ec046c4e7866061dc273427afa6c",
     "beam-lag/orbit.csv": "9048909a52558326f016c875a42af601d380288ce4766e1a2ada7d620114ebe0",
     "beam-lag/phase.svg": "c95743a14e42691800f2ade9a5afd9c7f6ab43a5223084b648e41786d70ea446",
-    "beam-lag/report.txt": "9c27025aa5e942c6359429b36f1d868d52dd542cc2a65aca962c02b6becece9a",
+    "beam-lag/report.txt": "7087518987eba3d74b6462654dc93d8c1d0f85da9592754ae2d8bee5eca5af01",
     # seed 7, the default seed; only report.txt reads it
     "beam-sym-seed7/orbit.csv": "9a969a88d395c09608feee6372ecfd78c89a0f0482a435e522844fef21dae348",
     "beam-sym-seed7/phase.svg": "8bfe6ea6a1f3095651d8a1062d277790862ab6835661df3c369617f1d42da57c",
-    "beam-sym-seed7/report.txt": "764adba4f73ef72dbe7aa12a78934ad5ec31d36b5438fbeca0b4a60914071f95",
+    "beam-sym-seed7/report.txt": "a8ea3dfc26024305740e541f95f0e4287fcd5c9a2bc4ec078936efeaad333d13",
     "beam-lag-seed7/orbit.csv": "9048909a52558326f016c875a42af601d380288ce4766e1a2ada7d620114ebe0",
     "beam-lag-seed7/phase.svg": "c95743a14e42691800f2ade9a5afd9c7f6ab43a5223084b648e41786d70ea446",
-    "beam-lag-seed7/report.txt": "291ecd6e82380ad260b8b7f66fcbd4ebf8b8d85c523ebeefa0ba4cf4e88518fd",
+    "beam-lag-seed7/report.txt": "9367801bfc61cf7b821f19a1ee14eadf3a995dabdba05c1856255aa66ed3996f",
     "inline/orbit.csv": "522ef066de6580cfab4b59c6dafc8ca0f5f42259ad8cbabd056490e4c8e7cd0e",
     "inline/phase.svg": "56d3e03662e7c7cf41942a8c86f3503df7a40ea6623166755208454644facd0e",
     "inline/report.txt": "169bb2bb349d7e57e916e0b50e20d1db61dff13566624ce4fd8f0f68323c624f",
@@ -888,6 +907,15 @@ def test_a_map_above_the_symbolic_limit_has_no_exact_layer():
         maps.eval_exact(bound, [1, 0, 0, 0], Fraction(1, 10))
     with pytest.raises(ValueError, match="Darboux search needs the symbolic map"):
         darboux.find_darboux(bound, 1)
+
+
+def test_linearize_at_works_above_the_symbolic_limit():
+    # y' = A y is linear, so its Kahan map is the Cayley map (I - hA/2)^-1 (I + hA/2)
+    m = build_case(parse_config(N4_CONFIG)).map
+    assert m.forward is None
+    A = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0]])
+    cayley = np.linalg.solve(np.eye(4) - 0.05 * A, np.eye(4) + 0.05 * A)
+    assert np.max(np.abs(maps.linearize_at(m, [0.0] * 4, 0.1) - cayley)) <= 1e-12
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings must not reach stderr

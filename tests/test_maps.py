@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dphi_formula import dphi_by_formula
 from polykahan import cases, linalg, maps
 from polykahan.cli import RunConfig, build_case
 from polykahan.poly import DenominatorVanished, Polynomial, RationalFunction, param, x
@@ -363,19 +364,19 @@ def test_jacobian_is_built_once_per_map(monkeypatch):
     assert maps.jacobian(m) is maps.jacobian(m)
     assert maps.jacobian(m.bind({})) is not maps.jacobian(m)  # a new map, a new cache
     builds = []
-    derivative = RationalFunction.derivative
+    gradient = RationalFunction.gradient
 
-    def counting(rf, v):
-        builds.append(v)
-        return derivative(rf, v)
+    def counting(rf, vs):
+        builds.append(tuple(vs))
+        return gradient(rf, vs)
 
-    monkeypatch.setattr(RationalFunction, "derivative", counting)
+    monkeypatch.setattr(RationalFunction, "gradient", counting)
     p = cases.BeamParams.normal_form(1, Fraction(1, 4), Fraction(1, 10))
     case = cases.beam_symmetric(p)
-    rep = cases.beam_fixed_point_analysis(case)
-    assert len(rep.spectra) == 4
-    # one build: the N = 1 solved row differentiated once by each coordinate
-    assert builds == list(case.map.state_vars)
+    J, _ = maps.jacobian(case.map)
+    assert maps.jacobian(case.map)[0] is J
+    # one build: the N = 1 solved row differentiated by every coordinate at once
+    assert builds == [case.map.state_vars]
 
 
 def test_fresh_maps_share_the_code_of_their_generated_source():
@@ -399,12 +400,9 @@ def test_linearize_requires_fixed_point():
 
 
 def _linearize_per_entry(m, p, h):
-    """linearize_at as it was, kept as the oracle: RationalFunction.eval
-    once per Jacobian entry."""
-    J, _ = maps.jacobian(m)
-    point = {v: float(s) for v, s in zip(m.state_vars, p)}
-    point[m.scheme.step] = float(h)
-    return np.array([[rf.eval(point) for rf in row] for row in J], dtype=float)
+    """linearize_at at N = 1, kept as the oracle: the formula per entry at
+    (p, step(p))."""
+    return dphi_by_formula(m, p, maps.step(m, p, h), h)
 
 
 @pytest.mark.parametrize("build", [cases.beam_symmetric, cases.beam_lagrangian])
@@ -420,12 +418,57 @@ def test_linearize_at_gives_the_per_entry_bits_at_every_beam_fixed_point(build):
 def test_linearize_at_raises_where_a_jacobian_denominator_vanishes(monkeypatch):
     case = quartic_numeric(0, 0, 0, 0)  # x'' = 0 fixes (0.4, 0.4)
     v0, v1 = map(Polynomial.var, case.map.state_vars)
-    # row 1 is the solved row: row 0 is the unit row, which linearize_at does not evaluate
-    J = [[RationalFunction(0), RationalFunction(1)], [RationalFunction(1, v0 - Fraction(2, 5)), RationalFunction(v1)]]
-    monkeypatch.setattr(maps, "jacobian", lambda m: (J, None))
+    # A, E's partial by the highest shift, is the solved row's denominator; the stepper keeps the true A
+    partials = ([[Polynomial.const(1), v1]], [[v0 - Fraction(2, 5)]])
+    monkeypatch.setattr(maps, "_partials", lambda m: partials)
     for linearize in (maps.linearize_at, _linearize_per_entry):
         with pytest.raises(DenominatorVanished):
             linearize(case.map, [0.4, 0.4], 0.1)
+
+
+def test_linearize_at_raises_where_a_is_singular_at_n_2(monkeypatch):
+    lv = cases.lotka_volterra(1).map  # fixes (1, 1)
+    dx, _ = maps._partials(lv)
+    v1 = Polynomial.var(x(1))
+    singular = [[v1 - 1, Polynomial()], [Polynomial(), Polynomial.const(1)]]  # singular where x1 = 1
+    monkeypatch.setattr(maps, "_partials", lambda m: (dx, singular))
+    with pytest.raises(DenominatorVanished):
+        maps.linearize_at(lv, [1.0, 1.0], 0.1)
+    # in a batch, the singular state is masked and the others keep their bits
+    states = [[1.0, 1.0], [0.5, 0.7]]
+    images = [maps.step(lv, s, 0.1) for s in states]
+    got, ok = maps._jacobian_values(lv, states, images, 0.1)
+    alone, _ = maps._jacobian_values(lv, states[1:], images[1:], 0.1)
+    assert ok.tolist() == [False, True]
+    assert got[1].tobytes() == alone[0].tobytes()
+
+
+@functools.cache
+def _tolerance_maps():
+    presets = ("lv", "quartic", "weierstrass", "beam-sym", "beam-lag")
+    presets = {p: build_case(RunConfig(preset=p)).map for p in presets}
+    oracle = _jacobian_oracle_maps()
+    return {**presets, "lv-alpha-2": cases.lotka_volterra(2).map, "euler-top": oracle["euler-top"],
+            "order-3": oracle["order-3"]}
+
+
+@pytest.mark.parametrize("name", list(_tolerance_maps()))
+def test_jacobian_values_are_within_their_stated_tolerance_of_the_exact_jacobian(name):
+    # _jacobian_values' docstring: within 1e-13 of the exact DPhi at the
+    # float state, relative to the largest entry of the row, on [-1, 1]^dim at h = 1/10
+    m = _tolerance_maps()[name]
+    J, _ = maps.jacobian(m)
+    rng = random.Random(sum(map(ord, name)))
+    states = [[rng.uniform(-1.0, 1.0) for _ in range(m.dim)] for _ in range(20)]
+    got, ok = maps._jacobian_values(m, states, [maps.step(m, s, 0.1) for s in states], 0.1)
+    assert ok.all()
+    for s, values in zip(states, got):
+        point = {v: Fraction(val) for v, val in zip(m.state_vars, s)}
+        point[m.scheme.step] = Fraction(0.1)
+        for row, exact_row in zip(values, J):
+            exact = [rf.eval(point) for rf in exact_row]
+            scale = max(map(abs, exact))
+            assert max(abs(Fraction(v) - e) for v, e in zip(row.tolist(), exact)) <= Fraction(1e-13) * scale
 
 
 def test_lv_linearization_unit_circle():
